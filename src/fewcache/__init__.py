@@ -9,7 +9,7 @@ measured by rank-based instance- and bag-level AUC.
 
 from .cache_branch import (
     CacheModel,
-    CachePrediction,
+    attention,
     build_cache,
     cache_loss_and_grads,
     project,
@@ -77,7 +77,6 @@ __all__ = [
     "AdamState",
     "Bag",
     "CacheModel",
-    "CachePrediction",
     "Dataset",
     "EmbeddingSource",
     "EmbeddingStore",
@@ -95,6 +94,7 @@ __all__ = [
     "TrainState",
     "adam_step",
     "alpha_grid",
+    "attention",
     "bag_auc",
     "bag_pool",
     "binary_auc",

@@ -14,6 +14,10 @@ Prediction for a query row q is
 a convex combination of simplex rows, hence itself on the simplex.
 beta scales the unit-norm dot products (which live in [-1, 1]) so that
 the attention is not stuck near uniform.
+
+`retrieve` streams the queries through fixed row blocks and keeps only
+the (m, N) probabilities, so its memory does not grow with m beyond the
+output; `attention` is the opt-in full (m, n_cache) matrix.
 """
 
 from __future__ import annotations
@@ -28,6 +32,10 @@ from .numerics import PROB_CLAMP, REAL, as_matrix, l2_normalize_rows, softmax_ro
 from .sampler import FewShotSplit
 
 DEFAULT_BETA = 10.0
+
+# Attention entries scored per block in `retrieve` (2 MiB of float64), so
+# the (m, n_cache) temporaries never exist for a slide-scale test set.
+_BLOCK_ELEMENTS = 1 << 18
 
 # Logit magnitude used to initialize labeled value rows when they are made
 # learnable: softmax of (one-hot * this) is ~0.9999 on the hot class.
@@ -71,12 +79,6 @@ class CacheModel:
         )
 
 
-@dataclass
-class CachePrediction:
-    probs: np.ndarray      # (m, N) rows on the simplex
-    attention: np.ndarray  # (m, n_cache)
-
-
 def build_cache(
     split: FewShotSplit,
     store: EmbeddingStore,
@@ -114,14 +116,33 @@ def build_cache(
     )
 
 
-def retrieve(model: CacheModel, queries) -> CachePrediction:
-    """Attention retrieval over the cache for unit-norm query rows."""
+def _query_matrix(model: CacheModel, queries) -> np.ndarray:
     q = as_matrix(queries, "queries")
     if q.shape[1] != model.dim:
         raise ShapeMismatchError(f"query dim {q.shape[1]} != key dim {model.dim}")
-    attention = softmax_rows(model.beta * (q @ model.keys.T))
-    probs = attention @ model.value_distributions()
-    return CachePrediction(probs=probs, attention=attention)
+    return q
+
+
+def attention(model: CacheModel, queries) -> np.ndarray:
+    """Full (m, n_cache) softmax attention of unit-norm query rows over the keys."""
+    q = _query_matrix(model, queries)
+    return softmax_rows(model.beta * (q @ model.keys.T))
+
+
+def retrieve(model: CacheModel, queries) -> np.ndarray:
+    """(m, N) class probabilities of unit-norm query rows, on the simplex.
+
+    Queries are scored in blocks of at most _BLOCK_ELEMENTS attention
+    entries; a query set that fits in one block is scored in one call.
+    """
+    q = _query_matrix(model, queries)
+    values = model.value_distributions()
+    rows = max(1, _BLOCK_ELEMENTS // model.n_cache)
+    probs = np.empty((q.shape[0], model.num_classes), dtype=REAL)
+    for start in range(0, q.shape[0], rows):
+        block = slice(start, start + rows)
+        np.matmul(attention(model, q[block]), values, out=probs[block])
+    return probs
 
 
 def cache_loss_and_grads(
@@ -140,13 +161,11 @@ def cache_loss_and_grads(
     y = np.asarray(labels, dtype=np.int64).reshape(-1)
     if q.shape[0] != y.size:
         raise ShapeMismatchError(f"{q.shape[0]} queries vs {y.size} labels")
-    if q.shape[1] != model.dim:
-        raise ShapeMismatchError(f"query dim {q.shape[1]} != key dim {model.dim}")
     m = q.shape[0]
     values = model.value_distributions()
 
-    attention = softmax_rows(model.beta * (q @ model.keys.T))
-    probs = attention @ values
+    attn = attention(model, q)
+    probs = attn @ values
     picked = probs[np.arange(m), y]
     clamped = np.clip(picked, PROB_CLAMP, 1.0)
     loss = float(-np.log(clamped).mean())
@@ -158,11 +177,11 @@ def cache_loss_and_grads(
     g_probs[np.arange(m)[live], y[live]] = -1.0 / (m * picked[live])
 
     # Through probs = attention @ values.
-    g_values = attention.T @ g_probs
+    g_values = attn.T @ g_probs
     g_attention = g_probs @ values.T
 
     # Softmax backward for the attention rows.
-    g_scores = attention * (g_attention - (g_attention * attention).sum(axis=1, keepdims=True))
+    g_scores = attn * (g_attention - (g_attention * attn).sum(axis=1, keepdims=True))
 
     grad_keys = model.beta * (g_scores.T @ q)
 

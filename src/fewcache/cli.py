@@ -145,7 +145,7 @@ def cmd_eval(args) -> int:
         raise UsageError(f"checkpoint not found: {ckpt}")
     cache, prior = restore(ckpt)
     queries = dataset.store.rows
-    cache_probs = retrieve(cache, queries).probs
+    cache_probs = retrieve(cache, queries)
     prior_probs = prior_predict(prior, queries)
 
     out = _out_dir(args)
@@ -156,7 +156,7 @@ def cmd_eval(args) -> int:
         tune_split = load_split(tune["split"])
         q = tune_ds.store.rows[tune_split.labeled_rows]
         alpha, table = sweep_alpha(
-            retrieve(cache, q).probs,
+            retrieve(cache, q),
             prior_predict(prior, q),
             tune_split.labeled_classes,
             grid=alpha_grid(cfg.get("grid_points", 101)),

@@ -276,7 +276,7 @@ def run_single(
 
     flags = dict(split.flags)
     tune_q = train_ds.store.rows[split.labeled_rows]
-    tune_cache = retrieve(cache, tune_q).probs
+    tune_cache = retrieve(cache, tune_q)
     tune_prior_probs = prior_predict(prior, tune_q)
     alpha_table = None
     if cfg.cache_only:
@@ -301,7 +301,7 @@ def run_single(
             "test dataset must carry instance labels for instance-level AUC"
         )
     test_q = test_ds.store.rows
-    cache_probs = retrieve(cache, test_q).probs
+    cache_probs = retrieve(cache, test_q)
     prior_probs = prior_predict(prior, test_q)
     fused = fuse(cache_probs, prior_probs, alpha)
 

@@ -31,6 +31,11 @@ PROB_CLAMP = 1e-12
 # rejected as invalid.
 SIMPLEX_TOL = 1e-6
 
+# Rows with a norm below _TINY_NORM are rescaled by _TINY_SCALE before
+# normalizing; no row of that size overflows when squared after scaling.
+_TINY_NORM = 2.0 ** -450
+_TINY_SCALE = 2.0 ** 600
+
 
 def as_matrix(m, name: str = "matrix") -> np.ndarray:
     """Coerce to a finite 2-d REAL array, raising on bad input."""
@@ -61,6 +66,13 @@ def l2_normalize_rows(m) -> np.ndarray:
     """
     a = as_matrix(m, "normalize input")
     norms = np.linalg.norm(a, axis=1)
+    tiny = np.flatnonzero(norms < _TINY_NORM)
+    if tiny.size:
+        # The squares of these rows underflow to subnormals or zero; scaling
+        # by a power of two is exact, so scale them up before the norm.
+        a = a.copy()
+        a[tiny] *= _TINY_SCALE
+        norms[tiny] = np.linalg.norm(a[tiny], axis=1)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         raise DegenerateRowError(int(zero[0]))
@@ -98,12 +110,6 @@ def cross_entropy(pred, target) -> float:
         raise ShapeMismatchError(f"target shape {t.shape} != pred shape {p.shape}")
     _check_simplex(t, "target")
     return float(-(t * logp).sum())
-
-
-def batch_cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
-    """Mean clamped cross-entropy of probability rows vs integer labels."""
-    picked = probs[np.arange(probs.shape[0]), labels]
-    return float(-np.log(np.clip(picked, PROB_CLAMP, 1.0)).mean())
 
 
 @dataclass

@@ -256,4 +256,26 @@ def restore(checkpoint_dir, expect_mode: Optional[str] = None) -> tuple[CacheMod
         )
     else:
         raise CorruptCheckpointError(f"unknown prior mode {mode!r} in checkpoint")
+    _check_shapes(cache, prior)
     return cache, prior
+
+
+def _check_shapes(cache: CacheModel, prior: PriorModel) -> None:
+    """Reject a checkpoint whose parts disagree, before any prediction indexes them."""
+    n_keys = cache.keys.shape[0]
+    if cache.value_logits.shape[0] != n_keys or cache.frozen_mask.shape != (n_keys,):
+        raise CorruptCheckpointError(
+            f"cache has {n_keys} key rows, {cache.value_logits.shape[0]} value-logit rows"
+            f" and {cache.frozen_mask.size} frozen-mask entries"
+        )
+    if cache.value_logits.shape[1] != len(cache.classes):
+        raise CorruptCheckpointError(
+            f"cache value logits have {cache.value_logits.shape[1]} columns"
+            f" for {len(cache.classes)} classes"
+        )
+    if cache.classes != prior.classes:
+        raise CorruptCheckpointError(
+            f"cache classes {cache.classes} != prior classes {prior.classes}"
+        )
+    if cache.dim != prior.dim:
+        raise CorruptCheckpointError(f"cache key dim {cache.dim} != prior feature dim {prior.dim}")

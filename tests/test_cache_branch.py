@@ -1,17 +1,23 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fewcache import cache_branch
 from fewcache.cache_branch import (
     CacheModel,
+    attention,
     build_cache,
     cache_loss_and_grads,
     project,
     retrieve,
 )
 from fewcache.dataset import EmbeddingStore
-from fewcache.errors import DegenerateRowError, ShapeMismatchError
+from fewcache.errors import DegenerateRowError, NonFiniteInputError, ShapeMismatchError
 from fewcache.gradchecks import cache_gradient_suite
-from fewcache.numerics import l2_normalize_rows
+from fewcache.numerics import SIMPLEX_TOL, l2_normalize_rows
 from fewcache.sampler import FewShotSplit
 
 
@@ -73,14 +79,14 @@ class TestBuildCache:
 
 class TestRetrieve:
     def test_reference_attention(self):
-        pred = retrieve(_two_key_model(beta=1.0), [[1.0, 0.0]])
-        np.testing.assert_allclose(pred.attention, [[0.73106, 0.26894]], atol=1e-5)
-        np.testing.assert_allclose(pred.probs, [[0.73106, 0.26894]], atol=1e-5)
+        model = _two_key_model(beta=1.0)
+        np.testing.assert_allclose(attention(model, [[1.0, 0.0]]), [[0.73106, 0.26894]], atol=1e-5)
+        np.testing.assert_allclose(retrieve(model, [[1.0, 0.0]]), [[0.73106, 0.26894]], atol=1e-5)
 
     def test_equidistant_query(self):
         q = l2_normalize_rows([[1.0, 1.0]])
-        pred = retrieve(_two_key_model(beta=3.0), q)
-        np.testing.assert_allclose(pred.probs, [[0.5, 0.5]], atol=1e-12)
+        probs = retrieve(_two_key_model(beta=3.0), q)
+        np.testing.assert_allclose(probs, [[0.5, 0.5]], atol=1e-12)
 
     def test_identical_value_rows(self, rng):
         model = CacheModel(
@@ -90,8 +96,8 @@ class TestRetrieve:
             beta=5.0,
             classes=["a", "b"],
         )
-        pred = retrieve(model, l2_normalize_rows(rng.normal(size=(6, 3))))
-        np.testing.assert_allclose(pred.probs, np.tile([1.0, 0.0], (6, 1)), atol=1e-12)
+        probs = retrieve(model, l2_normalize_rows(rng.normal(size=(6, 3))))
+        np.testing.assert_allclose(probs, np.tile([1.0, 0.0], (6, 1)), atol=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeMismatchError):
@@ -105,7 +111,7 @@ class TestRetrieve:
             beta=10.0,
             classes=["a", "b", "c"],
         )
-        probs = retrieve(model, l2_normalize_rows(rng.normal(size=(20, 5)))).probs
+        probs = retrieve(model, l2_normalize_rows(rng.normal(size=(20, 5))))
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
         assert probs.min() >= 0.0
 
@@ -128,7 +134,7 @@ class TestRetrieve:
         )
         q = l2_normalize_rows(rng.normal(size=(9, 4)))
         np.testing.assert_allclose(
-            retrieve(model, q).probs, retrieve(permuted, q).probs, atol=1e-12
+            retrieve(model, q), retrieve(permuted, q), atol=1e-12
         )
 
     def test_beta_to_zero_gives_value_mean(self, rng):
@@ -139,7 +145,7 @@ class TestRetrieve:
             beta=1e-8,
             classes=["a", "b"],
         )
-        probs = retrieve(model, l2_normalize_rows(rng.normal(size=(4, 3)))).probs
+        probs = retrieve(model, l2_normalize_rows(rng.normal(size=(4, 3))))
         expected = model.value_distributions().mean(axis=0)
         np.testing.assert_allclose(probs, np.tile(expected, (4, 1)), atol=1e-9)
 
@@ -186,3 +192,69 @@ class TestProject:
         model.keys = np.array([[0.0, 0.0], [0.0, 1.0]])
         with pytest.raises(DegenerateRowError):
             project(model)
+
+
+def _random_model(rng, n_cache, dim, num_classes, beta):
+    """Learnable rows hold random logits; frozen rows hold exact one-hot values."""
+    frozen = rng.random(n_cache) < 0.3
+    value_logits = rng.normal(size=(n_cache, num_classes))
+    value_logits[frozen] = np.eye(num_classes)[rng.integers(num_classes, size=frozen.sum())]
+    return CacheModel(
+        keys=l2_normalize_rows(rng.normal(size=(n_cache, dim))),
+        value_logits=value_logits,
+        frozen_mask=frozen,
+        beta=beta,
+        classes=[f"c{i}" for i in range(num_classes)],
+    )
+
+
+class TestBlockedRetrieve:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(2, 40),
+        st.integers(1, 12),
+        st.integers(1, 6),
+        st.integers(2, 4),
+        st.floats(0.1, 50.0),
+        st.integers(0, 2**31 - 1),
+    )
+    def test_block_size_invariance(self, m, n_cache, dim, num_classes, beta, seed):
+        rng = np.random.default_rng(seed)
+        model = _random_model(rng, n_cache, dim, num_classes, beta)
+        q = l2_normalize_rows(rng.normal(size=(m, dim)))
+        expected = attention(model, q) @ model.value_distributions()
+        for rows in (1, 7, m - 1, m, m + 5):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(cache_branch, "_BLOCK_ELEMENTS", rows * n_cache)
+                probs = retrieve(model, q)
+            assert probs.shape == (m, num_classes)
+            np.testing.assert_allclose(probs, expected, rtol=0.0, atol=1e-12)
+            assert probs.min() >= -SIMPLEX_TOL
+            np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=0.0, atol=SIMPLEX_TOL)
+
+    def test_non_finite_query_in_later_block(self):
+        model = _two_key_model()
+        q = np.tile([1.0, 0.0], (10, 1))
+        q[9, 0] = np.nan
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cache_branch, "_BLOCK_ELEMENTS", 2 * model.n_cache)
+            with pytest.raises(NonFiniteInputError):
+                retrieve(model, q)
+
+    def test_peak_memory_bounded_in_query_count(self):
+        rng = np.random.default_rng(0)
+        model = _random_model(rng, n_cache=512, dim=32, num_classes=2, beta=10.0)
+
+        def peak(m):
+            q = l2_normalize_rows(rng.normal(size=(m, 32)))
+            tracemalloc.start()
+            try:
+                retrieve(model, q)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(4096), peak(32768)
+        assert large < 16 * 2**20
+        output_growth = (32768 - 4096) * model.num_classes * 8
+        assert large - small <= output_growth + 2**20

@@ -186,6 +186,30 @@ class TestErrors:
     def test_missing_required_config_exits_2(self):
         assert main(["synth"]) == 2
 
+    def test_eval_corrupt_checkpoint_exits_1(self, pipeline_dirs, capsys):
+        tmp = pipeline_dirs["tmp"]
+        train_cfg = write_json(
+            tmp / "train.json",
+            {"dataset": str(pipeline_dirs["manifest"]), "split": str(pipeline_dirs["split"]),
+             "prompt": {"path": str(pipeline_dirs["prompts"])}, "train": {"steps": 5}},
+        )
+        assert main(["train", "--config", train_cfg, "--out", str(tmp / "run")]) == 0
+        sidecar_path = tmp / "run" / "checkpoint" / "checkpoint.json"
+        sidecar = json.loads(sidecar_path.read_text())
+        mask = sidecar["cache"]["frozen_mask"]
+        sidecar["cache"]["frozen_mask"] = mask[: len(mask) // 2]
+        sidecar_path.write_text(json.dumps(sidecar))
+        eval_cfg = write_json(
+            tmp / "eval.json",
+            {"dataset": str(pipeline_dirs["manifest"]),
+             "checkpoint": str(tmp / "run" / "checkpoint"), "alpha": 0.5},
+        )
+        capsys.readouterr()
+        assert main(["eval", "--config", eval_cfg, "--out", str(tmp / "eval")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: CorruptCheckpointError")
+        assert len(err.splitlines()) == 1
+
     def test_domain_error_exits_1(self, tmp_path, capsys):
         # valid config, but sampling asks for more bags than exist
         data_dir = tmp_path / "d"

@@ -77,6 +77,11 @@ class TestL2NormalizeRows:
             l2_normalize_rows([[1.0, 0.0], [0.0, 0.0]])
         assert exc.value.row == 1
 
+    def test_tiny_rows_keep_full_precision(self):
+        # squared entries underflow to subnormals (first row) or to zero
+        out = l2_normalize_rows([[8.18628025e-162, 0.0], [1e-170, 1e-170], [5e-324, 0.0]])
+        np.testing.assert_allclose(out, [[1.0, 0.0], [0.5**0.5, 0.5**0.5], [1.0, 0.0]], atol=1e-15)
+
     @settings(max_examples=60, deadline=None)
     @given(finite_matrices)
     def test_idempotent(self, m):

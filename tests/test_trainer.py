@@ -1,10 +1,17 @@
 import csv
+import json
 
 import numpy as np
 import pytest
 
 from fewcache.cache_branch import build_cache, retrieve
-from fewcache.dataset import SynthSpec, class_prototypes, synth_generate
+from fewcache.dataset import (
+    SynthSpec,
+    class_prototypes,
+    read_embeddings,
+    synth_generate,
+    write_embeddings,
+)
 from fewcache.errors import (
     CheckpointVersionError,
     CorruptCheckpointError,
@@ -158,7 +165,7 @@ class TestCheckpoints:
         snapshot(cache, prior, tmp_path / "ckpt")
         cache2, prior2 = restore(tmp_path / "ckpt")
         q = ds.store.rows[:50]
-        assert np.array_equal(retrieve(cache, q).probs, retrieve(cache2, q).probs)
+        assert np.array_equal(retrieve(cache, q), retrieve(cache2, q))
         assert np.array_equal(prior_predict(prior, q), prior_predict(prior2, q))
         assert np.array_equal(cache.frozen_mask, cache2.frozen_mask)
         assert cache.beta == cache2.beta
@@ -189,8 +196,6 @@ class TestCheckpoints:
             restore(out)
 
     def test_version_mismatch_rejected(self, separable_setup, tmp_path):
-        import json
-
         _, cache, prior = self._trained(separable_setup)
         out = snapshot(cache, prior, tmp_path / "ckpt")
         sidecar = json.loads((out / "checkpoint.json").read_text())
@@ -206,3 +211,45 @@ class TestCheckpoints:
             restore(out, expect_mode="toy-encoder")
         cache2, prior2 = restore(out, expect_mode=PROTOTYPE)
         assert prior2.mode == PROTOTYPE
+
+
+def _edit_sidecar(out, edit):
+    path = out / "checkpoint.json"
+    sidecar = json.loads(path.read_text())
+    edit(sidecar)
+    path.write_text(json.dumps(sidecar))
+
+
+def _edit_matrix(out, name, edit):
+    path = out / name
+    write_embeddings(path, edit(read_embeddings(path).rows), version=2)
+
+
+SHAPE_MISMATCHES = {
+    "short_frozen_mask": lambda out: _edit_sidecar(
+        out, lambda s: s["cache"].update(frozen_mask=s["cache"]["frozen_mask"][:10])
+    ),
+    "short_value_logits": lambda out: _edit_matrix(
+        out, "cache_value_logits.femb", lambda rows: rows[: rows.shape[0] // 2]
+    ),
+    "value_logit_columns": lambda out: _edit_matrix(
+        out, "cache_value_logits.femb", lambda rows: np.hstack([rows, rows[:, :1]])
+    ),
+    "cache_prior_classes": lambda out: _edit_sidecar(
+        out, lambda s: s["prior"].update(classes=s["prior"]["classes"][::-1])
+    ),
+    "prior_feature_dim": lambda out: _edit_matrix(
+        out, "prior_class_features.femb", lambda rows: rows[:, :-1]
+    ),
+}
+
+
+@pytest.mark.parametrize("corrupt", SHAPE_MISMATCHES.values(), ids=SHAPE_MISMATCHES.keys())
+def test_restore_rejects_shape_mismatch(separable_setup, tmp_path, corrupt):
+    ds, split = separable_setup
+    cache, prior = _models(ds, split)
+    out = snapshot(cache, prior, tmp_path / "ckpt")
+    restore(out)
+    corrupt(out)
+    with pytest.raises(CorruptCheckpointError):
+        restore(out)
