@@ -31,7 +31,6 @@ from .fusion_eval import (
     AUCResult,
     EvalReport,
     alpha_grid,
-    bag_auc,
     bag_pool,
     binary_auc,
     fuse,
@@ -95,7 +94,6 @@ __all__ = [
     "adam_step",
     "alpha_grid",
     "attention",
-    "bag_auc",
     "bag_pool",
     "binary_auc",
     "build_cache",

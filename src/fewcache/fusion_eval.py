@@ -51,14 +51,12 @@ def _midranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks with ties receiving the mean of their rank span."""
     order = np.argsort(values, kind="stable")
     sorted_vals = values[order]
+    run_start = np.ones(values.size, dtype=bool)
+    run_start[1:] = sorted_vals[1:] != sorted_vals[:-1]
+    starts = np.flatnonzero(run_start)
+    ends = np.append(starts[1:], values.size) - 1
     ranks = np.empty(values.size, dtype=REAL)
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
     return ranks
 
 
@@ -114,11 +112,6 @@ def instance_auc(scores, labels, num_classes: Optional[int] = None) -> AUCResult
         raise ShapeMismatchError(f"{s.shape[0]} score rows vs {y.size} labels")
     n = num_classes if num_classes is not None else s.shape[1]
     return AUCResult.compute(s, y, n)
-
-
-def bag_auc(bag_scores, bag_labels, num_classes: Optional[int] = None) -> AUCResult:
-    """Same contract as instance_auc, at bag granularity."""
-    return instance_auc(bag_scores, bag_labels, num_classes)
 
 
 def bag_pool(instance_probs, bags: Sequence[Bag], operator: str = "mean") -> np.ndarray:

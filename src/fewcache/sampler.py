@@ -174,9 +174,23 @@ def sample_bags(dataset: Dataset, bag_shot: int, seed) -> list[str]:
     return chosen
 
 
-def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n = x.shape[0]
-    centroids = np.empty((k, x.shape[1]), dtype=REAL)
+def _kmeanspp_init(
+    x: np.ndarray, xx: np.ndarray, k: int, rng: np.random.Generator
+) -> np.ndarray:
+    """k-means++ seeding (Arthur & Vassilvitskii 2007); xx holds row norms².
+
+    After each draw the exact distance ((x - c)**2).sum() is recomputed only
+    for rows where the one-gemv expansion xx - 2 x.c + cc, less a bound on
+    the rounding error of both forms (2(d+3) eps (|x| + |c|)², plus an
+    absolute term for underflow), does not clear the current d2. Every other
+    row provably keeps its d2, so d2 and all draws equal the all-rows form;
+    a NaN or infinite bound fails the test and takes the exact path.
+    """
+    n, d = x.shape
+    centroids = np.empty((k, d), dtype=REAL)
+    norms = np.sqrt(xx)
+    rel = 2 * (d + 3) * np.finfo(REAL).eps
+    absolute = 4 * (d + 3) * np.finfo(REAL).smallest_subnormal
     first = int(rng.integers(n))
     centroids[0] = x[first]
     d2 = ((x - centroids[0]) ** 2).sum(axis=1)
@@ -188,25 +202,49 @@ def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
         else:
             idx = int(rng.choice(n, p=d2 / total))
         centroids[j] = x[idx]
-        d2 = np.minimum(d2, ((x - centroids[j]) ** 2).sum(axis=1))
+        if j == k - 1:
+            break
+        bound = rel * (norms + norms[idx]) ** 2 + absolute
+        low = xx - 2.0 * (x @ centroids[j]) + xx[idx] - bound
+        near = np.flatnonzero(~(low >= d2))
+        d2[near] = np.minimum(d2[near], ((x[near] - centroids[j]) ** 2).sum(axis=1))
     return centroids
 
 
-def _sq_dists(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    # ||x - c||^2 expanded; clip the tiny negatives cancellation produces.
-    d2 = (
-        (x * x).sum(axis=1)[:, None]
-        - 2.0 * (x @ centroids.T)
-        + (centroids * centroids).sum(axis=1)[None, :]
-    )
-    return np.maximum(d2, 0.0)
+def _sq_dists(x: np.ndarray, xx: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    # ||x - c||^2 = xx - 2 x.c + cc, built in place (the same IEEE operations
+    # as the textbook expression); clip the tiny negatives cancellation
+    # produces.
+    d2 = x @ centroids.T
+    d2 *= -2.0
+    d2 += xx[:, None]
+    d2 += (centroids * centroids).sum(axis=1)
+    return np.maximum(d2, 0.0, out=d2)
+
+
+def _update_centroids(
+    x: np.ndarray, assignment: np.ndarray, counts: np.ndarray, centroids: np.ndarray
+) -> None:
+    # Each nonempty cluster's mean, reducing a contiguous copy of its
+    # members in row order: the same reduction as x[assignment == j].mean(0)
+    # (sequential over rows for d > 1, pairwise for d == 1), so the bits
+    # match. np.add.reduceat and np.add.at sum in other orders.
+    grouped = x[np.argsort(assignment, kind="stable")]
+    ends = np.cumsum(counts)
+    nonempty = np.flatnonzero(counts)
+    sums = [
+        np.add.reduce(grouped[end - count : end], axis=0)
+        for count, end in zip(counts[nonempty].tolist(), ends[nonempty].tolist())
+    ]
+    centroids[nonempty] = np.array(sums) / counts[nonempty, None]
 
 
 def kmeans(points, k: int, max_iter: int = 100, seed=0) -> KMeansResult:
     """Lloyd iterations from a k-means++ start, deterministic given seed.
 
     Empty clusters are re-seeded with the point farthest from its current
-    centroid, so every cluster in the result is nonempty. Inertia is
+    centroid. When the points hold fewer than k distinct rows, coinciding
+    centroids can still leave clusters empty in the result. Inertia is
     recorded once per iteration and is non-increasing.
     """
     x = as_matrix(points, "kmeans points")
@@ -216,50 +254,58 @@ def kmeans(points, k: int, max_iter: int = 100, seed=0) -> KMeansResult:
     if k < 1:
         raise ValueError("k must be >= 1")
     rng = np.random.default_rng(seed)
-    centroids = _kmeanspp_init(x, k, rng)
+    xx = (x * x).sum(axis=1)
+    centroids = _kmeanspp_init(x, xx, k, rng)
     assignment = np.full(n, -1, dtype=np.int64)
+    rows = np.arange(n)
     history: list[float] = []
     n_iter = 0
     for it in range(max_iter):
         n_iter = it + 1
-        d2 = _sq_dists(x, centroids)
+        d2 = _sq_dists(x, xx, centroids)
         new_assignment = d2.argmin(axis=1)
-        point_d2 = d2[np.arange(n), new_assignment]
+        point_d2 = d2[rows, new_assignment]
         history.append(float(point_d2.sum()))
         if np.array_equal(new_assignment, assignment):
-            break
+            break  # centroids are unchanged since d2, so this is the result
         assignment = new_assignment
-        for j in range(k):
-            members = assignment == j
-            if members.any():
-                centroids[j] = x[members].mean(axis=0)
-        # Re-seed empty clusters from the farthest points, one at a time so
-        # two empty clusters never grab the same point.
-        for j in range(k):
-            if not (assignment == j).any():
-                far = int(point_d2.argmax())
-                centroids[j] = x[far]
-                assignment[far] = j
-                point_d2[far] = 0.0
-    d2 = _sq_dists(x, centroids)
-    assignment = d2.argmin(axis=1)
-    inertia = float(d2[np.arange(n), assignment].sum())
+        counts = np.bincount(assignment, minlength=k)
+        _update_centroids(x, assignment, counts, centroids)
+        # Re-seed empty clusters in index order from the farthest points, one
+        # at a time so two empty clusters never grab the same point. A stolen
+        # point may empty a later cluster, which is then re-seeded too.
+        j = 0
+        while (empty := np.flatnonzero(counts[j:] == 0)).size:
+            j += int(empty[0])
+            far = int(point_d2.argmax())
+            counts[assignment[far]] -= 1
+            counts[j] += 1
+            centroids[j] = x[far]
+            assignment[far] = j
+            point_d2[far] = 0.0
+            j += 1
+    else:
+        d2 = _sq_dists(x, xx, centroids)
+        new_assignment = d2.argmin(axis=1)
+        point_d2 = d2[rows, new_assignment]
     return KMeansResult(
         centroids=centroids,
-        assignment=assignment,
-        inertia=inertia,
+        assignment=new_assignment,
+        inertia=float(point_d2.sum()),
         n_iter=n_iter,
         inertia_history=history,
     )
 
 
 def select_core_set(points, spec: FewShotSpec, seed=None) -> np.ndarray:
-    """Pick representative instance rows: one per K-means cluster.
+    """Pick representative instance rows: one per nonempty K-means cluster.
 
-    k = min(ceil(coreset_fraction * n), coreset_cap). Each cluster
-    contributes the member nearest its centroid, so representatives are
-    actual dataset rows and all distinct. Returns local row indices into
-    `points`.
+    k = min(ceil(coreset_fraction * n), coreset_cap). Each nonempty
+    cluster contributes the member nearest its centroid (the lowest row
+    on ties), in cluster order, so representatives are actual dataset
+    rows and all distinct. Points with fewer than k distinct rows leave
+    clusters empty, and the core set is then smaller than k. Returns
+    local row indices into `points`.
     """
     x = as_matrix(points, "core-set points")
     n = x.shape[0]
@@ -267,12 +313,13 @@ def select_core_set(points, spec: FewShotSpec, seed=None) -> np.ndarray:
         raise ValueError("cannot select a core set from zero instances")
     k = min(math.ceil(spec.coreset_fraction * n), spec.coreset_cap, n)
     result = kmeans(x, k, seed=spec.seed if seed is None else seed)
-    reps = np.empty(k, dtype=np.int64)
-    for j in range(k):
-        members = np.flatnonzero(result.assignment == j)
-        d2 = ((x[members] - result.centroids[j]) ** 2).sum(axis=1)
-        reps[j] = members[int(d2.argmin())]
-    return reps
+    cluster = result.assignment
+    own_d2 = ((x - result.centroids[cluster]) ** 2).sum(axis=1)
+    order = np.lexsort((own_d2, cluster))
+    grouped = cluster[order]
+    first = np.ones(n, dtype=bool)
+    first[1:] = grouped[1:] != grouped[:-1]
+    return order[first]
 
 
 def sample_labeled_instances(

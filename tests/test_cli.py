@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 
 from fewcache.cli import main
-from fewcache.dataset import SynthSpec, save_dataset, synth_generate, write_embeddings
+from fewcache.dataset import (
+    SynthSpec,
+    load_manifest,
+    save_dataset,
+    synth_generate,
+    write_embeddings,
+)
 from fewcache.numerics import l2_normalize_rows
+from fewcache.sampler import FewShotSpec, load_split
 
 
 def write_json(path, doc):
@@ -132,6 +139,22 @@ class TestPipeline:
         assert main(["eval", "--config", eval_cfg, "--out", str(tmp_path)]) == 0
         doc = json.loads((tmp_path / "eval.json").read_text())
         assert doc["bag_auc"]["macro"] is None
+
+
+    def test_sample_with_fewer_distinct_rows_than_k(self, tmp_path):
+        # Each bag repeats 2 rows 10 times (as blank tiles do), so the 40
+        # selected rows hold 4 distinct rows against k = 20 clusters.
+        ds = synth_generate(SynthSpec(**{**SPEC_DOC, "bags_per_class": 1}))
+        for bag in ds.bags:
+            ds.store.rows[bag.start:bag.end] = np.tile(ds.store.rows[bag.start:bag.start + 2],
+                                                       (10, 1))
+        manifest = save_dataset(ds, tmp_path / "data")
+        doc = {"bag_shot": 1, "instance_shot": 1, "coreset_fraction": 0.5}
+        sample_cfg = write_json(tmp_path / "s.json", {"dataset": str(manifest), **doc})
+        assert main(["sample", "--config", sample_cfg, "--out", str(tmp_path)]) == 0
+        split = load_split(tmp_path / "split.json")
+        split.check(load_manifest(manifest), FewShotSpec(**doc))
+        assert 1 <= split.n_cache <= 4
 
 
 class TestSweepAndReport:

@@ -12,8 +12,8 @@ from fewcache.fusion_eval import (
     EvalReport,
     alpha_grid,
     alpha_table_to_csv,
-    bag_auc,
     bag_pool,
+    _midranks,
     binary_auc,
     eval_report_to_csv,
     fuse,
@@ -106,6 +106,31 @@ class TestBinaryAUC:
         assert a == pytest.approx(b, abs=1e-12)
 
 
+def loop_midranks(values):
+    """Tie-walking loop form of _midranks: the oracle for the run-length one."""
+    order = np.argsort(values, kind="stable")
+    sorted_vals = values[order]
+    ranks = np.empty(values.size, dtype=np.float64)
+    i = 0
+    while i < values.size:
+        j = i
+        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+class TestMidranks:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.integers(0, 300), st.sampled_from([2, 5, 50, None]))
+    def test_matches_loop(self, seed, n, levels):
+        # levels=None draws continuous scores (no ties); small levels are tie-heavy
+        rng = np.random.default_rng(seed)
+        values = rng.random(n) if levels is None else rng.integers(0, levels, n) / levels
+        assert _midranks(values).tobytes() == loop_midranks(values).tobytes()
+
+
 class TestInstanceAUC:
     def test_multiclass_macro(self, rng):
         labels = np.array([0, 0, 1, 1, 2, 2])
@@ -177,13 +202,13 @@ class TestBagAUC:
     def test_perfectly_ordered(self):
         scores = np.array([[0.9, 0.1], [0.8, 0.2], [0.2, 0.8], [0.1, 0.9]])
         labels = np.array([0, 0, 1, 1])
-        result = bag_auc(scores, labels)
+        result = instance_auc(scores, labels)
         assert result.macro == 1.0
 
     def test_matches_pairwise_oracle(self, rng):
         scores = rng.random((200, 2))
         labels = rng.integers(0, 2, size=200)
-        result = bag_auc(scores, labels)
+        result = instance_auc(scores, labels)
         for c in (0, 1):
             assert result.per_class[c] == pytest.approx(
                 pairwise_auc(scores[:, c], labels == c), abs=1e-12

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fewcache.dataset import SynthSpec, synth_generate
 from fewcache.errors import InsufficientBagsError
@@ -16,6 +18,124 @@ from fewcache.sampler import (
     save_split,
     select_core_set,
 )
+
+
+def _reference_kmeans(x, k, max_iter=100, seed=0):
+    """Per-cluster loop form of kmeans and the representative pick: the
+    oracle for the vectorised one. Empty clusters give no representative."""
+    n = x.shape[0]
+    rng = np.random.default_rng(seed)
+    centroids = np.empty((k, x.shape[1]))
+    centroids[0] = x[int(rng.integers(n))]
+    d2 = ((x - centroids[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total <= 0.0:
+            idx = int(rng.integers(n))
+        else:
+            idx = int(rng.choice(n, p=d2 / total))
+        centroids[j] = x[idx]
+        d2 = np.minimum(d2, ((x - centroids[j]) ** 2).sum(axis=1))
+
+    def sq_dists(c):
+        d2 = (
+            (x * x).sum(axis=1)[:, None]
+            - 2.0 * (x @ c.T)
+            + (c * c).sum(axis=1)[None, :]
+        )
+        return np.maximum(d2, 0.0)
+
+    assignment = np.full(n, -1, dtype=np.int64)
+    history = []
+    n_iter = 0
+    for it in range(max_iter):
+        n_iter = it + 1
+        d2 = sq_dists(centroids)
+        new_assignment = d2.argmin(axis=1)
+        point_d2 = d2[np.arange(n), new_assignment]
+        history.append(float(point_d2.sum()))
+        if np.array_equal(new_assignment, assignment):
+            break
+        assignment = new_assignment
+        for j in range(k):
+            members = assignment == j
+            if members.any():
+                centroids[j] = x[members].mean(axis=0)
+        for j in range(k):
+            if not (assignment == j).any():
+                far = int(point_d2.argmax())
+                centroids[j] = x[far]
+                assignment[far] = j
+                point_d2[far] = 0.0
+    d2 = sq_dists(centroids)
+    assignment = d2.argmin(axis=1)
+    inertia = float(d2[np.arange(n), assignment].sum())
+    reps = []
+    for j in range(k):
+        members = np.flatnonzero(assignment == j)
+        if members.size:
+            own = ((x[members] - centroids[j]) ** 2).sum(axis=1)
+            reps.append(members[int(own.argmin())])
+    return centroids, assignment, inertia, history, n_iter, np.array(reps)
+
+
+def _assert_matches_reference(x, k, seed):
+    # max_iter=0 returns the k-means++ seeds themselves
+    seeds = _reference_kmeans(x, k, max_iter=0, seed=seed)[0]
+    assert kmeans(x, k, max_iter=0, seed=seed).centroids.tobytes() == seeds.tobytes()
+    centroids, assignment, inertia, history, n_iter, reps = _reference_kmeans(x, k, seed=seed)
+    result = kmeans(x, k, seed=seed)
+    assert result.centroids.tobytes() == centroids.tobytes()
+    assert np.array_equal(result.assignment, assignment)
+    assert np.float64(result.inertia).tobytes() == np.float64(inertia).tobytes()
+    assert np.array(result.inertia_history).tobytes() == np.array(history).tobytes()
+    assert result.n_iter == n_iter
+    spec = FewShotSpec(bag_shot=1, instance_shot=1, coreset_fraction=1.0, coreset_cap=k,
+                       seed=seed)
+    assert np.array_equal(select_core_set(x, spec), reps)
+
+
+@st.composite
+def _point_sets(draw):
+    """Small point sets with duplicated rows, exact ties and row scales from
+    1e-165 to 1e150 (near 1e-162 squared distances are subnormal); a shared
+    offset up to 1e12 times the spread makes the expansion cancel, and past
+    1e154 its squared norms overflow."""
+    n = draw(st.integers(1, 60))
+    d = draw(st.integers(1, 20))
+    k = draw(st.integers(1, n))
+    distinct = draw(st.integers(1, n))
+    exponent = st.one_of(st.integers(-165, 150), st.integers(-163, -160))
+    exponents = draw(st.lists(exponent, min_size=1, max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** rng.choice(np.array(exponents, dtype=float), size=(distinct, 1))
+    base = rng.normal(size=(distinct, d)) * scale
+    if draw(st.booleans()):
+        base = np.round(base / scale * 4) * scale
+    if draw(st.booleans()):
+        gap = draw(st.integers(0, 12))
+        base = base + rng.normal(size=d) * 10.0 ** (max(exponents) + gap)
+    x = base[rng.integers(0, distinct, size=n)]
+    return x, k, draw(st.integers(0, 1000))
+
+
+class TestKMeansOracle:
+    """The vectorised kmeans/select_core_set against the per-cluster loops."""
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @settings(max_examples=150, deadline=None)
+    @given(_point_sets())
+    def test_bit_identical_to_loops(self, case):
+        x, k, seed = case
+        _assert_matches_reference(x, k, seed)
+
+    @pytest.mark.parametrize("n, d, k", [(1200, 32, 120), (400, 1, 20), (300, 64, 300)])
+    def test_bit_identical_at_scale(self, n, d, k):
+        rng = np.random.default_rng(n + d)
+        centers = rng.normal(size=(k // 2 + 1, d)) * 3.0
+        x = centers[rng.integers(0, centers.shape[0], size=n)] + rng.normal(size=(n, d))
+        _assert_matches_reference(x, k, seed=7)
 
 
 class TestSampleBags:
@@ -116,6 +236,17 @@ class TestSelectCoreSet:
         assert reps.size == 8
         assert np.unique(reps).size == reps.size
         assert reps.min() >= 0 and reps.max() < 40
+
+    def test_fewer_distinct_rows_than_k(self):
+        # 4 distinct rows, k = 20: k-means leaves clusters empty, and each
+        # nonempty cluster gives one representative.
+        rng = np.random.default_rng(3)
+        points = np.repeat(rng.normal(size=(4, 5)), 10, axis=0)
+        spec = FewShotSpec(bag_shot=1, instance_shot=1, coreset_fraction=0.5, seed=0)
+        reps = select_core_set(points, spec)
+        assert 1 <= reps.size <= 4
+        assert np.unique(reps).size == reps.size
+        assert np.unique(points[reps], axis=0).shape[0] == reps.size
 
 
 class TestSampleLabeledInstances:
