@@ -15,6 +15,7 @@ from .cache_branch import (
     project,
     retrieve,
 )
+from .codec import from_doc, to_doc
 from .dataset import (
     Bag,
     Dataset,
@@ -102,6 +103,7 @@ __all__ = [
     "emit_report",
     "encode_prompts",
     "finite_difference_check",
+    "from_doc",
     "fuse",
     "instance_auc",
     "kmeans",
@@ -127,6 +129,7 @@ __all__ = [
     "softmax_rows",
     "sweep_alpha",
     "synth_generate",
+    "to_doc",
     "train",
     "write_embeddings",
 ]

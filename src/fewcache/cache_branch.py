@@ -37,11 +37,6 @@ DEFAULT_BETA = 10.0
 # the (m, n_cache) temporaries never exist for a slide-scale test set.
 _BLOCK_ELEMENTS = 1 << 18
 
-# Logit magnitude used to initialize labeled value rows when they are made
-# learnable: softmax of (one-hot * this) is ~0.9999 on the hot class.
-_UNFROZEN_ONE_HOT_LOGIT = 10.0
-
-
 @dataclass
 class CacheModel:
     keys: np.ndarray          # (n_cache, d), unit rows
@@ -84,14 +79,11 @@ def build_cache(
     store: EmbeddingStore,
     classes: list[str],
     beta: float = DEFAULT_BETA,
-    unfreeze_labeled: bool = False,
 ) -> CacheModel:
     """Assemble the cache from a split: labeled rows first, then unlabeled.
 
     Labeled value rows are exact one-hot and frozen; unlabeled rows start
-    at zero logits (uniform after softmax) and are learnable. With
-    unfreeze_labeled, labeled rows become learnable logits instead,
-    initialized so their softmax is sharply one-hot.
+    at zero logits (uniform after softmax) and are learnable.
     """
     n_lab = split.labeled_rows.size
     n_unl = split.unlabeled_rows.size
@@ -102,11 +94,9 @@ def build_cache(
     keys = store.rows[rows].astype(REAL, copy=True)
     value_logits = np.zeros((n_lab + n_unl, num_classes), dtype=REAL)
     if n_lab:
-        hot = np.eye(num_classes, dtype=REAL)[split.labeled_classes]
-        value_logits[:n_lab] = hot * _UNFROZEN_ONE_HOT_LOGIT if unfreeze_labeled else hot
+        value_logits[:n_lab] = np.eye(num_classes, dtype=REAL)[split.labeled_classes]
     frozen = np.zeros(n_lab + n_unl, dtype=bool)
-    if not unfreeze_labeled:
-        frozen[:n_lab] = True
+    frozen[:n_lab] = True
     return CacheModel(
         keys=keys,
         value_logits=value_logits,

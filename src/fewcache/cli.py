@@ -10,9 +10,13 @@ Subcommands wire the library into reproducible file-based workflows:
     gradcheck  run every finite-difference gradient suite
     report     re-emit report files from an existing run record
 
-Every subcommand accepts --seed, --config <json>, --out <dir>. Exit
-status: 0 on success, 2 on usage errors (bad flags, missing files),
-1 on domain errors, each reported as a single machine-parsable line.
+Every subcommand accepts --seed, --config <json>, --out <dir>. Configs
+are decoded by fewcache.codec: an unknown or missing key, a value of
+the wrong JSON type, or a value the config class rejects (such as an
+unknown prior mode or pooling operator) is a usage error, caught before
+any sampling or training. Exit status: 0 on success, 2 on usage errors
+(bad flags, missing files, malformed configs), 1 on domain errors, each
+reported as a single machine-parsable line.
 """
 
 from __future__ import annotations
@@ -21,11 +25,13 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .cache_branch import DEFAULT_BETA, build_cache, retrieve
+from .codec import from_doc, to_doc
 from .dataset import Dataset, SynthSpec, load_manifest, save_dataset, synth_generate
-from .errors import FewcacheError
+from .errors import FewcacheError, UsageError
 from .fusion_eval import (
     alpha_grid,
     alpha_table_to_csv,
@@ -47,10 +53,6 @@ from .sampler import FewShotSpec, load_split, sample_split, save_split
 from .trainer import TrainConfig, history_to_csv, restore, snapshot, train
 
 
-class UsageError(Exception):
-    """Bad invocation: missing files, malformed config. Exits 2."""
-
-
 def _load_config(path: str | None, required: bool = True) -> dict:
     if path is None:
         if required:
@@ -61,9 +63,12 @@ def _load_config(path: str | None, required: bool = True) -> dict:
         raise UsageError(f"config file not found: {p}")
     try:
         with open(p) as f:
-            return json.load(f)
+            doc = json.load(f)
     except json.JSONDecodeError as exc:
         raise UsageError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise UsageError(f"config must be a JSON object, got {type(doc).__name__}")
+    return doc
 
 
 def _out_dir(args) -> Path:
@@ -84,11 +89,10 @@ def _require_dataset(cfg: dict, key: str) -> Dataset:
 def cmd_synth(args) -> int:
     """Generate a synthetic dataset from a SynthSpec config."""
     cfg = _load_config(args.config)
-    spec_doc = dict(cfg.get("spec", cfg))
-    spec_doc.pop("name", None)
+    spec = from_doc(SynthSpec, cfg.get("spec", {k: v for k, v in cfg.items() if k != "name"}))
     if args.seed is not None:
-        spec_doc["seed"] = args.seed
-    dataset = synth_generate(SynthSpec.from_dict(spec_doc))
+        spec = replace(spec, seed=args.seed)
+    dataset = synth_generate(spec)
     if "name" in cfg:
         dataset.name = str(cfg["name"])
     manifest = save_dataset(dataset, _out_dir(args))
@@ -103,7 +107,7 @@ def cmd_sample(args) -> int:
     spec_doc = {k: v for k, v in cfg.items() if k != "dataset"}
     if args.seed is not None:
         spec_doc["seed"] = args.seed
-    split = sample_split(dataset, FewShotSpec.from_dict(spec_doc))
+    split = sample_split(dataset, from_doc(FewShotSpec, spec_doc))
     path = save_split(split, _out_dir(args) / "split.json")
     print(path)
     return 0
@@ -117,17 +121,16 @@ def cmd_train(args) -> int:
     if not split_path or not Path(split_path).exists():
         raise UsageError(f"split file not found: {split_path}")
     split = load_split(split_path)
-    train_doc = dict(cfg.get("train", {}))
+    train_cfg = from_doc(TrainConfig, cfg.get("train", {}))
     if args.seed is not None:
-        train_doc["seed"] = args.seed
-    train_cfg = TrainConfig.from_dict(train_doc)
+        train_cfg = replace(train_cfg, seed=args.seed)
     cache = build_cache(
         split, dataset.store, dataset.classes, beta=cfg.get("cache_beta", DEFAULT_BETA)
     )
     prompt_doc = cfg.get("prompt")
     if not prompt_doc:
         raise UsageError("config must carry a 'prompt' section naming the feature file")
-    prior = load_prior(PromptConfig.from_dict(prompt_doc), dataset.classes, dataset.dim)
+    prior = load_prior(from_doc(PromptConfig, prompt_doc), dataset.classes, dataset.dim)
     cache, prior, state = train(cache, prior, split, dataset.store, train_cfg)
     out = _out_dir(args)
     snapshot(cache, prior, out / "checkpoint")
@@ -169,7 +172,7 @@ def cmd_eval(args) -> int:
     truth = dataset.instance_labels_vector()
     result: dict = {"alpha": float(alpha), "n_instances": dataset.num_instances}
     if (truth >= 0).all():
-        result["instance_auc"] = instance_auc(fused, truth, dataset.num_classes).to_dict()
+        result["instance_auc"] = to_doc(instance_auc(fused, truth, dataset.num_classes))
     else:
         result["instance_auc"] = None
         result["flags"] = {"instance_labels_missing": True}
@@ -177,7 +180,7 @@ def cmd_eval(args) -> int:
     pooled = bag_pool(fused, dataset.bags, pooling)
     result["pooling"] = pooling
     result["n_bags"] = len(dataset.bags)
-    result["bag_auc"] = instance_auc(pooled, dataset.bag_labels(), dataset.num_classes).to_dict()
+    result["bag_auc"] = to_doc(instance_auc(pooled, dataset.bag_labels(), dataset.num_classes))
     path = out / "eval.json"
     with open(path, "w") as f:
         json.dump(result, f, indent=2, sort_keys=True)
@@ -195,7 +198,7 @@ def cmd_sweep(args) -> int:
     doc = _load_config(args.config)
     if args.seed is not None:
         doc["base_seed"] = args.seed
-    cfg = ExperimentConfig.from_dict(doc)
+    cfg = from_doc(ExperimentConfig, doc)
     record = run_experiment(cfg)
     out = _out_dir(args)
     write_run_record(record, out)

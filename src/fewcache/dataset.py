@@ -311,21 +311,6 @@ class SynthSpec:
         if self.num_classes < 2 or self.bags_per_class < 1 or self.instances_per_bag < 1:
             raise ValueError("num_classes >= 2, bags_per_class >= 1, instances_per_bag >= 1")
 
-    def to_dict(self) -> dict:
-        return {
-            "num_classes": self.num_classes,
-            "dim": self.dim,
-            "bags_per_class": self.bags_per_class,
-            "instances_per_bag": self.instances_per_bag,
-            "positive_fraction": self.positive_fraction,
-            "noise_sigma": self.noise_sigma,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "SynthSpec":
-        return cls(**doc)
-
 
 def class_prototypes(num_classes: int, dim: int) -> np.ndarray:
     """Orthonormal class prototypes: the first num_classes basis vectors."""

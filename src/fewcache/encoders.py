@@ -18,6 +18,7 @@ from typing import Optional
 
 import numpy as np
 
+from .codec import from_doc, to_doc
 from .dataset import (
     Dataset,
     SynthSpec,
@@ -26,7 +27,7 @@ from .dataset import (
     read_embeddings,
     synth_generate,
 )
-from .errors import DimensionConflictError, UnknownSourceKindError
+from .errors import DimensionConflictError, UnknownSourceKindError, UsageError
 from .numerics import l2_normalize_rows
 
 # Offset added to the data seed when drawing the held-out test split of a
@@ -54,10 +55,6 @@ def _sha256_file(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _sha256_array(a: np.ndarray) -> str:
-    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
-
-
 def synthetic_prompt_features(
     num_classes: int,
     dim: int,
@@ -73,17 +70,24 @@ def synthetic_prompt_features(
     return l2_normalize_rows(protos)
 
 
+def _required(config: dict, key: str):
+    if key not in config:
+        raise UsageError(f"{config['kind']} source config must name {key!r}")
+    return config[key]
+
+
 def resolve_source(config: dict) -> EmbeddingSource:
     """Build an EmbeddingSource from a config dict.
 
     kind "synthetic": {"spec": SynthSpec fields, "test_bags_per_class",
     "prompt_sigma", "prompt_seed"}. kind "file": {"train_manifest",
     "test_manifest"?, "prompt_features"}. Dimension conflicts between
-    instance and prompt features are rejected.
+    instance and prompt features are rejected; a missing required key
+    or a malformed spec raises UsageError.
     """
     kind = config.get("kind")
     if kind == "synthetic":
-        spec = SynthSpec.from_dict(config["spec"])
+        spec = from_doc(SynthSpec, _required(config, "spec"))
         train = synth_generate(spec)
         test = None
         test_bags = int(config.get("test_bags_per_class", 0))
@@ -100,7 +104,7 @@ def resolve_source(config: dict) -> EmbeddingSource:
         )
         provenance = {
             "encoder": "synthetic-prototypes",
-            "spec": spec.to_dict(),
+            "spec": to_doc(spec),
             "checksum": hashlib.sha256(
                 json.dumps(config, sort_keys=True).encode()
                 + train.store.rows.tobytes()
@@ -113,13 +117,13 @@ def resolve_source(config: dict) -> EmbeddingSource:
         )
 
     if kind == "file":
-        train = load_manifest(config["train_manifest"])
+        train = load_manifest(_required(config, "train_manifest"))
         test = load_manifest(config["test_manifest"]) if config.get("test_manifest") else None
         if test is not None and test.dim != train.dim:
             raise DimensionConflictError(
                 f"train dim {train.dim} != test dim {test.dim}"
             )
-        prompt_store = read_embeddings(config["prompt_features"])
+        prompt_store = read_embeddings(_required(config, "prompt_features"))
         if prompt_store.d != train.dim:
             raise DimensionConflictError(
                 f"instance dim {train.dim} but prompt-feature dim {prompt_store.d}"
@@ -147,14 +151,3 @@ def resolve_source(config: dict) -> EmbeddingSource:
         )
 
     raise UnknownSourceKindError(f"unknown embedding source kind {kind!r}")
-
-
-def source_checksum(source: EmbeddingSource) -> str:
-    """Digest over everything a resolution produced; equal configs must
-    resolve to equal checksums."""
-    h = hashlib.sha256()
-    h.update(_sha256_array(source.train_dataset.store.rows).encode())
-    if source.test_dataset is not None:
-        h.update(_sha256_array(source.test_dataset.store.rows).encode())
-    h.update(_sha256_array(source.prompt_features).encode())
-    return h.hexdigest()

@@ -12,6 +12,11 @@ class FewcacheError(Exception):
     """Base class for all domain errors raised by this package."""
 
 
+class UsageError(FewcacheError):
+    """Bad invocation: a missing file, or a config with an unknown or
+    missing key or a rejected value. The CLI exits 2 on it."""
+
+
 # --- numeric kernels ---------------------------------------------------
 
 

@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .codec import OMIT_NONE
 from .dataset import Bag
 from .errors import EmptyBagError, ShapeMismatchError, UndefinedMetricError
 from .numerics import REAL
@@ -93,13 +94,6 @@ class AUCResult:
         defined = [v for v in per_class if v is not None]
         macro = float(np.mean(defined)) if defined else None
         return cls(per_class=per_class, macro=macro)
-
-    def to_dict(self) -> dict:
-        return {"per_class": self.per_class, "macro": self.macro}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "AUCResult":
-        return cls(per_class=list(doc["per_class"]), macro=doc["macro"])
 
 
 def instance_auc(scores, labels, num_classes: Optional[int] = None) -> AUCResult:
@@ -193,55 +187,7 @@ class EvalReport:
     annotation_ratio: float
     annotation_ratio_percent: float
     flags: dict = field(default_factory=dict)
-    alpha_table: Optional[list[tuple[float, float]]] = None
-
-    def to_dict(self) -> dict:
-        doc = {
-            "seed": self.seed,
-            "bag_shot": self.bag_shot,
-            "instance_shot": self.instance_shot,
-            "alpha": self.alpha,
-            "pooling": self.pooling,
-            "n_instances": self.n_instances,
-            "n_bags": self.n_bags,
-            "instance_auc": self.instance_auc.to_dict(),
-            "bag_auc": self.bag_auc.to_dict(),
-            "cache_instance_auc": self.cache_instance_auc.to_dict(),
-            "prior_instance_auc": self.prior_instance_auc.to_dict(),
-            "cache_bag_auc": self.cache_bag_auc.to_dict(),
-            "prior_bag_auc": self.prior_bag_auc.to_dict(),
-            "labeled_count": self.labeled_count,
-            "annotation_ratio": self.annotation_ratio,
-            "annotation_ratio_percent": self.annotation_ratio_percent,
-            "flags": self.flags,
-        }
-        if self.alpha_table is not None:
-            doc["alpha_table"] = [[a, m] for a, m in self.alpha_table]
-        return doc
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "EvalReport":
-        table = doc.get("alpha_table")
-        return cls(
-            seed=doc["seed"],
-            bag_shot=doc["bag_shot"],
-            instance_shot=doc["instance_shot"],
-            alpha=doc["alpha"],
-            pooling=doc["pooling"],
-            n_instances=doc["n_instances"],
-            n_bags=doc["n_bags"],
-            instance_auc=AUCResult.from_dict(doc["instance_auc"]),
-            bag_auc=AUCResult.from_dict(doc["bag_auc"]),
-            cache_instance_auc=AUCResult.from_dict(doc["cache_instance_auc"]),
-            prior_instance_auc=AUCResult.from_dict(doc["prior_instance_auc"]),
-            cache_bag_auc=AUCResult.from_dict(doc["cache_bag_auc"]),
-            prior_bag_auc=AUCResult.from_dict(doc["prior_bag_auc"]),
-            labeled_count=doc["labeled_count"],
-            annotation_ratio=doc["annotation_ratio"],
-            annotation_ratio_percent=doc["annotation_ratio_percent"],
-            flags=dict(doc.get("flags", {})),
-            alpha_table=[(a, m) for a, m in table] if table is not None else None,
-        )
+    alpha_table: Optional[list[tuple[float, float]]] = field(default=None, metadata=OMIT_NONE)
 
 
 def alpha_table_to_csv(table: list[tuple[float, float]], path) -> Path:
@@ -252,30 +198,4 @@ def alpha_table_to_csv(table: list[tuple[float, float]], path) -> Path:
         writer.writerow(["alpha", "macro_instance_auc"])
         for a, m in table:
             writer.writerow([repr(a), repr(m)])
-    return path
-
-
-def eval_report_to_csv(report: EvalReport, path) -> Path:
-    """Flatten one report to a two-column (metric, value) CSV."""
-    doc = report.to_dict()
-    doc.pop("alpha_table", None)
-    flat: list[tuple[str, object]] = []
-
-    def _walk(prefix: str, value) -> None:
-        if isinstance(value, dict):
-            for k, v in value.items():
-                _walk(f"{prefix}.{k}" if prefix else str(k), v)
-        elif isinstance(value, list):
-            for i, v in enumerate(value):
-                _walk(f"{prefix}[{i}]", v)
-        else:
-            flat.append((prefix, value))
-
-    _walk("", doc)
-    path = Path(path)
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["metric", "value"])
-        for key, value in flat:
-            writer.writerow([key, repr(value) if isinstance(value, float) else value])
     return path

@@ -17,16 +17,18 @@ import hashlib
 import json
 import platform
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from .cache_branch import DEFAULT_BETA, build_cache, retrieve
+from .codec import SKIP, from_doc, to_doc
 from .encoders import EmbeddingSource, resolve_source
 from .errors import MissingInstanceLabelsError, UndefinedMetricError
 from .fusion_eval import (
+    POOL_OPERATORS,
     AUCResult,
     EvalReport,
     alpha_grid,
@@ -37,6 +39,7 @@ from .fusion_eval import (
 )
 from .prior_branch import (
     DEFAULT_TAU,
+    PRIOR_MODES,
     PROTOTYPE,
     TOY_ENCODER,
     prior_from_features,
@@ -81,22 +84,10 @@ class ExperimentConfig:
             raise ValueError("repeats must be >= 1")
         if self.cache_only and self.prior_only:
             raise ValueError("cache_only and prior_only are mutually exclusive")
-
-    def to_dict(self) -> dict:
-        doc = asdict(self)
-        doc["bag_shots"] = list(self.bag_shots)
-        doc["instance_shots"] = list(self.instance_shots)
-        doc["train"] = self.train.to_dict()
-        return doc
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        doc = dict(doc)
-        doc["bag_shots"] = tuple(doc.get("bag_shots", DEFAULT_BAG_SHOTS))
-        doc["instance_shots"] = tuple(doc.get("instance_shots", DEFAULT_INSTANCE_SHOTS))
-        if "train" in doc:
-            doc["train"] = TrainConfig.from_dict(doc["train"])
-        return cls(**doc)
+        if self.prior_mode not in PRIOR_MODES:
+            raise ValueError(f"unknown prior mode {self.prior_mode!r}")
+        if self.pooling not in POOL_OPERATORS:
+            raise ValueError(f"unknown pooling operator {self.pooling!r}")
 
     def variant_name(self) -> str:
         if self.prior_only:
@@ -120,25 +111,6 @@ class CellResult:
     failures: list[str] = field(default_factory=list)
     aggregates: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "bag_shot": self.bag_shot,
-            "instance_shot": self.instance_shot,
-            "reports": [r.to_dict() for r in self.reports],
-            "failures": self.failures,
-            "aggregates": self.aggregates,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "CellResult":
-        return cls(
-            bag_shot=doc["bag_shot"],
-            instance_shot=doc["instance_shot"],
-            reports=[EvalReport.from_dict(r) for r in doc["reports"]],
-            failures=list(doc.get("failures", [])),
-            aggregates=dict(doc.get("aggregates", {})),
-        )
-
 
 @dataclass
 class RunRecord:
@@ -146,9 +118,11 @@ class RunRecord:
     config_hash: str
     variant: str
     cells: list[CellResult]
-    wall_clock_seconds: float = 0.0
-    # In-memory only: per-cell tuning-set predictions for verification.
-    extras: dict = field(default_factory=dict)
+    # Never written to record.json: wall-clock time is volatile (it goes to
+    # metadata.json) and extras hold per-cell tuning-set predictions for
+    # in-memory verification.
+    wall_clock_seconds: float = field(default=0.0, metadata=SKIP)
+    extras: dict = field(default_factory=dict, metadata=SKIP)
 
     def cell(self, bag_shot: int, instance_shot: Optional[int] = None) -> CellResult:
         for c in self.cells:
@@ -157,23 +131,6 @@ class RunRecord:
             ):
                 return c
         raise KeyError(f"no cell for bag_shot={bag_shot}, instance_shot={instance_shot}")
-
-    def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "config_hash": self.config_hash,
-            "variant": self.variant,
-            "cells": [c.to_dict() for c in self.cells],
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "RunRecord":
-        return cls(
-            config=doc["config"],
-            config_hash=doc["config_hash"],
-            variant=doc["variant"],
-            cells=[CellResult.from_dict(c) for c in doc["cells"]],
-        )
 
 
 def config_hash(config: dict) -> str:
@@ -353,7 +310,7 @@ def run_experiment(cfg: ExperimentConfig, keep_predictions: bool = False) -> Run
     """
     t0 = time.perf_counter()
     source = resolve_source(cfg.source)
-    config_doc = cfg.to_dict()
+    config_doc = to_doc(cfg)
     record = RunRecord(
         config=config_doc,
         config_hash=config_hash(config_doc),
@@ -393,7 +350,7 @@ def write_run_record(record: RunRecord, out_dir) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "record.json", "w") as f:
-        json.dump(record.to_dict(), f, indent=2, sort_keys=True)
+        json.dump(to_doc(record), f, indent=2, sort_keys=True)
     metadata = {
         "wall_clock_seconds": record.wall_clock_seconds,
         "created_unix": time.time(),
@@ -407,7 +364,7 @@ def write_run_record(record: RunRecord, out_dir) -> Path:
 
 def load_run_record(path) -> RunRecord:
     with open(path) as f:
-        return RunRecord.from_dict(json.load(f))
+        return from_doc(RunRecord, json.load(f))
 
 
 _REPORT_COLUMNS = [

@@ -30,6 +30,7 @@ from .numerics import PROB_CLAMP, REAL, as_matrix, l2_normalize_rows, softmax_ro
 
 PROTOTYPE = "prototype"
 TOY_ENCODER = "toy-encoder"
+PRIOR_MODES = (PROTOTYPE, TOY_ENCODER)
 
 DEFAULT_TAU = 0.01
 DEFAULT_NUM_LEARNABLE_TOKENS = 10
@@ -48,19 +49,9 @@ class PromptConfig:
     encoder_seed: int = 0
     tau: float = DEFAULT_TAU
 
-    def to_dict(self) -> dict:
-        return {
-            "path": self.path,
-            "mode": self.mode,
-            "num_learnable": self.num_learnable,
-            "token_width": self.token_width,
-            "encoder_seed": self.encoder_seed,
-            "tau": self.tau,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "PromptConfig":
-        return cls(**doc)
+    def __post_init__(self):
+        if self.mode not in PRIOR_MODES:
+            raise ValueError(f"unknown prior mode {self.mode!r}")
 
 
 @dataclass
@@ -79,7 +70,7 @@ class PriorModel:
     def __post_init__(self):
         if self.tau <= 0.0:
             raise ValueError("tau must be positive")
-        if self.mode not in (PROTOTYPE, TOY_ENCODER):
+        if self.mode not in PRIOR_MODES:
             raise ValueError(f"unknown prior mode {self.mode!r}")
 
     @property

@@ -42,20 +42,6 @@ class FewShotSpec:
         if self.coreset_cap < 1:
             raise ValueError("coreset_cap must be >= 1")
 
-    def to_dict(self) -> dict:
-        return {
-            "bag_shot": self.bag_shot,
-            "instance_shot": self.instance_shot,
-            "coreset_fraction": self.coreset_fraction,
-            "coreset_cap": self.coreset_cap,
-            "seed": self.seed,
-            "per_bag": self.per_bag,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "FewShotSpec":
-        return cls(**doc)
-
 
 @dataclass
 class KMeansResult:

@@ -58,22 +58,6 @@ class TrainConfig:
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
 
-    def to_dict(self) -> dict:
-        return {
-            "lr_keys": self.lr_keys,
-            "lr_value_logits": self.lr_value_logits,
-            "lr_prompt": self.lr_prompt,
-            "batch_size": self.batch_size,
-            "steps": self.steps,
-            "seed": self.seed,
-            "cache_loss_weight": self.cache_loss_weight,
-            "prompt_loss_weight": self.prompt_loss_weight,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "TrainConfig":
-        return cls(**doc)
-
 
 @dataclass
 class TrainState:

@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from fewcache.codec import from_doc, to_doc
 from fewcache.dataset import SynthSpec, class_prototypes, synth_generate
 from fewcache.encoders import resolve_source
 from fewcache.fusion_eval import alpha_grid, binary_auc, fuse, instance_auc
@@ -253,11 +254,11 @@ def test_criterion_7_branch_dominance_crossover(branch_records):
 
 
 def test_criterion_8_determinism(tmp_path):
-    cfg_doc = _noisy_config(
+    cfg_doc = to_doc(_noisy_config(
         bag_shots=(2,), repeats=2, train=TrainConfig(steps=300)
-    ).to_dict()
+    ))
     for sub in ("first", "second"):
-        record = run_experiment(ExperimentConfig.from_dict(cfg_doc))
+        record = run_experiment(from_doc(ExperimentConfig, cfg_doc))
         out = tmp_path / sub
         write_run_record(record, out)
         emit_report(record, out)

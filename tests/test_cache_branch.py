@@ -68,14 +68,6 @@ class TestBuildCache:
         with pytest.raises(ValueError):
             build_cache(_split([], [], []), _store([[1.0, 0.0]]), ["a", "b"])
 
-    def test_unfreeze_labeled(self):
-        store = _store([[1.0, 0.0], [0.0, 1.0]])
-        model = build_cache(_split([0, 1], [0, 1], []), store, ["a", "b"],
-                            unfreeze_labeled=True)
-        assert not model.frozen_mask.any()
-        values = model.value_distributions()
-        assert values[0, 0] > 0.99 and values[1, 1] > 0.99
-
 
 class TestRetrieve:
     def test_reference_attention(self):

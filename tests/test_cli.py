@@ -192,7 +192,85 @@ class TestGradcheckCommand:
         assert out.count("PASS") == 3
 
 
+SWEEP_DOC = {"source": {"kind": "synthetic", "spec": SPEC_DOC, "test_bags_per_class": 2},
+             "bag_shots": [2], "instance_shots": [3], "train": {"steps": 5}, "repeats": 1}
+
+MALFORMED_SWEEP_CONFIGS = [
+    pytest.param([SWEEP_DOC], id="not-an-object"),
+    pytest.param({**SWEEP_DOC, "train": {"step": 5}}, id="nested-unknown-key"),
+    pytest.param({**SWEEP_DOC, "bag_shot": 2}, id="top-level-unknown-key"),
+    pytest.param({k: v for k, v in SWEEP_DOC.items() if k != "source"}, id="missing-source"),
+    pytest.param({**SWEEP_DOC, "source": {"kind": "synthetic"}}, id="source-without-spec"),
+    pytest.param({**SWEEP_DOC, "source": {**SWEEP_DOC["source"], "spec": {**SPEC_DOC, "dims": 3}}},
+                 id="unknown-spec-key"),
+    pytest.param({**SWEEP_DOC, "train": {"steps": "5"}}, id="steps-not-a-number"),
+    pytest.param({**SWEEP_DOC, "base_seed": "0"}, id="seed-not-a-number"),
+    pytest.param({**SWEEP_DOC, "repeats": 0}, id="zero-repeats"),
+    pytest.param({**SWEEP_DOC, "cache_only": True, "prior_only": True},
+                 id="cache-only-and-prior-only"),
+    pytest.param({**SWEEP_DOC, "prior_mode": "bogus"}, id="unknown-prior-mode"),
+    pytest.param({**SWEEP_DOC, "pooling": "bogus"}, id="unknown-pooling"),
+]
+
+
+def assert_one_usage_line(err: str) -> None:
+    assert err.startswith("error: usage: ")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 class TestErrors:
+    @pytest.mark.parametrize("doc", MALFORMED_SWEEP_CONFIGS)
+    def test_malformed_sweep_config_exits_2(self, tmp_path, capsys, doc):
+        cfg = write_json(tmp_path / "exp.json", doc)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+        assert_one_usage_line(capsys.readouterr().err)
+        assert not (out / "record.json").exists()
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            pytest.param({"spec": 5}, "SynthSpec must be a JSON object", id="spec-not-an-object"),
+            pytest.param({"spec": {**SPEC_DOC, "dims": 3}}, "unknown key(s) 'dims'",
+                         id="nested-spec-unknown-key"),
+            pytest.param({**SPEC_DOC, "sigma": 0.1}, "unknown key(s) 'sigma'",
+                         id="flat-spec-unknown-key"),
+        ],
+    )
+    def test_malformed_synth_config_exits_2(self, tmp_path, capsys, doc, message):
+        cfg = write_json(tmp_path / "synth.json", doc)
+        assert main(["synth", "--config", cfg, "--out", str(tmp_path / "data")]) == 2
+        err = capsys.readouterr().err
+        assert_one_usage_line(err)
+        assert message in err
+        assert not (tmp_path / "data").exists()
+
+    @pytest.mark.parametrize(
+        "prompt_mode, train, message",
+        [
+            pytest.param("bogus", {"steps": 5}, "unknown prior mode 'bogus'",
+                         id="unknown-prompt-mode"),
+            pytest.param("prototype", 5, "TrainConfig must be a JSON object",
+                         id="train-not-an-object"),
+        ],
+    )
+    def test_malformed_train_config_exits_2(self, pipeline_dirs, capsys, prompt_mode, train,
+                                            message):
+        tmp = pipeline_dirs["tmp"]
+        train_cfg = write_json(
+            tmp / "train.json",
+            {"dataset": str(pipeline_dirs["manifest"]), "split": str(pipeline_dirs["split"]),
+             "prompt": {"path": str(pipeline_dirs["prompts"]), "mode": prompt_mode},
+             "train": train},
+        )
+        capsys.readouterr()
+        assert main(["train", "--config", train_cfg, "--out", str(tmp / "run")]) == 2
+        err = capsys.readouterr().err
+        assert_one_usage_line(err)
+        assert message in err
+        assert not (tmp / "run" / "checkpoint").exists()
+
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["synth", "--bogus"])

@@ -4,10 +4,9 @@ import pytest
 from fewcache.dataset import SynthSpec, save_dataset, synth_generate, write_embeddings
 from fewcache.encoders import (
     resolve_source,
-    source_checksum,
     synthetic_prompt_features,
 )
-from fewcache.errors import DimensionConflictError, UnknownSourceKindError
+from fewcache.errors import DimensionConflictError, UnknownSourceKindError, UsageError
 
 SYNTH_CONFIG = {
     "kind": "synthetic",
@@ -43,8 +42,14 @@ class TestSyntheticSource:
     def test_resolutions_identical(self):
         a = resolve_source(SYNTH_CONFIG)
         b = resolve_source(dict(SYNTH_CONFIG))
-        assert source_checksum(a) == source_checksum(b)
         assert a.provenance["checksum"] == b.provenance["checksum"]
+
+    def test_missing_or_malformed_spec_is_usage_error(self):
+        with pytest.raises(UsageError, match="synthetic source config must name 'spec'"):
+            resolve_source({"kind": "synthetic"})
+        bad_spec = {**SYNTH_CONFIG["spec"], "dims": 3}
+        with pytest.raises(UsageError, match="SynthSpec: unknown key"):
+            resolve_source({**SYNTH_CONFIG, "spec": bad_spec})
 
     def test_prompt_sigma_zero_gives_prototypes(self):
         feats = synthetic_prompt_features(2, 8, sigma=0.0, seed=0)
@@ -102,6 +107,12 @@ class TestFileSource:
         src = resolve_source(file_config)
         assert src.provenance["encoder"] == "rn50"
         assert src.provenance["notes"] == "10x patches"
+
+    @pytest.mark.parametrize("key", ["train_manifest", "prompt_features"])
+    def test_missing_key_is_usage_error(self, file_config, key):
+        del file_config[key]
+        with pytest.raises(UsageError, match=f"file source config must name '{key}'"):
+            resolve_source(file_config)
 
 
 def test_unknown_kind_rejected():

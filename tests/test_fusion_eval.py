@@ -5,17 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fewcache.codec import from_doc, to_doc
 from fewcache.dataset import Bag
 from fewcache.errors import EmptyBagError, ShapeMismatchError, UndefinedMetricError
 from fewcache.fusion_eval import (
     AUCResult,
-    EvalReport,
     alpha_grid,
     alpha_table_to_csv,
     bag_pool,
     _midranks,
     binary_auc,
-    eval_report_to_csv,
     fuse,
     instance_auc,
     sweep_alpha,
@@ -153,7 +152,7 @@ class TestInstanceAUC:
 
     def test_round_trip_dict(self):
         r = AUCResult(per_class=[0.5, None], macro=0.5)
-        assert AUCResult.from_dict(r.to_dict()) == r
+        assert from_doc(AUCResult, to_doc(r)) == r
 
 
 class TestBagPool:
@@ -277,22 +276,3 @@ class TestCsvExports:
         assert len(lines) == 102
         a, m = lines[1].split(",")
         assert (float(a), float(m)) == table[0]
-
-    def test_eval_report_csv(self, tmp_path):
-        report = EvalReport(
-            seed=0, bag_shot=2, instance_shot=4, alpha=0.25, pooling="mean",
-            n_instances=10, n_bags=2,
-            instance_auc=AUCResult([0.9, None], 0.9),
-            bag_auc=AUCResult([1.0, 1.0], 1.0),
-            cache_instance_auc=AUCResult([0.8, 0.8], 0.8),
-            prior_instance_auc=AUCResult([0.7, 0.7], 0.7),
-            cache_bag_auc=AUCResult([1.0, 1.0], 1.0),
-            prior_bag_auc=AUCResult([0.5, 0.5], 0.5),
-            labeled_count=8, annotation_ratio=0.1,
-            annotation_ratio_percent=10.0,
-        )
-        path = eval_report_to_csv(report, tmp_path / "report.csv")
-        text = path.read_text()
-        assert "instance_auc.macro,0.9" in text
-        assert "instance_auc.per_class[1]," in text
-        assert "alpha,0.25" in text

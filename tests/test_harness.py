@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from fewcache.codec import from_doc, to_doc
 from fewcache.harness import (
     ExperimentConfig,
     config_hash,
@@ -93,10 +94,10 @@ class TestRunExperiment:
 
     def test_config_round_trip(self):
         cfg = tiny_config(freeze_keys=True)
-        doc = cfg.to_dict()
-        again = ExperimentConfig.from_dict(json.loads(json.dumps(doc)))
+        doc = to_doc(cfg)
+        again = from_doc(ExperimentConfig, json.loads(json.dumps(doc)))
         assert again == cfg
-        assert config_hash(again.to_dict()) == config_hash(doc)
+        assert config_hash(to_doc(again)) == config_hash(doc)
 
     def test_keep_predictions(self):
         record = run_experiment(tiny_config(), keep_predictions=True)
@@ -115,7 +116,7 @@ class TestSerialization:
         assert loaded.cell(2).aggregates == tiny_record.cell(2).aggregates
         a = loaded.cell(2).reports[0]
         b = tiny_record.cell(2).reports[0]
-        assert a.to_dict() == b.to_dict()
+        assert to_doc(a) == to_doc(b)
 
     def test_metadata_segregated(self, tiny_record, tmp_path):
         write_run_record(tiny_record, tmp_path)
@@ -125,9 +126,9 @@ class TestSerialization:
         assert "wall_clock_seconds" in meta_doc
 
     def test_deterministic_result_files(self, tmp_path):
-        cfg_doc = tiny_config().to_dict()
+        cfg_doc = to_doc(tiny_config())
         for sub in ("a", "b"):
-            record = run_experiment(ExperimentConfig.from_dict(cfg_doc))
+            record = run_experiment(from_doc(ExperimentConfig, cfg_doc))
             out = tmp_path / sub
             write_run_record(record, out)
             emit_report(record, out)
