@@ -43,7 +43,6 @@ from .numerics import (
     AdamState,
     GradCheckReport,
     adam_step,
-    cross_entropy,
     finite_difference_check,
     l2_normalize_rows,
     softmax_rows,
@@ -99,7 +98,6 @@ __all__ = [
     "binary_auc",
     "build_cache",
     "cache_loss_and_grads",
-    "cross_entropy",
     "emit_report",
     "encode_prompts",
     "finite_difference_check",

@@ -10,11 +10,11 @@ Subcommands wire the library into reproducible file-based workflows:
     gradcheck  run every finite-difference gradient suite
     report     re-emit report files from an existing run record
 
-Every subcommand accepts --seed, --config <json>, --out <dir>. Configs
-are decoded by fewcache.codec: an unknown or missing key, a value of
-the wrong JSON type, or a value the config class rejects (such as an
-unknown prior mode or pooling operator) is a usage error, caught before
-any sampling or training. Exit status: 0 on success, 2 on usage errors
+Every subcommand accepts --seed, --config <json>, --out <dir>. fewcache.codec
+decodes each config into its subcommand's dataclass: an unknown or missing
+key, a value of the wrong JSON type, or a value the class rejects (such as an
+unknown prior mode or pooling operator) is a usage error, caught before any
+sampling, training or evaluation. Exit status: 0 on success, 2 on usage errors
 (bad flags, missing files, malformed configs), 1 on domain errors, each
 reported as a single machine-parsable line.
 """
@@ -25,23 +25,18 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Optional
 
 from .cache_branch import DEFAULT_BETA, build_cache, retrieve
 from .codec import from_doc, to_doc
-from .dataset import Dataset, SynthSpec, load_manifest, save_dataset, synth_generate
+from .dataset import SynthSpec, load_manifest, save_dataset, synth_generate
 from .errors import FewcacheError, UsageError
-from .fusion_eval import (
-    alpha_grid,
-    alpha_table_to_csv,
-    bag_pool,
-    fuse,
-    instance_auc,
-    sweep_alpha,
-)
+from .fusion_eval import GRID_POINTS, POOL_OPERATORS, alpha_table_to_csv, fuse, pick_alpha, score
 from .gradchecks import run_all_suites
 from .harness import (
+    REPORT_FORMATS,
     ExperimentConfig,
     emit_report,
     load_run_record,
@@ -51,6 +46,61 @@ from .harness import (
 from .prior_branch import PromptConfig, load_prior, prior_predict
 from .sampler import FewShotSpec, load_split, sample_split, save_split
 from .trainer import TrainConfig, history_to_csv, restore, snapshot, train
+
+
+@dataclass
+class TrainJob:
+    dataset: str
+    split: str
+    prompt: PromptConfig
+    train: TrainConfig = field(default_factory=TrainConfig)
+    cache_beta: float = DEFAULT_BETA
+
+
+@dataclass
+class TuneSet:
+    """Manifest and split whose labeled rows `fewcache eval` tunes alpha on."""
+
+    dataset: str
+    split: str
+
+
+@dataclass
+class EvalJob:
+    """`fewcache eval` config: a given alpha wins over tune; with neither, alpha is 0.5."""
+
+    dataset: str
+    checkpoint: str
+    alpha: Optional[float] = None
+    tune: Optional[TuneSet] = None
+    grid_points: int = GRID_POINTS
+    pooling: str = "mean"
+
+    def __post_init__(self):
+        if self.alpha is not None and not 0.0 <= self.alpha <= 1.0:
+            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
+        if self.grid_points < 1:
+            raise ValueError("grid_points must be >= 1")
+        if self.pooling not in POOL_OPERATORS:
+            raise ValueError(f"unknown pooling operator {self.pooling!r}")
+
+
+@dataclass
+class ReportJob:
+    record: str
+    formats: tuple[str, ...] = REPORT_FORMATS
+
+    def __post_init__(self):
+        if not set(self.formats) <= set(REPORT_FORMATS):
+            raise ValueError(f"formats must be drawn from {REPORT_FORMATS}, got {self.formats}")
+
+
+@dataclass
+class GradcheckJob:
+    """`fewcache gradcheck` config; the config file is optional."""
+
+    n_configs: int = 100
+    tol: float = 1e-4
 
 
 def _load_config(path: str | None, required: bool = True) -> dict:
@@ -77,19 +127,20 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _require_dataset(cfg: dict, key: str) -> Dataset:
-    path = cfg.get(key)
-    if not path:
-        raise UsageError(f"config must name a {key!r} manifest")
-    if not Path(path).exists():
-        raise UsageError(f"{key} not found: {path}")
-    return load_manifest(path)
+def _existing(path: str | None, what: str) -> str:
+    if not path or not Path(path).exists():
+        raise UsageError(f"{what} not found: {path}")
+    return path
 
 
 def cmd_synth(args) -> int:
     """Generate a synthetic dataset from a SynthSpec config."""
     cfg = _load_config(args.config)
-    spec = from_doc(SynthSpec, cfg.get("spec", {k: v for k, v in cfg.items() if k != "name"}))
+    doc = {k: v for k, v in cfg.items() if k != "name"}
+    stray = sorted(doc.keys() - {"spec"}) if "spec" in doc else []
+    if stray:
+        raise UsageError(f"unknown key(s) {', '.join(map(repr, stray))} beside 'spec'")
+    spec = from_doc(SynthSpec, doc.get("spec", doc))
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
     dataset = synth_generate(spec)
@@ -102,12 +153,12 @@ def cmd_synth(args) -> int:
 
 def cmd_sample(args) -> int:
     """Draw a few-shot split from a dataset manifest."""
-    cfg = _load_config(args.config)
-    dataset = _require_dataset(cfg, "dataset")
-    spec_doc = {k: v for k, v in cfg.items() if k != "dataset"}
+    spec_doc = _load_config(args.config)
+    manifest = spec_doc.pop("dataset", None)
     if args.seed is not None:
         spec_doc["seed"] = args.seed
-    split = sample_split(dataset, from_doc(FewShotSpec, spec_doc))
+    spec = from_doc(FewShotSpec, spec_doc)
+    split = sample_split(load_manifest(_existing(manifest, "dataset")), spec)
     path = save_split(split, _out_dir(args) / "split.json")
     print(path)
     return 0
@@ -115,22 +166,12 @@ def cmd_sample(args) -> int:
 
 def cmd_train(args) -> int:
     """Train both branches on a split and write a checkpoint."""
-    cfg = _load_config(args.config)
-    dataset = _require_dataset(cfg, "dataset")
-    split_path = cfg.get("split")
-    if not split_path or not Path(split_path).exists():
-        raise UsageError(f"split file not found: {split_path}")
-    split = load_split(split_path)
-    train_cfg = from_doc(TrainConfig, cfg.get("train", {}))
-    if args.seed is not None:
-        train_cfg = replace(train_cfg, seed=args.seed)
-    cache = build_cache(
-        split, dataset.store, dataset.classes, beta=cfg.get("cache_beta", DEFAULT_BETA)
-    )
-    prompt_doc = cfg.get("prompt")
-    if not prompt_doc:
-        raise UsageError("config must carry a 'prompt' section naming the feature file")
-    prior = load_prior(from_doc(PromptConfig, prompt_doc), dataset.classes, dataset.dim)
+    job = from_doc(TrainJob, _load_config(args.config))
+    train_cfg = job.train if args.seed is None else replace(job.train, seed=args.seed)
+    dataset = load_manifest(_existing(job.dataset, "dataset"))
+    split = load_split(_existing(job.split, "split file"))
+    cache = build_cache(split, dataset.store, dataset.classes, beta=job.cache_beta)
+    prior = load_prior(job.prompt, dataset.classes, dataset.dim)
     cache, prior, state = train(cache, prior, split, dataset.store, train_cfg)
     out = _out_dir(args)
     snapshot(cache, prior, out / "checkpoint")
@@ -141,46 +182,39 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     """Evaluate a checkpoint on a dataset, optionally tuning alpha."""
-    cfg = _load_config(args.config)
-    dataset = _require_dataset(cfg, "dataset")
-    ckpt = cfg.get("checkpoint")
-    if not ckpt or not Path(ckpt).exists():
-        raise UsageError(f"checkpoint not found: {ckpt}")
-    cache, prior = restore(ckpt)
-    queries = dataset.store.rows
-    cache_probs = retrieve(cache, queries)
-    prior_probs = prior_predict(prior, queries)
+    job = from_doc(EvalJob, _load_config(args.config))
+    dataset = load_manifest(_existing(job.dataset, "dataset"))
+    cache, prior = restore(_existing(job.checkpoint, "checkpoint"))
 
     out = _out_dir(args)
-    alpha = cfg.get("alpha")
-    tune = cfg.get("tune")
-    if alpha is None and tune:
-        tune_ds = load_manifest(tune["dataset"])
-        tune_split = load_split(tune["split"])
+    alpha, flags = job.alpha, {}
+    if alpha is None and job.tune is not None:
+        tune_ds = load_manifest(_existing(job.tune.dataset, "tune dataset"))
+        tune_split = load_split(_existing(job.tune.split, "tune split"))
         q = tune_ds.store.rows[tune_split.labeled_rows]
-        alpha, table = sweep_alpha(
-            retrieve(cache, q),
-            prior_predict(prior, q),
-            tune_split.labeled_classes,
-            grid=alpha_grid(cfg.get("grid_points", 101)),
+        alpha, table, flags = pick_alpha(
+            retrieve(cache, q), prior_predict(prior, q), tune_split.labeled_classes,
+            job.grid_points,
         )
-        alpha_table_to_csv(table, out / "alpha_sweep.csv")
-    if alpha is None:
-        alpha = 0.5
-    fused = fuse(cache_probs, prior_probs, float(alpha))
+        if table is not None:
+            alpha_table_to_csv(table, out / "alpha_sweep.csv")
+    alpha = 0.5 if alpha is None else float(alpha)
+    queries = dataset.store.rows
+    fused = fuse(retrieve(cache, queries), prior_predict(prior, queries), alpha)
+    instance, bag = score(fused, dataset, job.pooling)
+    if instance is None:
+        flags["instance_labels_missing"] = True
 
-    truth = dataset.instance_labels_vector()
-    result: dict = {"alpha": float(alpha), "n_instances": dataset.num_instances}
-    if (truth >= 0).all():
-        result["instance_auc"] = to_doc(instance_auc(fused, truth, dataset.num_classes))
-    else:
-        result["instance_auc"] = None
-        result["flags"] = {"instance_labels_missing": True}
-    pooling = cfg.get("pooling", "mean")
-    pooled = bag_pool(fused, dataset.bags, pooling)
-    result["pooling"] = pooling
-    result["n_bags"] = len(dataset.bags)
-    result["bag_auc"] = to_doc(instance_auc(pooled, dataset.bag_labels(), dataset.num_classes))
+    result: dict = {
+        "alpha": alpha,
+        "n_instances": dataset.num_instances,
+        "instance_auc": to_doc(instance),
+        "pooling": job.pooling,
+        "n_bags": len(dataset.bags),
+        "bag_auc": to_doc(bag),
+    }
+    if flags:
+        result["flags"] = flags
     path = out / "eval.json"
     with open(path, "w") as f:
         json.dump(result, f, indent=2, sort_keys=True)
@@ -209,11 +243,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     """Run every finite-difference gradient suite; exit 0 iff all pass."""
+    job = from_doc(GradcheckJob, _load_config(args.config, required=False))
     seed = args.seed if args.seed is not None else 0
-    cfg = _load_config(args.config, required=False)
-    n_configs = int(cfg.get("n_configs", 100))
-    tol = float(cfg.get("tol", 1e-4))
-    results = run_all_suites(n_configs=n_configs, seed=seed, tol=tol)
+    results = run_all_suites(n_configs=job.n_configs, seed=seed, tol=job.tol)
     all_passed = True
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -224,13 +256,9 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_report(args) -> int:
     """Re-emit report files from an existing record.json."""
-    cfg = _load_config(args.config)
-    record_path = cfg.get("record")
-    if not record_path or not Path(record_path).exists():
-        raise UsageError(f"record file not found: {record_path}")
-    record = load_run_record(record_path)
-    formats = tuple(cfg.get("formats", ("csv", "json")))
-    for path in emit_report(record, _out_dir(args), formats):
+    job = from_doc(ReportJob, _load_config(args.config))
+    record = load_run_record(_existing(job.record, "record file"))
+    for path in emit_report(record, _out_dir(args), job.formats):
         print(path)
     return 0
 

@@ -32,10 +32,6 @@ class DegenerateRowError(FewcacheError):
         super().__init__(message or f"row {row} has zero norm")
 
 
-class InvalidDistributionError(FewcacheError):
-    """A vector that must lie on the probability simplex does not."""
-
-
 class ShapeMismatchError(FewcacheError):
     """Operands have incompatible shapes."""
 

@@ -4,7 +4,8 @@ AUC is the rank-based Mann-Whitney statistic with midrank tie handling:
 identical to P(score+ > score-) + 0.5 * P(score+ = score-) over all
 positive/negative pairs, computed in O(n log n). Classes with no
 positives or no negatives get an explicit undefined flag (None), never a
-silent 0.5, and are excluded from macro means.
+silent 0.5, and are excluded from macro means. `sweep` and `eval` both
+tune the fusion weight with `pick_alpha` and score with `score`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .codec import OMIT_NONE
-from .dataset import Bag
+from .dataset import Bag, Dataset
 from .errors import EmptyBagError, ShapeMismatchError, UndefinedMetricError
 from .numerics import REAL
 
@@ -164,6 +165,36 @@ def sweep_alpha(
             best_metric = metric
             best_alpha = float(a)
     return best_alpha, table
+
+
+def pick_alpha(
+    cache_probs, prior_probs, labels, grid_points: int
+) -> tuple[float, Optional[list[tuple[float, float]]], dict]:
+    """`sweep_alpha` over `alpha_grid(grid_points)` -> (alpha, table, flags).
+
+    Single-class selection labels leave AUC undefined: alpha falls back
+    to 0.5 with no table and the flag alpha_degenerate_tuning.
+    """
+    try:
+        alpha, table = sweep_alpha(
+            cache_probs, prior_probs, labels, grid=alpha_grid(grid_points)
+        )
+    except UndefinedMetricError:
+        return 0.5, None, {"alpha_degenerate_tuning": True}
+    return alpha, table, {}
+
+
+def score(
+    probs, dataset: Dataset, pooling: str
+) -> tuple[Optional[AUCResult], AUCResult]:
+    """(instance AUC, bag AUC of the pooled scores) of instance
+    probabilities over `dataset`; the instance AUC is None when any
+    instance label is missing."""
+    truth = dataset.instance_labels_vector()
+    labeled = (truth >= 0).all()
+    instance = instance_auc(probs, truth, dataset.num_classes) if labeled else None
+    pooled = bag_pool(probs, dataset.bags, pooling)
+    return instance, instance_auc(pooled, dataset.bag_labels(), dataset.num_classes)
 
 
 @dataclass

@@ -26,17 +26,8 @@ import numpy as np
 from .cache_branch import DEFAULT_BETA, build_cache, retrieve
 from .codec import SKIP, from_doc, to_doc
 from .encoders import EmbeddingSource, resolve_source
-from .errors import MissingInstanceLabelsError, UndefinedMetricError
-from .fusion_eval import (
-    POOL_OPERATORS,
-    AUCResult,
-    EvalReport,
-    alpha_grid,
-    bag_pool,
-    fuse,
-    instance_auc,
-    sweep_alpha,
-)
+from .errors import MissingInstanceLabelsError, UsageError
+from .fusion_eval import POOL_OPERATORS, EvalReport, fuse, pick_alpha, score
 from .prior_branch import (
     DEFAULT_TAU,
     PRIOR_MODES,
@@ -88,6 +79,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown prior mode {self.prior_mode!r}")
         if self.pooling not in POOL_OPERATORS:
             raise ValueError(f"unknown pooling operator {self.pooling!r}")
+        if self.grid_points < 1:
+            raise ValueError("grid_points must be >= 1")
 
     def variant_name(self) -> str:
         if self.prior_only:
@@ -191,8 +184,6 @@ def run_single(
     """One (shot setting, seed) run: sample, build, train, tune, evaluate."""
     train_ds = source.train_dataset
     test_ds = source.test_dataset
-    if test_ds is None:
-        raise ValueError("experiment source provides no test dataset")
 
     spec = FewShotSpec(
         bag_shot=bag_shot,
@@ -243,31 +234,22 @@ def run_single(
         alpha = 0.0
         flags["alpha_forced"] = "prior_only"
     else:
-        try:
-            alpha, alpha_table = sweep_alpha(
-                tune_cache, tune_prior_probs, split.labeled_classes,
-                grid=alpha_grid(cfg.grid_points),
-            )
-        except UndefinedMetricError:
-            alpha = 0.5
-            flags["alpha_degenerate_tuning"] = True
+        alpha, alpha_table, tune_flags = pick_alpha(
+            tune_cache, tune_prior_probs, split.labeled_classes, cfg.grid_points
+        )
+        flags.update(tune_flags)
 
-    truth = test_ds.instance_labels_vector()
-    if (truth < 0).any():
+    if (test_ds.instance_labels_vector() < 0).any():
         raise MissingInstanceLabelsError(
             "test dataset must carry instance labels for instance-level AUC"
         )
     test_q = test_ds.store.rows
     cache_probs = retrieve(cache, test_q)
     prior_probs = prior_predict(prior, test_q)
-    fused = fuse(cache_probs, prior_probs, alpha)
-
-    num_classes = test_ds.num_classes
-    bag_labels = test_ds.bag_labels()
-
-    def _bag_result(probs: np.ndarray) -> AUCResult:
-        pooled = bag_pool(probs, test_ds.bags, cfg.pooling)
-        return instance_auc(pooled, bag_labels, num_classes)
+    (fused_instance, fused_bag), (cache_instance, cache_bag), (prior_instance, prior_bag) = (
+        score(probs, test_ds, cfg.pooling)
+        for probs in (fuse(cache_probs, prior_probs, alpha), cache_probs, prior_probs)
+    )
 
     labeled_count = split.n_labeled
     total = train_ds.num_instances
@@ -279,12 +261,12 @@ def run_single(
         pooling=cfg.pooling,
         n_instances=test_ds.num_instances,
         n_bags=len(test_ds.bags),
-        instance_auc=instance_auc(fused, truth, num_classes),
-        bag_auc=_bag_result(fused),
-        cache_instance_auc=instance_auc(cache_probs, truth, num_classes),
-        prior_instance_auc=instance_auc(prior_probs, truth, num_classes),
-        cache_bag_auc=_bag_result(cache_probs),
-        prior_bag_auc=_bag_result(prior_probs),
+        instance_auc=fused_instance,
+        bag_auc=fused_bag,
+        cache_instance_auc=cache_instance,
+        prior_instance_auc=prior_instance,
+        cache_bag_auc=cache_bag,
+        prior_bag_auc=prior_bag,
         labeled_count=labeled_count,
         annotation_ratio=labeled_count / total,
         annotation_ratio_percent=100.0 * labeled_count / total,
@@ -306,10 +288,13 @@ def run_experiment(cfg: ExperimentConfig, keep_predictions: bool = False) -> Run
 
     Deterministic given the config and base seed: repeat r uses seed
     base_seed + r. A failing stage marks that repeat as a recorded
-    failure and the sweep continues.
+    failure and the sweep continues; a source without a test set is a
+    UsageError, raised before any sampling.
     """
     t0 = time.perf_counter()
     source = resolve_source(cfg.source)
+    if source.test_dataset is None:
+        raise UsageError("source has no test set: set test_bags_per_class or test_manifest")
     config_doc = to_doc(cfg)
     record = RunRecord(
         config=config_doc,
@@ -387,6 +372,8 @@ _REPORT_COLUMNS = [
 
 _INT_COLUMNS = {"bag_shot", "instance_shot", "n_runs"}
 
+REPORT_FORMATS = ("csv", "json")
+
 
 def report_rows(record: RunRecord) -> list[dict]:
     """One table row per shot setting."""
@@ -415,11 +402,11 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def emit_report(record: RunRecord, out_dir, formats: tuple[str, ...] = ("csv", "json")) -> list[Path]:
+def emit_report(record: RunRecord, out_dir, formats: tuple[str, ...] = REPORT_FORMATS) -> list[Path]:
     """Write the aggregate table as CSV/JSON plus plot-ready data
     (annotation ratio vs AUC). Unknown formats are rejected."""
     for fmt in formats:
-        if fmt not in ("csv", "json"):
+        if fmt not in REPORT_FORMATS:
             raise ValueError(f"unknown report format {fmt!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

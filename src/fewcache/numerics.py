@@ -12,12 +12,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    DegenerateRowError,
-    InvalidDistributionError,
-    NonFiniteInputError,
-    ShapeMismatchError,
-)
+from .errors import DegenerateRowError, NonFiniteInputError, ShapeMismatchError
 
 # Build-wide real precision. Gradient checks at tol 1e-4 are unreliable in
 # float32, so the default is float64.
@@ -26,10 +21,6 @@ REAL = np.float64
 # Probabilities are clamped to [PROB_CLAMP, 1] before taking logs; learnable
 # label rows can produce near-zero entries early in training.
 PROB_CLAMP = 1e-12
-
-# How far a probability row may deviate from the simplex before it is
-# rejected as invalid.
-SIMPLEX_TOL = 1e-6
 
 # Rows with a norm below _TINY_NORM are rescaled by _TINY_SCALE before
 # normalizing; no row of that size overflows when squared after scaling.
@@ -77,39 +68,6 @@ def l2_normalize_rows(m) -> np.ndarray:
     if zero.size:
         raise DegenerateRowError(int(zero[0]))
     return a / norms[:, None]
-
-
-def _check_simplex(p: np.ndarray, name: str) -> None:
-    if not np.all(np.isfinite(p)):
-        raise InvalidDistributionError(f"{name} contains NaN or infinity")
-    if p.min(initial=0.0) < -SIMPLEX_TOL:
-        raise InvalidDistributionError(f"{name} has negative entries")
-    total = float(p.sum())
-    if abs(total - 1.0) > SIMPLEX_TOL:
-        raise InvalidDistributionError(f"{name} sums to {total!r}, not 1")
-
-
-def cross_entropy(pred, target) -> float:
-    """Cross-entropy of one predicted distribution against a target.
-
-    `pred` must lie on the simplex within SIMPLEX_TOL. `target` is either
-    a class index or a target distribution row (one-hot included).
-    Probabilities are clamped to [PROB_CLAMP, 1] before the log, so the
-    result is finite and nonnegative.
-    """
-    p = np.asarray(pred, dtype=REAL).reshape(-1)
-    _check_simplex(p, "pred")
-    logp = np.log(np.clip(p, PROB_CLAMP, 1.0))
-    if isinstance(target, (int, np.integer)):
-        idx = int(target)
-        if not 0 <= idx < p.size:
-            raise ShapeMismatchError(f"class index {idx} out of range for {p.size} classes")
-        return float(-logp[idx])
-    t = np.asarray(target, dtype=REAL).reshape(-1)
-    if t.shape != p.shape:
-        raise ShapeMismatchError(f"target shape {t.shape} != pred shape {p.shape}")
-    _check_simplex(t, "target")
-    return float(-(t * logp).sum())
 
 
 @dataclass

@@ -197,15 +197,15 @@ def _kmeanspp_init(
     return centroids
 
 
-def _sq_dists(x: np.ndarray, xx: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    # ||x - c||^2 = xx - 2 x.c + cc, built in place (the same IEEE operations
-    # as the textbook expression); clip the tiny negatives cancellation
-    # produces.
-    d2 = x @ centroids.T
+def _sq_dists(x: np.ndarray, xx: np.ndarray, centroids: np.ndarray, out: np.ndarray) -> None:
+    # ||x - c||^2 = xx - 2 x.c + cc, built in place in `out` (the same IEEE
+    # operations as the textbook expression); clip the tiny negatives
+    # cancellation produces.
+    d2 = np.matmul(x, centroids.T, out=out)
     d2 *= -2.0
     d2 += xx[:, None]
     d2 += (centroids * centroids).sum(axis=1)
-    return np.maximum(d2, 0.0, out=d2)
+    np.maximum(d2, 0.0, out=d2)
 
 
 def _update_centroids(
@@ -246,9 +246,11 @@ def kmeans(points, k: int, max_iter: int = 100, seed=0) -> KMeansResult:
     rows = np.arange(n)
     history: list[float] = []
     n_iter = 0
+    # One n x k buffer for every iteration: a fresh one per step fragments the heap.
+    d2 = np.empty((n, k), dtype=x.dtype)
     for it in range(max_iter):
         n_iter = it + 1
-        d2 = _sq_dists(x, xx, centroids)
+        _sq_dists(x, xx, centroids, d2)
         new_assignment = d2.argmin(axis=1)
         point_d2 = d2[rows, new_assignment]
         history.append(float(point_d2.sum()))
@@ -271,7 +273,7 @@ def kmeans(points, k: int, max_iter: int = 100, seed=0) -> KMeansResult:
             point_d2[far] = 0.0
             j += 1
     else:
-        d2 = _sq_dists(x, xx, centroids)
+        _sq_dists(x, xx, centroids, d2)
         new_assignment = d2.argmin(axis=1)
         point_d2 = d2[rows, new_assignment]
     return KMeansResult(

@@ -17,8 +17,11 @@ from fewcache.cache_branch import (
 from fewcache.dataset import EmbeddingStore
 from fewcache.errors import DegenerateRowError, NonFiniteInputError, ShapeMismatchError
 from fewcache.gradchecks import cache_gradient_suite
-from fewcache.numerics import SIMPLEX_TOL, l2_normalize_rows
+from fewcache.numerics import l2_normalize_rows
 from fewcache.sampler import FewShotSplit
+
+# How far a probability row may deviate from the simplex.
+SIMPLEX_TOL = 1e-6
 
 
 def _split(labeled_rows, labeled_classes, unlabeled_rows):

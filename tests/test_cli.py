@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from fewcache.dataset import (
     write_embeddings,
 )
 from fewcache.numerics import l2_normalize_rows
-from fewcache.sampler import FewShotSpec, load_split
+from fewcache.sampler import FewShotSpec, load_split, save_split
 
 
 def write_json(path, doc):
@@ -50,6 +51,22 @@ def pipeline_dirs(tmp_path, rng):
         "prompts": prompts,
         "tmp": tmp_path,
     }
+
+
+@pytest.fixture
+def trained(pipeline_dirs):
+    """pipeline_dirs plus a 5-step checkpoint and an empty run record."""
+    tmp = pipeline_dirs["tmp"]
+    train_cfg = write_json(
+        tmp / "train.json",
+        {"dataset": str(pipeline_dirs["manifest"]), "split": str(pipeline_dirs["split"]),
+         "prompt": {"path": str(pipeline_dirs["prompts"])}, "train": {"steps": 5}},
+    )
+    assert main(["train", "--config", train_cfg, "--out", str(tmp / "run")]) == 0
+    record = write_json(tmp / "record.json",
+                        {"config": {}, "config_hash": "", "variant": "full", "cells": []})
+    return {**pipeline_dirs, "train_cfg": train_cfg, "checkpoint": tmp / "run" / "checkpoint",
+            "record": record}
 
 
 class TestPipeline:
@@ -141,6 +158,25 @@ class TestPipeline:
         assert doc["bag_auc"]["macro"] is None
 
 
+    def test_eval_single_class_tune_split_falls_back_to_half(self, trained):
+        tmp = trained["tmp"]
+        split = load_split(trained["split"])
+        keep = split.labeled_classes == split.labeled_classes[0]
+        one_class = replace(split, labeled_rows=split.labeled_rows[keep],
+                            labeled_classes=split.labeled_classes[keep])
+        save_split(one_class, tmp / "one_class.json")
+        eval_cfg = write_json(
+            tmp / "eval.json",
+            {"dataset": str(trained["manifest"]), "checkpoint": str(trained["checkpoint"]),
+             "tune": {"dataset": str(trained["manifest"]), "split": str(tmp / "one_class.json")}},
+        )
+        out = tmp / "eval"
+        assert main(["eval", "--config", eval_cfg, "--out", str(out)]) == 0
+        doc = json.loads((out / "eval.json").read_text())
+        assert doc["alpha"] == 0.5
+        assert doc["flags"] == {"alpha_degenerate_tuning": True}
+        assert not (out / "alpha_sweep.csv").exists()
+
     def test_sample_with_fewer_distinct_rows_than_k(self, tmp_path):
         # Each bag repeats 2 rows 10 times (as blank tiles do), so the 40
         # selected rows hold 4 distinct rows against k = 20 clusters.
@@ -210,6 +246,34 @@ MALFORMED_SWEEP_CONFIGS = [
                  id="cache-only-and-prior-only"),
     pytest.param({**SWEEP_DOC, "prior_mode": "bogus"}, id="unknown-prior-mode"),
     pytest.param({**SWEEP_DOC, "pooling": "bogus"}, id="unknown-pooling"),
+    pytest.param({**SWEEP_DOC, "grid_points": 0}, id="zero-grid-points"),
+    pytest.param({**SWEEP_DOC, "source": {"kind": "synthetic", "spec": SPEC_DOC}},
+                 id="source-without-test-set"),
+]
+
+# "@manifest", "@split", "@checkpoint", "@prompts" and "@record" stand for
+# the paths of the `trained` fixture.
+_TUNE = {"dataset": "@manifest", "split": "@split"}
+BASE_COMMAND_CONFIGS = {
+    "eval": {"dataset": "@manifest", "checkpoint": "@checkpoint"},
+    "train": {"dataset": "@manifest", "split": "@split", "prompt": {"path": "@prompts"},
+              "train": {"steps": 5}},
+    "report": {"record": "@record"},
+    "gradcheck": {},
+}
+
+MALFORMED_COMMAND_CONFIGS = [
+    pytest.param("eval", {"pooling": "bogus"}, id="eval-unknown-pooling"),
+    pytest.param("eval", {"alpah": 0.9}, id="eval-alpha-typo"),
+    pytest.param("eval", {"tune": {"dataset": "@manifest"}}, id="eval-tune-without-split"),
+    pytest.param("eval", {"alpha": 1.5}, id="eval-alpha-above-1"),
+    pytest.param("eval", {"alpha": "0.5"}, id="eval-alpha-string"),
+    pytest.param("eval", {"tune": _TUNE, "grid_points": 0}, id="eval-zero-grid-points"),
+    pytest.param("train", {"trian": {"steps": 5}}, id="train-typo"),
+    pytest.param("train", {"cache_beta": "x"}, id="train-beta-string"),
+    pytest.param("report", {"formats": ["xml"]}, id="report-unknown-format"),
+    pytest.param("report", {"fromats": ["csv"]}, id="report-formats-typo"),
+    pytest.param("gradcheck", {"n_configs": "x"}, id="gradcheck-n-configs-string"),
 ]
 
 
@@ -236,6 +300,8 @@ class TestErrors:
                          id="nested-spec-unknown-key"),
             pytest.param({**SPEC_DOC, "sigma": 0.1}, "unknown key(s) 'sigma'",
                          id="flat-spec-unknown-key"),
+            pytest.param({"spec": SPEC_DOC, "nmae": "x"}, "unknown key(s) 'nmae'",
+                         id="stray-key-beside-spec"),
         ],
     )
     def test_malformed_synth_config_exits_2(self, tmp_path, capsys, doc, message):
@@ -270,6 +336,22 @@ class TestErrors:
         assert_one_usage_line(err)
         assert message in err
         assert not (tmp / "run" / "checkpoint").exists()
+
+    @pytest.mark.parametrize("command, overrides", MALFORMED_COMMAND_CONFIGS)
+    def test_malformed_command_config_exits_2(self, trained, capsys, command, overrides):
+        tmp = trained["tmp"]
+        text = json.dumps({**BASE_COMMAND_CONFIGS[command], **overrides})
+        for key in ("manifest", "split", "checkpoint", "prompts", "record"):
+            text = text.replace(f'"@{key}"', json.dumps(str(trained[key])))
+        cfg = tmp / "malformed.json"
+        cfg.write_text(text)
+        out = tmp / "out"
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert_one_usage_line(captured.err)
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:

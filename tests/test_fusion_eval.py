@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -17,6 +18,8 @@ from fewcache.fusion_eval import (
     binary_auc,
     fuse,
     instance_auc,
+    pick_alpha,
+    score,
     sweep_alpha,
 )
 
@@ -261,6 +264,39 @@ class TestSweepAlpha:
         perm = rng.permutation(30)
         alpha2, _ = sweep_alpha(cache[perm], prior[perm], labels[perm])
         assert alpha1 == alpha2
+
+
+class TestPickAlpha:
+    def test_matches_sweep_alpha(self, rng):
+        labels = rng.integers(0, 2, size=30)
+        labels[:2] = [0, 1]
+        cache = rng.dirichlet(np.ones(2), size=30)
+        prior = rng.dirichlet(np.ones(2), size=30)
+        alpha, table, flags = pick_alpha(cache, prior, labels, 21)
+        assert (alpha, table) == sweep_alpha(cache, prior, labels, grid=alpha_grid(21))
+        assert flags == {}
+
+    def test_single_class_falls_back_to_half(self, rng):
+        probs = rng.dirichlet(np.ones(2), size=5)
+        alpha, table, flags = pick_alpha(probs, probs, np.zeros(5, dtype=np.int64), 101)
+        assert (alpha, table, flags) == (0.5, None, {"alpha_degenerate_tuning": True})
+
+
+class TestScore:
+    def test_instance_and_bag_auc(self, small_dataset, rng):
+        probs = rng.dirichlet(np.ones(2), size=small_dataset.num_instances)
+        instance, bag = score(probs, small_dataset, "max")
+        assert instance == instance_auc(probs, small_dataset.instance_labels_vector(), 2)
+        pooled = bag_pool(probs, small_dataset.bags, "max")
+        assert bag == instance_auc(pooled, small_dataset.bag_labels(), 2)
+
+    def test_missing_instance_labels_give_none(self, small_dataset, rng):
+        ds = copy.deepcopy(small_dataset)
+        ds.bags[0].instance_labels = None
+        probs = rng.dirichlet(np.ones(2), size=ds.num_instances)
+        instance, bag = score(probs, ds, "mean")
+        assert instance is None
+        assert bag.macro is not None
 
 
 class TestCsvExports:

@@ -8,14 +8,12 @@ from hypothesis.extra import numpy as hnp
 
 from fewcache.errors import (
     DegenerateRowError,
-    InvalidDistributionError,
     NonFiniteInputError,
     ShapeMismatchError,
 )
 from fewcache.numerics import (
     AdamState,
     adam_step,
-    cross_entropy,
     finite_difference_check,
     l2_normalize_rows,
     softmax_rows,
@@ -94,40 +92,6 @@ class TestL2NormalizeRows:
     def test_unit_norms(self):
         out = l2_normalize_rows(np.random.default_rng(0).normal(size=(50, 7)))
         np.testing.assert_allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-9)
-
-
-class TestCrossEntropy:
-    def test_perfect_prediction(self):
-        assert cross_entropy([1.0, 0.0], 0) <= 1e-12
-
-    def test_analytic_log(self):
-        assert cross_entropy([0.5, 0.5], 1) == pytest.approx(math.log(2.0), abs=1e-12)
-
-    def test_clamp_rule(self):
-        assert cross_entropy([1e-20, 1.0 - 1e-20], 0) == pytest.approx(
-            -math.log(1e-12), rel=1e-9
-        )
-
-    def test_one_hot_target_row(self):
-        assert cross_entropy([0.25, 0.75], [0.0, 1.0]) == pytest.approx(
-            -math.log(0.75), abs=1e-12
-        )
-
-    def test_soft_target_row(self):
-        p = [0.25, 0.75]
-        t = [0.5, 0.5]
-        expected = -0.5 * (math.log(0.25) + math.log(0.75))
-        assert cross_entropy(p, t) == pytest.approx(expected, abs=1e-12)
-
-    def test_off_simplex_rejected(self):
-        with pytest.raises(InvalidDistributionError):
-            cross_entropy([0.6, 0.6], 0)
-        with pytest.raises(InvalidDistributionError):
-            cross_entropy([1.2, -0.2], 0)
-
-    def test_bad_index(self):
-        with pytest.raises(ShapeMismatchError):
-            cross_entropy([0.5, 0.5], 5)
 
 
 class TestAdamStep:
