@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import Optional
 
 from .cache_branch import DEFAULT_BETA, build_cache, retrieve
-from .codec import from_doc, to_doc
+from .codec import from_doc, read_json, to_doc
 from .dataset import SynthSpec, load_manifest, save_dataset, synth_generate
 from .errors import FewcacheError, UsageError
 from .fusion_eval import GRID_POINTS, POOL_OPERATORS, alpha_table_to_csv, fuse, pick_alpha, score
@@ -108,14 +108,7 @@ def _load_config(path: str | None, required: bool = True) -> dict:
         if required:
             raise UsageError("--config is required for this subcommand")
         return {}
-    p = Path(path)
-    if not p.exists():
-        raise UsageError(f"config file not found: {p}")
-    try:
-        with open(p) as f:
-            doc = json.load(f)
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"config is not valid JSON: {exc}") from exc
+    doc = read_json(_existing(path, "config file"))
     if not isinstance(doc, dict):
         raise UsageError(f"config must be a JSON object, got {type(doc).__name__}")
     return doc
@@ -169,7 +162,7 @@ def cmd_train(args) -> int:
     job = from_doc(TrainJob, _load_config(args.config))
     train_cfg = job.train if args.seed is None else replace(job.train, seed=args.seed)
     dataset = load_manifest(_existing(job.dataset, "dataset"))
-    split = load_split(_existing(job.split, "split file"))
+    split = load_split(_existing(job.split, "split file"), dataset)
     cache = build_cache(split, dataset.store, dataset.classes, beta=job.cache_beta)
     prior = load_prior(job.prompt, dataset.classes, dataset.dim)
     cache, prior, state = train(cache, prior, split, dataset.store, train_cfg)
@@ -186,18 +179,18 @@ def cmd_eval(args) -> int:
     dataset = load_manifest(_existing(job.dataset, "dataset"))
     cache, prior = restore(_existing(job.checkpoint, "checkpoint"))
 
-    out = _out_dir(args)
-    alpha, flags = job.alpha, {}
+    alpha, table, flags = job.alpha, None, {}
     if alpha is None and job.tune is not None:
         tune_ds = load_manifest(_existing(job.tune.dataset, "tune dataset"))
-        tune_split = load_split(_existing(job.tune.split, "tune split"))
+        tune_split = load_split(_existing(job.tune.split, "tune split"), tune_ds)
         q = tune_ds.store.rows[tune_split.labeled_rows]
         alpha, table, flags = pick_alpha(
             retrieve(cache, q), prior_predict(prior, q), tune_split.labeled_classes,
             job.grid_points,
         )
-        if table is not None:
-            alpha_table_to_csv(table, out / "alpha_sweep.csv")
+    out = _out_dir(args)
+    if table is not None:
+        alpha_table_to_csv(table, out / "alpha_sweep.csv")
     alpha = 0.5 if alpha is None else float(alpha)
     queries = dataset.store.rows
     fused = fuse(retrieve(cache, queries), prior_predict(prior, queries), alpha)
@@ -299,9 +292,6 @@ def main(argv=None) -> int:
     except FewcacheError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"error: usage: missing file: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

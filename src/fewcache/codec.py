@@ -1,10 +1,11 @@
-"""One JSON codec for every config and result dataclass.
+"""One JSON codec for every config, result and file-format dataclass.
 
 `to_doc` writes a dataclass as a JSON-ready dict of its fields, in field
 order; `from_doc` rebuilds it, resolving nested dataclasses, lists of
 them and tuples from the type hints and filling absent keys from the
 defaults. Any bad document (an unknown or missing key, a value of the
-wrong JSON type, or one the constructor rejects) raises UsageError.
+wrong JSON type, or one the constructor rejects) raises the caller's
+error class: UsageError for configs, a file format's own domain error.
 
 Field metadata carries the two irregular cases of the serialized form:
 a SKIP field is never written (nor accepted on read), and an OMIT_NONE
@@ -15,12 +16,15 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import json
 import typing
 
 from .errors import UsageError
 
 SKIP = {"codec": "skip"}
 OMIT_NONE = {"codec": "omit_none"}
+# The types json.load gives each scalar hint (an int is a valid float).
+_JSON_SCALARS = {bool: {bool}, int: {int}, float: {int, float}, str: {str}}
 
 
 def _doc_fields(cls) -> list[dataclasses.Field]:
@@ -52,15 +56,26 @@ def to_doc(obj):
     return obj
 
 
-def from_doc(cls, doc):
-    """Rebuild dataclass `cls` from its JSON form; inverse of `to_doc`."""
+def read_json(path, error: type[Exception] = UsageError):
+    """Parse the JSON file at `path`; raise `error` if it cannot be read or parsed."""
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
+        raise error(f"cannot read {path} as JSON: {exc}") from exc
+
+
+def from_doc(cls, doc, error: type[Exception] = UsageError):
+    """Rebuild `cls` (a dataclass, or a hint like list[int]) from its JSON form."""
+    if not dataclasses.is_dataclass(cls):
+        return _decode(cls, doc, str(cls), error)
     name = cls.__name__
     if not isinstance(doc, dict):
-        raise UsageError(f"{name} must be a JSON object, got {type(doc).__name__}")
+        raise error(f"{name} must be a JSON object, got {type(doc).__name__}")
     fields = {f.name: f for f in _doc_fields(cls)}
     unknown = sorted(set(doc) - set(fields))
     if unknown:
-        raise UsageError(f"{name}: unknown key(s) {', '.join(map(repr, unknown))}")
+        raise error(f"{name}: unknown key(s) {', '.join(map(repr, unknown))}")
     missing = [
         k for k, f in fields.items()
         if k not in doc
@@ -68,35 +83,41 @@ def from_doc(cls, doc):
         and f.default_factory is dataclasses.MISSING
     ]
     if missing:
-        raise UsageError(f"{name}: missing key(s) {', '.join(map(repr, missing))}")
+        raise error(f"{name}: missing key(s) {', '.join(map(repr, missing))}")
     hints = _type_hints(cls)
-    kwargs = {k: _decode(hints[k], v, f"{name}.{k}") for k, v in doc.items()}
+    kwargs = {k: _decode(hints[k], v, f"{name}.{k}", error) for k, v in doc.items()}
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
-        raise UsageError(f"{name}: {exc}") from exc
+        raise error(f"{name}: {exc}") from exc
 
 
-def _decode(hint, value, where: str):
+def _decode(hint, value, where: str, error: type[Exception]):
     if dataclasses.is_dataclass(hint):
-        return from_doc(hint, value)
+        return from_doc(hint, value, error)
     origin = typing.get_origin(hint)
     if origin is typing.Union:
         if value is None:
             return None
         (inner,) = [a for a in typing.get_args(hint) if a is not type(None)]
-        return _decode(inner, value, where)
+        return _decode(inner, value, where, error)
     if origin in (list, tuple):
         if not isinstance(value, (list, tuple)):
-            raise UsageError(f"{where} must be a JSON array, got {type(value).__name__}")
-        item = typing.get_args(hint)[0]
-        items = [_decode(item, v, where) for v in value]
+            raise error(f"{where} must be a JSON array, got {type(value).__name__}")
+        args = typing.get_args(hint)
+        if origin is tuple and args[-1] is not Ellipsis:
+            if len(value) != len(args):
+                raise error(f"{where} must hold {len(args)} items, got {len(value)}")
+            return tuple(_decode(a, v, where, error) for a, v in zip(args, value))
+        if set(map(type, value)) <= _JSON_SCALARS.get(args[0], set()):
+            return tuple(value) if origin is tuple else list(value)  # no call per item
+        items = [_decode(args[0], v, where, error) for v in value]
         return tuple(items) if origin is tuple else items
     if (hint is dict or origin is dict) and not isinstance(value, dict):
-        raise UsageError(f"{where} must be a JSON object, got {type(value).__name__}")
+        raise error(f"{where} must be a JSON object, got {type(value).__name__}")
     if hint in (bool, int, float, str):
         # JSON has one number type: an int is a valid float; a bool is no number.
         allowed = (int, float) if hint is float else hint
         if not isinstance(value, allowed) or (hint is not bool and isinstance(value, bool)):
-            raise UsageError(f"{where} must be {hint.__name__}, got {type(value).__name__}")
+            raise error(f"{where} must be {hint.__name__}, got {type(value).__name__}")
     return value

@@ -1,25 +1,34 @@
-"""Data model and I/O for embedding-level datasets.
+"""Data model and I/O for embedding-level datasets, and the file formats.
 
 A dataset is a list of bags (one per slide/source), each owning a
 contiguous row range of a shared embedding store, plus optional
-per-instance labels. Embeddings live in FEMB files:
+per-instance labels. All rows are L2-normalized at load time: every
+consumer compares features by cosine/dot product, so the contract is
+centralized here.
 
-    magic   b"FEMB"            4 bytes
-    version u32 little-endian  1 = float32 payload, 2 = float64 payload
-    n       u64 little-endian  row count
-    d       u64 little-endian  column count
-    payload n*d IEEE-754 values, little-endian, row-major
+File formats, each with the error a bad file raises. The CLI prints it
+as one stderr line and exits 1; usage errors (bad flag, missing file
+named in a config, malformed config) exit 2. Each JSON format is a
+dataclass decoded by codec.from_doc, so a file that cannot be read, is
+not JSON, or has a missing or unknown key or a wrongly typed value fails.
 
-Version 1 is the interchange format for encoder dumps; version 2 exists
-so checkpoints can round-trip the full build precision. The manifest is
-JSON:
-
-    { "name": str, "dim": int, "classes": [str, ...],
-      "bags": [ { "id": str, "label": int, "embeddings": relpath,
-                  "n": int, "instance_labels": relpath? } ] }
-
-All rows are L2-normalized at load time: every consumer compares
-features by cosine/dot product, so the contract is centralized here.
+* FEMB (FembError): magic b"FEMB", little-endian u32 version (1 = float32,
+  the interchange format for encoder dumps; 2 = float64, so checkpoints
+  round-trip exactly), u64 rows n, u64 columns d, n*d row-major values.
+* manifest.json (ManifestDoc; ManifestFormatError, or another
+  ManifestError for a missing file or a count or label that does not
+  fit): {"name"?, "dim", "classes", "bags": [{"id", "label", "embeddings":
+  relpath, "n", "instance_labels"?: relpath to a JSON array of n ints}]}
+* split.json (sampler.SplitDoc; SplitError, also for rows or classes
+  outside the dataset): {"version": 1, "selected_bags", "labeled":
+  [[row, class]], "unlabeled_core", "seed", "flags"}
+* checkpoint.json beside FEMB v2 matrices (trainer.CheckpointDoc;
+  CorruptCheckpointError, or CheckpointVersionError if version != 1):
+  {"version", "cache": {"beta", "frozen_mask", "classes"}, "prior":
+  {"mode", "tau", "classes", and in toy-encoder mode "tokens_per_class",
+  "learnable_per_class"}}
+* <prompt path>.json beside a toy-encoder token file
+  (prior_branch.PromptSidecar; ManifestFormatError): {"tokens_per_class"}
 """
 
 from __future__ import annotations
@@ -27,17 +36,19 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
+from .codec import OMIT_NONE, from_doc, read_json, to_doc
 from .errors import (
     BadMagicError,
     DimensionMismatchError,
     FembError,
     LabelRangeError,
+    ManifestFormatError,
     MissingFileError,
     NonFiniteValueError,
     OverlappingRangesError,
@@ -143,9 +154,6 @@ class Dataset:
     def bag_labels(self) -> np.ndarray:
         return np.array([b.label for b in self.bags], dtype=np.int64)
 
-    def bags_by_id(self) -> dict[str, Bag]:
-        return {b.id: b for b in self.bags}
-
 
 # --- FEMB binary format -------------------------------------------------
 
@@ -195,58 +203,59 @@ def read_embeddings(path) -> EmbeddingStore:
 # --- manifest load/save ---------------------------------------------------
 
 
+@dataclass
+class BagEntry:
+    id: str
+    label: int
+    embeddings: str
+    n: int
+    instance_labels: Optional[str] = field(default=None, metadata=OMIT_NONE)
+
+
+@dataclass(kw_only=True)
+class ManifestDoc:
+    name: Optional[str] = None  # default: the manifest's file stem
+    dim: int
+    classes: list[str]
+    bags: list[BagEntry]
+
+
 def load_manifest(path) -> Dataset:
     """Load and fully validate a dataset manifest; rows are L2-normalized."""
     path = Path(path)
     if not path.exists():
         raise MissingFileError(f"manifest not found: {path}")
-    with open(path) as f:
-        doc = json.load(f)
+    doc = from_doc(ManifestDoc, read_json(path, ManifestFormatError), ManifestFormatError)
     base = path.parent
-    classes = list(doc["classes"])
-    dim = int(doc["dim"])
     chunks: list[np.ndarray] = []
     bags: list[Bag] = []
     cursor = 0
-    for entry in doc["bags"]:
-        bag_id = str(entry["id"])
-        emb_path = base / entry["embeddings"]
-        store = read_embeddings(emb_path)
-        if store.d != dim:
+    for entry in doc.bags:
+        store = read_embeddings(base / entry.embeddings)
+        if store.d != doc.dim:
             raise DimensionMismatchError(
-                f"bag {bag_id!r}: embedding dim {store.d} != manifest dim {dim}"
+                f"bag {entry.id!r}: embedding dim {store.d} != manifest dim {doc.dim}"
             )
-        declared_n = int(entry["n"])
-        if store.n != declared_n:
+        if store.n != entry.n:
             raise DimensionMismatchError(
-                f"bag {bag_id!r}: file holds {store.n} rows, manifest declares {declared_n}"
+                f"bag {entry.id!r}: file holds {store.n} rows, manifest declares {entry.n}"
             )
-        label = int(entry["label"])
-        if not 0 <= label < len(classes):
-            raise LabelRangeError(f"bag {bag_id!r}: label {label} out of range")
         inst_labels = None
-        if entry.get("instance_labels"):
-            lpath = base / entry["instance_labels"]
+        if entry.instance_labels:
+            lpath = base / entry.instance_labels
             if not lpath.exists():
-                raise MissingFileError(f"bag {bag_id!r}: label file not found: {lpath}")
-            with open(lpath) as lf:
-                raw = json.load(lf)
-            if len(raw) != declared_n:
-                raise DimensionMismatchError(
-                    f"bag {bag_id!r}: {len(raw)} instance labels for {declared_n} instances"
-                )
+                raise MissingFileError(f"bag {entry.id!r}: label file not found: {lpath}")
+            raw = from_doc(list[int], read_json(lpath, ManifestFormatError), ManifestFormatError)
             inst_labels = np.asarray(raw, dtype=np.int64)
-            if inst_labels.size and (inst_labels.min() < 0 or inst_labels.max() >= len(classes)):
-                raise LabelRangeError(f"bag {bag_id!r}: instance label out of range")
         chunks.append(store.rows)
-        bags.append(Bag(bag_id, label, cursor, cursor + declared_n, inst_labels))
-        cursor += declared_n
-    rows = np.concatenate(chunks, axis=0) if chunks else np.zeros((0, dim), dtype=REAL)
+        bags.append(Bag(entry.id, entry.label, cursor, cursor + entry.n, inst_labels))
+        cursor += entry.n
+    rows = np.concatenate(chunks, axis=0) if chunks else np.zeros((0, doc.dim), dtype=REAL)
     rows = l2_normalize_rows(rows) if rows.size else rows
     ds = Dataset(
-        name=str(doc.get("name", path.stem)),
-        dim=dim,
-        classes=classes,
+        name=path.stem if doc.name is None else doc.name,
+        dim=doc.dim,
+        classes=doc.classes,
         bags=bags,
         store=EmbeddingStore.from_array(rows),
     )
@@ -260,24 +269,17 @@ def save_dataset(dataset: Dataset, out_dir) -> Path:
     (out / "embeddings").mkdir(parents=True, exist_ok=True)
     entries = []
     for bag in dataset.bags:
-        emb_rel = f"embeddings/{bag.id}.femb"
-        write_embeddings(out / emb_rel, dataset.store.rows[bag.start : bag.end], version=1)
-        entry = {"id": bag.id, "label": int(bag.label), "embeddings": emb_rel, "n": int(bag.n)}
+        entry = BagEntry(bag.id, int(bag.label), f"embeddings/{bag.id}.femb", int(bag.n))
+        write_embeddings(out / entry.embeddings, dataset.store.rows[bag.start : bag.end])
         if bag.instance_labels is not None:
-            lab_rel = f"embeddings/{bag.id}.labels.json"
-            with open(out / lab_rel, "w") as f:
+            entry.instance_labels = f"embeddings/{bag.id}.labels.json"
+            with open(out / entry.instance_labels, "w") as f:
                 json.dump([int(x) for x in bag.instance_labels], f)
-            entry["instance_labels"] = lab_rel
         entries.append(entry)
-    manifest = {
-        "name": dataset.name,
-        "dim": dataset.dim,
-        "classes": dataset.classes,
-        "bags": entries,
-    }
+    doc = ManifestDoc(name=dataset.name, dim=dataset.dim, classes=dataset.classes, bags=entries)
     manifest_path = out / "manifest.json"
     with open(manifest_path, "w") as f:
-        json.dump(manifest, f, indent=2)
+        json.dump(to_doc(doc), f, indent=2)
     return manifest_path
 
 

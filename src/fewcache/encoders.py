@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .codec import from_doc, to_doc
+from .codec import from_doc, read_json, to_doc
 from .dataset import (
     Dataset,
     SynthSpec,
@@ -27,7 +27,7 @@ from .dataset import (
     read_embeddings,
     synth_generate,
 )
-from .errors import DimensionConflictError, UnknownSourceKindError, UsageError
+from .errors import DimensionConflictError, ManifestFormatError, UnknownSourceKindError, UsageError
 from .numerics import l2_normalize_rows
 
 # Offset added to the data seed when drawing the held-out test split of a
@@ -143,8 +143,8 @@ def resolve_source(config: dict) -> EmbeddingSource:
         # the manifest (encoder name, preprocessing notes, checksum).
         sidecar = Path(config["train_manifest"]).with_suffix(".provenance.json")
         if sidecar.exists():
-            with open(sidecar) as f:
-                provenance.update(json.load(f))
+            provenance.update(from_doc(dict, read_json(sidecar, ManifestFormatError),
+                                       ManifestFormatError))
         return EmbeddingSource(
             kind=kind, dim=train.dim, train_dataset=train, test_dataset=test,
             prompt_features=prompts, provenance=provenance,

@@ -66,6 +66,10 @@ class ManifestError(FewcacheError):
     """Base class for dataset manifest validation errors."""
 
 
+class ManifestFormatError(ManifestError):
+    """A manifest, instance-label file or prompt sidecar does not decode."""
+
+
 class MissingFileError(ManifestError):
     """A file referenced by the manifest does not exist."""
 
@@ -91,6 +95,10 @@ class InsufficientBagsError(FewcacheError):
 
 class MissingInstanceLabelsError(FewcacheError):
     """Ground-truth instance labels are required but absent."""
+
+
+class SplitError(FewcacheError):
+    """A split.json does not decode, or names rows or classes its dataset lacks."""
 
 
 # --- evaluation ----------------------------------------------------------

@@ -24,9 +24,9 @@ from typing import Optional
 import numpy as np
 
 from .cache_branch import DEFAULT_BETA, build_cache, retrieve
-from .codec import SKIP, from_doc, to_doc
+from .codec import SKIP, from_doc, read_json, to_doc
 from .encoders import EmbeddingSource, resolve_source
-from .errors import MissingInstanceLabelsError, UsageError
+from .errors import UsageError
 from .fusion_eval import POOL_OPERATORS, EvalReport, fuse, pick_alpha, score
 from .prior_branch import (
     DEFAULT_TAU,
@@ -63,8 +63,6 @@ class ExperimentConfig:
     toy_seed: int = 0
     pooling: str = "mean"
     grid_points: int = 101
-    cache_only: bool = False
-    prior_only: bool = False
     freeze_keys: bool = False
     freeze_value_logits: bool = False
     repeats: int = DEFAULT_REPEATS
@@ -73,8 +71,6 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
-        if self.cache_only and self.prior_only:
-            raise ValueError("cache_only and prior_only are mutually exclusive")
         if self.prior_mode not in PRIOR_MODES:
             raise ValueError(f"unknown prior mode {self.prior_mode!r}")
         if self.pooling not in POOL_OPERATORS:
@@ -83,17 +79,8 @@ class ExperimentConfig:
             raise ValueError("grid_points must be >= 1")
 
     def variant_name(self) -> str:
-        if self.prior_only:
-            name = "prior_only"
-        elif self.cache_only:
-            name = "cache_only"
-        else:
-            name = "full"
-        if self.freeze_keys:
-            name += "+frozen_keys"
-        if self.freeze_value_logits:
-            name += "+frozen_labels"
-        return name
+        suffixes = {"+frozen_keys": self.freeze_keys, "+frozen_labels": self.freeze_value_logits}
+        return "full" + "".join(s for s, on in suffixes.items() if on)
 
 
 @dataclass
@@ -222,27 +209,13 @@ def run_single(
     )
     cache, prior, _state = train(cache, prior, split, train_ds.store, train_cfg)
 
-    flags = dict(split.flags)
     tune_q = train_ds.store.rows[split.labeled_rows]
     tune_cache = retrieve(cache, tune_q)
     tune_prior_probs = prior_predict(prior, tune_q)
-    alpha_table = None
-    if cfg.cache_only:
-        alpha = 1.0
-        flags["alpha_forced"] = "cache_only"
-    elif cfg.prior_only:
-        alpha = 0.0
-        flags["alpha_forced"] = "prior_only"
-    else:
-        alpha, alpha_table, tune_flags = pick_alpha(
-            tune_cache, tune_prior_probs, split.labeled_classes, cfg.grid_points
-        )
-        flags.update(tune_flags)
+    alpha, alpha_table, tune_flags = pick_alpha(
+        tune_cache, tune_prior_probs, split.labeled_classes, cfg.grid_points
+    )
 
-    if (test_ds.instance_labels_vector() < 0).any():
-        raise MissingInstanceLabelsError(
-            "test dataset must carry instance labels for instance-level AUC"
-        )
     test_q = test_ds.store.rows
     cache_probs = retrieve(cache, test_q)
     prior_probs = prior_predict(prior, test_q)
@@ -270,7 +243,7 @@ def run_single(
         labeled_count=labeled_count,
         annotation_ratio=labeled_count / total,
         annotation_ratio_percent=100.0 * labeled_count / total,
-        flags=flags,
+        flags={**split.flags, **tune_flags},
         alpha_table=alpha_table,
     )
     extras = None
@@ -288,13 +261,14 @@ def run_experiment(cfg: ExperimentConfig, keep_predictions: bool = False) -> Run
 
     Deterministic given the config and base seed: repeat r uses seed
     base_seed + r. A failing stage marks that repeat as a recorded
-    failure and the sweep continues; a source without a test set is a
-    UsageError, raised before any sampling.
+    failure and the sweep continues. A source whose test set is missing or
+    lacks instance labels is a UsageError, raised before any sampling.
     """
     t0 = time.perf_counter()
     source = resolve_source(cfg.source)
-    if source.test_dataset is None:
-        raise UsageError("source has no test set: set test_bags_per_class or test_manifest")
+    test = source.test_dataset
+    if test is None or (test.instance_labels_vector() < 0).any():
+        raise UsageError("source needs a labeled test set (test_bags_per_class or test_manifest)")
     config_doc = to_doc(cfg)
     record = RunRecord(
         config=config_doc,
@@ -348,8 +322,7 @@ def write_run_record(record: RunRecord, out_dir) -> Path:
 
 
 def load_run_record(path) -> RunRecord:
-    with open(path) as f:
-        return from_doc(RunRecord, json.load(f))
+    return from_doc(RunRecord, read_json(path))
 
 
 _REPORT_COLUMNS = [
@@ -369,8 +342,6 @@ _REPORT_COLUMNS = [
     "prior_instance_auc_std",
     "alpha_mean",
 ]
-
-_INT_COLUMNS = {"bag_shot", "instance_shot", "n_runs"}
 
 REPORT_FORMATS = ("csv", "json")
 
@@ -439,22 +410,3 @@ def emit_report(record: RunRecord, out_dir, formats: tuple[str, ...] = REPORT_FO
             json.dump({"variant": record.variant, "rows": rows}, f, indent=2, sort_keys=True)
         written.append(path)
     return written
-
-
-def load_report_csv(path) -> list[dict]:
-    """Parse report.csv back into typed rows (inverse of emit_report)."""
-    rows = []
-    with open(path, newline="") as f:
-        for raw in csv.DictReader(f):
-            row: dict = {}
-            for key, value in raw.items():
-                if value == "":
-                    row[key] = None
-                elif key in _INT_COLUMNS:
-                    row[key] = int(value)
-                elif key == "variant":
-                    row[key] = value
-                else:
-                    row[key] = float(value)
-            rows.append(row)
-    return rows

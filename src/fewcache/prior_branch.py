@@ -17,15 +17,14 @@ fusion are mode-agnostic.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
+from .codec import from_doc, read_json
 from .dataset import read_embeddings
-from .errors import ShapeMismatchError
+from .errors import ManifestFormatError, ShapeMismatchError
 from .numerics import PROB_CLAMP, REAL, as_matrix, l2_normalize_rows, softmax_rows
 
 PROTOTYPE = "prototype"
@@ -52,6 +51,11 @@ class PromptConfig:
     def __post_init__(self):
         if self.mode not in PRIOR_MODES:
             raise ValueError(f"unknown prior mode {self.mode!r}")
+
+
+@dataclass
+class PromptSidecar:
+    tokens_per_class: int
 
 
 @dataclass
@@ -161,10 +165,8 @@ def load_prior(config: PromptConfig, classes: list[str], dim: int) -> PriorModel
                 f"prompt file holds {store.n} rows for {len(classes)} classes"
             )
         return prior_from_features(store.rows, classes, tau=config.tau)
-    sidecar = Path(config.path).with_suffix(Path(config.path).suffix + ".json")
-    with open(sidecar) as f:
-        meta = json.load(f)
-    per_class = int(meta["tokens_per_class"])
+    sidecar = read_json(f"{config.path}.json", ManifestFormatError)
+    per_class = from_doc(PromptSidecar, sidecar, ManifestFormatError).tokens_per_class
     if store.n != per_class * len(classes):
         raise ShapeMismatchError(
             f"token file holds {store.n} rows, expected {per_class * len(classes)}"

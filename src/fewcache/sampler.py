@@ -16,8 +16,9 @@ from typing import Optional
 
 import numpy as np
 
+from .codec import from_doc, read_json, to_doc
 from .dataset import Dataset
-from .errors import InsufficientBagsError, MissingInstanceLabelsError
+from .errors import InsufficientBagsError, MissingInstanceLabelsError, SplitError
 from .numerics import REAL, as_matrix
 
 
@@ -102,44 +103,57 @@ class FewShotSplit:
                         f"class {c} has {count} labels, expected {spec.instance_shot}"
                     )
 
-    def to_dict(self) -> dict:
-        return {
-            "version": 1,
-            "selected_bags": list(self.selected_bags),
-            "labeled": [
-                [int(r), int(c)]
-                for r, c in zip(self.labeled_rows, self.labeled_classes)
-            ],
-            "unlabeled_core": [int(r) for r in self.unlabeled_rows],
-            "seed": int(self.seed),
-            "flags": self.flags,
-        }
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "FewShotSplit":
-        labeled = doc.get("labeled", [])
-        rows = np.array([r for r, _ in labeled], dtype=np.int64)
-        classes = np.array([c for _, c in labeled], dtype=np.int64)
-        return cls(
-            selected_bags=list(doc["selected_bags"]),
-            labeled_rows=rows,
-            labeled_classes=classes,
-            unlabeled_rows=np.asarray(doc.get("unlabeled_core", []), dtype=np.int64),
-            seed=int(doc.get("seed", 0)),
-            flags=dict(doc.get("flags", {})),
-        )
+SPLIT_VERSION = 1
+
+
+@dataclass
+class SplitDoc:
+    version: int
+    selected_bags: list[str]
+    labeled: list[tuple[int, int]]
+    unlabeled_core: list[int]
+    seed: int
+    flags: dict
+
+    def __post_init__(self):
+        if self.version != SPLIT_VERSION:
+            raise ValueError(f"split version {self.version}, supported {SPLIT_VERSION}")
 
 
 def save_split(split: FewShotSplit, path) -> Path:
+    doc = SplitDoc(
+        version=SPLIT_VERSION,
+        selected_bags=list(split.selected_bags),
+        labeled=list(zip(split.labeled_rows.tolist(), split.labeled_classes.tolist())),
+        unlabeled_core=split.unlabeled_rows.tolist(),
+        seed=int(split.seed),
+        flags=split.flags,
+    )
     path = Path(path)
     with open(path, "w") as f:
-        json.dump(split.to_dict(), f, indent=2)
+        json.dump(to_doc(doc), f, indent=2)
     return path
 
 
-def load_split(path) -> FewShotSplit:
-    with open(path) as f:
-        return FewShotSplit.from_dict(json.load(f))
+def load_split(path, dataset: Optional[Dataset] = None) -> FewShotSplit:
+    """Read a split.json; with `dataset`, reject rows or classes it lacks."""
+    doc = from_doc(SplitDoc, read_json(path, SplitError), SplitError)
+    split = FewShotSplit(
+        selected_bags=doc.selected_bags,
+        labeled_rows=np.array([r for r, _ in doc.labeled], dtype=np.int64),
+        labeled_classes=np.array([c for _, c in doc.labeled], dtype=np.int64),
+        unlabeled_rows=np.array(doc.unlabeled_core, dtype=np.int64),
+        seed=doc.seed,
+        flags=doc.flags,
+    )
+    if dataset is not None:
+        rows = np.concatenate([split.labeled_rows, split.unlabeled_rows])
+        classes = split.labeled_classes
+        if ((rows < 0) | (rows >= dataset.num_instances)).any() or (
+                (classes < 0) | (classes >= dataset.num_classes)).any():
+            raise SplitError(f"{path}: a row or class lies outside the {dataset.name!r} dataset")
+    return split
 
 
 def sample_bags(dataset: Dataset, bag_shot: int, seed) -> list[str]:

@@ -23,6 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .cache_branch import CacheModel, cache_loss_and_grads, project
+from .codec import OMIT_NONE, from_doc, read_json, to_doc
 from .dataset import EmbeddingStore, read_embeddings, write_embeddings
 from .errors import (
     CheckpointVersionError,
@@ -31,7 +32,7 @@ from .errors import (
     ModeMismatchError,
 )
 from .numerics import AdamState, adam_step
-from .prior_branch import PROTOTYPE, TOY_ENCODER, PriorModel, prior_loss_and_grads
+from .prior_branch import PRIOR_MODES, PROTOTYPE, TOY_ENCODER, PriorModel, prior_loss_and_grads
 from .sampler import FewShotSplit
 
 CHECKPOINT_VERSION = 1
@@ -61,10 +62,9 @@ class TrainConfig:
 
 @dataclass
 class TrainState:
-    """Step counter, per-group Adam moments, and the loss trajectory."""
+    """Step counter and the loss trajectory."""
 
     step: int = 0
-    adam: dict[str, AdamState] = field(default_factory=dict)
     history: list[tuple[int, float, float, float]] = field(default_factory=list)
 
 
@@ -130,7 +130,6 @@ def train(
         state.history.append((step, cache_loss, prompt_loss, total))
         state.step = step + 1
 
-    state.adam = {"keys": adam_keys, "value_logits": adam_values, "prompt": adam_prompt}
     return cache, prior, state
 
 
@@ -145,11 +144,34 @@ def history_to_csv(state: TrainState, path) -> Path:
     return path
 
 
-# --- checkpoints -----------------------------------------------------------
-#
-# A checkpoint is a directory: one FEMB file per matrix (version 2, i.e.
-# float64 payload, so restore is bit-exact) plus a JSON sidecar with the
-# scalar state (beta, tau, mode, frozen mask, class list).
+# --- checkpoints (format: see fewcache.dataset) -----------------------------
+
+
+@dataclass
+class CacheSection:
+    beta: float
+    frozen_mask: list[bool]
+    classes: list[str]
+
+
+@dataclass
+class PriorSection:
+    mode: str
+    tau: float
+    classes: list[str]
+    tokens_per_class: Optional[int] = field(default=None, metadata=OMIT_NONE)  # toy-encoder
+    learnable_per_class: Optional[int] = field(default=None, metadata=OMIT_NONE)  # toy-encoder
+
+    def __post_init__(self):
+        if self.mode not in PRIOR_MODES or self.tau <= 0.0:
+            raise ValueError(f"prior needs a mode in {PRIOR_MODES} and tau > 0")
+
+
+@dataclass
+class CheckpointDoc:
+    version: int
+    cache: CacheSection
+    prior: PriorSection
 
 
 def snapshot(cache: CacheModel, prior: PriorModel, out_dir) -> Path:
@@ -157,15 +179,7 @@ def snapshot(cache: CacheModel, prior: PriorModel, out_dir) -> Path:
     out.mkdir(parents=True, exist_ok=True)
     write_embeddings(out / "cache_keys.femb", cache.keys, version=2)
     write_embeddings(out / "cache_value_logits.femb", cache.value_logits, version=2)
-    sidecar = {
-        "version": CHECKPOINT_VERSION,
-        "cache": {
-            "beta": cache.beta,
-            "frozen_mask": [bool(x) for x in cache.frozen_mask],
-            "classes": cache.classes,
-        },
-        "prior": {"mode": prior.mode, "tau": prior.tau, "classes": prior.classes},
-    }
+    s = d = None
     if prior.mode == PROTOTYPE:
         write_embeddings(out / "prior_class_features.femb", prior.class_features, version=2)
     else:
@@ -174,10 +188,13 @@ def snapshot(cache: CacheModel, prior: PriorModel, out_dir) -> Path:
         write_embeddings(out / "prior_base_tokens.femb", prior.base_tokens.reshape(n * s, e), version=2)
         write_embeddings(out / "prior_prompt_tokens.femb", prior.prompt_tokens.reshape(n * d, e), version=2)
         write_embeddings(out / "prior_encoder.femb", prior.encoder_matrix, version=2)
-        sidecar["prior"]["tokens_per_class"] = s
-        sidecar["prior"]["learnable_per_class"] = d
+    doc = CheckpointDoc(
+        version=CHECKPOINT_VERSION,
+        cache=CacheSection(cache.beta, cache.frozen_mask.tolist(), cache.classes),
+        prior=PriorSection(prior.mode, prior.tau, prior.classes, s, d),
+    )
     with open(out / _SIDECAR, "w") as f:
-        json.dump(sidecar, f, indent=2)
+        json.dump(to_doc(doc), f, indent=2)
     return out
 
 
@@ -195,51 +212,43 @@ def restore(checkpoint_dir, expect_mode: Optional[str] = None) -> tuple[CacheMod
     """Load a checkpoint; predictions of the restored models are
     bit-identical to the snapshotted ones."""
     base = Path(checkpoint_dir)
-    sidecar_path = base / _SIDECAR
-    if not sidecar_path.exists():
-        raise CorruptCheckpointError(f"no {_SIDECAR} in {base}")
-    try:
-        with open(sidecar_path) as f:
-            sidecar = json.load(f)
-    except json.JSONDecodeError as exc:
-        raise CorruptCheckpointError(f"unparseable {_SIDECAR}: {exc}") from exc
-    version = sidecar.get("version")
-    if version != CHECKPOINT_VERSION:
+    sidecar = read_json(base / _SIDECAR, CorruptCheckpointError)
+    if isinstance(sidecar, dict) and sidecar.get("version") != CHECKPOINT_VERSION:
         raise CheckpointVersionError(
-            f"checkpoint version {version!r}, supported {CHECKPOINT_VERSION}"
+            f"checkpoint version {sidecar.get('version')!r}, supported {CHECKPOINT_VERSION}"
         )
-    mode = sidecar["prior"]["mode"]
+    doc = from_doc(CheckpointDoc, sidecar, CorruptCheckpointError)
+    mode = doc.prior.mode
     if expect_mode is not None and mode != expect_mode:
         raise ModeMismatchError(f"checkpoint holds mode {mode!r}, expected {expect_mode!r}")
 
     cache = CacheModel(
         keys=_read_checkpoint_matrix(base, "cache_keys.femb"),
         value_logits=_read_checkpoint_matrix(base, "cache_value_logits.femb"),
-        frozen_mask=np.asarray(sidecar["cache"]["frozen_mask"], dtype=bool),
-        beta=float(sidecar["cache"]["beta"]),
-        classes=list(sidecar["cache"]["classes"]),
+        frozen_mask=np.asarray(doc.cache.frozen_mask, dtype=bool),
+        beta=float(doc.cache.beta),
+        classes=doc.cache.classes,
     )
-    tau = float(sidecar["prior"]["tau"])
-    classes = list(sidecar["prior"]["classes"])
+    classes = doc.prior.classes
     if mode == PROTOTYPE:
         prior = PriorModel(
-            mode=PROTOTYPE, classes=classes, tau=tau,
+            mode=PROTOTYPE, classes=classes, tau=doc.prior.tau,
             class_features=_read_checkpoint_matrix(base, "prior_class_features.femb"),
         )
-    elif mode == TOY_ENCODER:
-        s = int(sidecar["prior"]["tokens_per_class"])
-        d = int(sidecar["prior"]["learnable_per_class"])
+    else:
+        encoder = _read_checkpoint_matrix(base, "prior_encoder.femb")
         base_tokens = _read_checkpoint_matrix(base, "prior_base_tokens.femb")
         prompt_tokens = _read_checkpoint_matrix(base, "prior_prompt_tokens.femb")
-        n = len(classes)
+        s, d = doc.prior.tokens_per_class, doc.prior.learnable_per_class
+        n, e = len(classes), len(encoder)
+        if None in (s, d) or (base_tokens.shape, prompt_tokens.shape) != ((n * s, e), (n * d, e)):
+            raise CorruptCheckpointError(f"toy tokens are not {n}x{s}, {n}x{d} rows of width {e}")
         prior = PriorModel(
-            mode=TOY_ENCODER, classes=classes, tau=tau,
-            base_tokens=base_tokens.reshape(n, s, -1),
-            prompt_tokens=prompt_tokens.reshape(n, d, -1),
-            encoder_matrix=_read_checkpoint_matrix(base, "prior_encoder.femb"),
+            mode=TOY_ENCODER, classes=classes, tau=doc.prior.tau,
+            base_tokens=base_tokens.reshape(n, s, e),
+            prompt_tokens=prompt_tokens.reshape(n, d, e),
+            encoder_matrix=encoder,
         )
-    else:
-        raise CorruptCheckpointError(f"unknown prior mode {mode!r} in checkpoint")
     _check_shapes(cache, prior)
     return cache, prior
 

@@ -1,9 +1,18 @@
+import io
 import json
+import re
+import shutil
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fewcache import errors
 from fewcache.cli import main
 from fewcache.dataset import (
     SynthSpec,
@@ -242,8 +251,8 @@ MALFORMED_SWEEP_CONFIGS = [
     pytest.param({**SWEEP_DOC, "train": {"steps": "5"}}, id="steps-not-a-number"),
     pytest.param({**SWEEP_DOC, "base_seed": "0"}, id="seed-not-a-number"),
     pytest.param({**SWEEP_DOC, "repeats": 0}, id="zero-repeats"),
-    pytest.param({**SWEEP_DOC, "cache_only": True, "prior_only": True},
-                 id="cache-only-and-prior-only"),
+    pytest.param({**SWEEP_DOC, "per_bag": "yes"}, id="bool-flag-not-a-bool"),
+    pytest.param({**SWEEP_DOC, "cache_only": True}, id="removed-cache-only-flag"),
     pytest.param({**SWEEP_DOC, "prior_mode": "bogus"}, id="unknown-prior-mode"),
     pytest.param({**SWEEP_DOC, "pooling": "bogus"}, id="unknown-pooling"),
     pytest.param({**SWEEP_DOC, "grid_points": 0}, id="zero-grid-points"),
@@ -287,6 +296,19 @@ class TestErrors:
     @pytest.mark.parametrize("doc", MALFORMED_SWEEP_CONFIGS)
     def test_malformed_sweep_config_exits_2(self, tmp_path, capsys, doc):
         cfg = write_json(tmp_path / "exp.json", doc)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+        assert_one_usage_line(capsys.readouterr().err)
+        assert not (out / "record.json").exists()
+
+    def test_sweep_on_test_set_without_instance_labels_exits_2(self, files, tmp_path, capsys):
+        ds = synth_generate(SynthSpec(**SPEC_DOC))
+        for bag in ds.bags:
+            bag.instance_labels = None
+        source = {"kind": "file", "train_manifest": str(files / "data" / "manifest.json"),
+                  "test_manifest": str(save_dataset(ds, tmp_path / "unlabeled")),
+                  "prompt_features": str(files / "prompts.femb")}
+        cfg = write_json(tmp_path / "exp.json", {**SWEEP_DOC, "source": source})
         out = tmp_path / "out"
         assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
         assert_one_usage_line(capsys.readouterr().err)
@@ -407,3 +429,249 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: InsufficientBagsError")
         assert "\n" not in err.strip()
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """Pristine inputs for the file-format tests: a dataset, its split, a
+    prototype prompt file, a toy-encoder token file with its sidecar, and a
+    checkpoint per prior mode. Tests work on copies and never write here."""
+    tmp = tmp_path_factory.mktemp("files")
+    manifest = tmp / "data" / "manifest.json"
+    with redirect_stdout(io.StringIO()):
+        assert main(["synth", "--config", write_json(tmp / "synth.json", {"spec": SPEC_DOC}),
+                     "--out", str(tmp / "data")]) == 0
+        sample_doc = {"dataset": str(manifest), "bag_shot": 2, "instance_shot": 3}
+        assert main(["sample", "--config", write_json(tmp / "sample.json", sample_doc),
+                     "--out", str(tmp)]) == 0
+        write_embeddings(tmp / "prompts.femb", np.eye(2, 8))
+        write_embeddings(tmp / "tokens.femb", np.random.default_rng(0).normal(size=(8, 6)))
+        write_json(tmp / "tokens.femb.json", {"tokens_per_class": 4})
+        for mode, prompts in (("prototype", "prompts.femb"), ("toy-encoder", "tokens.femb")):
+            train_doc = {"dataset": str(manifest), "split": str(tmp / "split.json"),
+                         "prompt": {"path": str(tmp / prompts), "mode": mode},
+                         "train": {"steps": 5}}
+            assert main(["train", "--config", write_json(tmp / f"{mode}.json", train_doc),
+                         "--out", str(tmp / mode)]) == 0
+    return tmp
+
+
+# Each format copies the pristine file under test into `work` and returns its
+# path there and the command (without --out) that reads it.
+def _manifest(files, work):
+    shutil.copytree(files / "data", work / "data")
+    doc = {"dataset": str(work / "data" / "manifest.json"), "bag_shot": 2, "instance_shot": 3}
+    return work / "data" / "manifest.json", ["sample", "--config", write_json(work / "s.json", doc)]
+
+
+def _train_doc(files, split=None, prompt=None):
+    return {"dataset": str(files / "data" / "manifest.json"),
+            "split": str(split or files / "split.json"),
+            "prompt": prompt or {"path": str(files / "prompts.femb")}, "train": {"steps": 5}}
+
+
+def _split(files, work):
+    shutil.copy(files / "split.json", work / "split.json")
+    doc = _train_doc(files, split=work / "split.json")
+    return work / "split.json", ["train", "--config", write_json(work / "t.json", doc)]
+
+
+def _tune_split(files, work):
+    shutil.copy(files / "split.json", work / "split.json")
+    doc = {"dataset": str(files / "data" / "manifest.json"),
+           "checkpoint": str(files / "prototype" / "checkpoint"),
+           "tune": {"dataset": str(files / "data" / "manifest.json"),
+                    "split": str(work / "split.json")}}
+    return work / "split.json", ["eval", "--config", write_json(work / "e.json", doc)]
+
+
+def _checkpoint(mode):
+    def setup(files, work):
+        shutil.copytree(files / mode / "checkpoint", work / "ckpt")
+        doc = {"dataset": str(files / "data" / "manifest.json"),
+               "checkpoint": str(work / "ckpt"), "alpha": 0.5}
+        return work / "ckpt" / "checkpoint.json", ["eval", "--config",
+                                                   write_json(work / "e.json", doc)]
+    return setup
+
+
+def _prompt_sidecar(files, work):
+    shutil.copy(files / "tokens.femb", work / "tokens.femb")
+    shutil.copy(files / "tokens.femb.json", work / "tokens.femb.json")
+    doc = _train_doc(files, prompt={"path": str(work / "tokens.femb"), "mode": "toy-encoder"})
+    return work / "tokens.femb.json", ["train", "--config", write_json(work / "t.json", doc)]
+
+
+def _train_config(files, work):
+    path = Path(write_json(work / "t.json", _train_doc(files)))
+    return path, ["train", "--config", str(path)]
+
+
+FILE_FORMATS = {
+    "manifest": _manifest,
+    "split": _split,
+    "tune-split": _tune_split,
+    "checkpoint": _checkpoint("prototype"),
+    "toy-checkpoint": _checkpoint("toy-encoder"),
+    "prompt-sidecar": _prompt_sidecar,
+    "train-config": _train_config,
+}
+# Keys a document may omit; dropping "train" or "steps" would train 2000 steps.
+OPTIONAL_KEYS = {"name", "instance_labels", "train", "steps"}
+
+
+def _at(doc, path):
+    """The container holding path[-1], and that key."""
+    for key in path[:-1]:
+        doc = doc[key]
+    return doc, path[-1]
+
+
+def drop(*path):
+    def mutate(doc, text):
+        parent, key = _at(doc, path)
+        del parent[key]
+        return json.dumps(doc)
+    return mutate
+
+
+def put(*path, value):
+    def mutate(doc, text):
+        parent, key = _at(doc, path)
+        parent[key] = value
+        return json.dumps(doc)
+    return mutate
+
+
+def retype(*path):
+    """Give the value at `path` another JSON type."""
+    def mutate(doc, text):
+        parent, key = _at(doc, path)
+        return put(*path, value=7 if isinstance(parent[key], str) else "x")(doc, text)
+    return mutate
+
+
+def truncate(n):
+    return lambda doc, text: text[:n]
+
+
+def as_array(doc, text):
+    return json.dumps([doc])
+
+
+def _paths(doc, prefix=()):
+    """A path to every key and to the first item of every list in `doc`,
+    outside the free-form split flags."""
+    items = doc.items() if isinstance(doc, dict) else list(enumerate(doc))[:1]
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)) and key != "flags":
+            yield from _paths(value, prefix + (key,))
+
+
+def delete(doc, text):
+    return None
+
+
+def run_mutated(files, fmt, mutate):
+    """Mutate one file of `fmt` in a scratch copy (a None mutant deletes it)
+    and run the command that reads it; returns (exit code, stdout, stderr,
+    whether --out exists)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        path, argv = FILE_FORMATS[fmt](files, work)
+        text = path.read_text()
+        mutant = mutate(json.loads(text), text)
+        if mutant is None:
+            path.unlink()
+        else:
+            path.write_text(mutant)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv + ["--out", str(work / "out")])
+        return code, out.getvalue(), err.getvalue(), (work / "out").exists()
+
+
+def assert_one_domain_line(err: str) -> str:
+    """The stderr of an exit-1 run: one line naming a FewcacheError subclass."""
+    assert len(err.splitlines()) == 1 and "Traceback" not in err, err
+    match = re.match(r"error: (\w+): ", err)
+    assert match, err
+    cls = getattr(errors, match.group(1))
+    assert issubclass(cls, errors.FewcacheError) and not issubclass(cls, errors.UsageError)
+    return match.group(1)
+
+
+class TestFileFormats:
+    @pytest.mark.parametrize(
+        "fmt, mutate, error",
+        [
+            pytest.param("manifest", drop("classes"), "ManifestFormatError",
+                         id="manifest-without-classes"),
+            pytest.param("manifest", put("bags", 0, "n", value="x"), "ManifestFormatError",
+                         id="manifest-n-string"),
+            pytest.param("manifest", truncate(100), "ManifestFormatError",
+                         id="manifest-truncated"),
+            pytest.param("split", drop("selected_bags"), "SplitError",
+                         id="split-without-selected-bags"),
+            pytest.param("split", put("labeled", 0, value=[0]), "SplitError",
+                         id="split-labeled-entry-without-class"),
+            pytest.param("split", put("version", value=7), "SplitError", id="split-version-7"),
+            pytest.param("split", put("labeled", value=[[99999, 0]]), "SplitError",
+                         id="split-row-past-store"),
+            pytest.param("tune-split", put("labeled", value=[[99999, 0]]), "SplitError",
+                         id="tune-split-row-past-store"),
+            pytest.param("split", put("labeled", value=[[0, 5]]), "SplitError",
+                         id="split-class-out-of-range"),
+            pytest.param("checkpoint", drop("prior", "tau"), "CorruptCheckpointError",
+                         id="checkpoint-without-prior-tau"),
+            pytest.param("checkpoint", drop("cache"), "CorruptCheckpointError",
+                         id="checkpoint-without-cache"),
+            pytest.param("checkpoint", put("cache", "beta", value="x"),
+                         "CorruptCheckpointError", id="checkpoint-beta-string"),
+            pytest.param("checkpoint", as_array, "CorruptCheckpointError",
+                         id="checkpoint-array"),
+            pytest.param("checkpoint", lambda doc, text: '{"version": 2}',
+                         "CheckpointVersionError", id="checkpoint-version-before-keys"),
+            pytest.param("toy-checkpoint", put("prior", "tokens_per_class", value=3),
+                         "CorruptCheckpointError", id="toy-checkpoint-wrong-token-count"),
+            pytest.param("prompt-sidecar", lambda doc, text: '{"token_per_class": 4}',
+                         "ManifestFormatError", id="prompt-sidecar-misspelled-key"),
+            pytest.param("prompt-sidecar", delete, "ManifestFormatError",
+                         id="prompt-sidecar-missing"),
+            pytest.param("checkpoint", delete, "CorruptCheckpointError",
+                         id="checkpoint-json-missing"),
+        ],
+    )
+    def test_malformed_file_exits_1(self, files, fmt, mutate, error):
+        code, out, err, wrote = run_mutated(files, fmt, mutate)
+        assert code == 1
+        assert assert_one_domain_line(err) == error
+        assert out == "" and not wrote
+
+    @pytest.mark.parametrize("fmt", [f for f in FILE_FORMATS if f != "tune-split"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_mutated_file_named_error(self, files, fmt, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            text = FILE_FORMATS[fmt](files, Path(tmp))[0].read_text()
+        paths = list(_paths(json.loads(text)))
+        kind = data.draw(st.sampled_from(["drop", "retype", "truncate", "array"]))
+        if kind == "drop":
+            droppable = [p for p in paths
+                         if isinstance(p[-1], str) and p[-1] not in OPTIONAL_KEYS]
+            mutate = drop(*data.draw(st.sampled_from(droppable)))
+        elif kind == "retype":
+            mutate = retype(*data.draw(st.sampled_from(paths)))
+        elif kind == "truncate":
+            mutate = truncate(data.draw(st.integers(0, len(text) - 1)))
+        else:
+            mutate = as_array
+        code, out, err, wrote = run_mutated(files, fmt, mutate)
+        if fmt == "train-config":
+            assert code == 2
+            assert_one_usage_line(err)
+        else:
+            assert code == 1
+            assert_one_domain_line(err)
+        assert out == "" and not wrote

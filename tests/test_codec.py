@@ -46,7 +46,7 @@ VALUES = [
         ExperimentConfig(
             source={"kind": "synthetic", "spec": {"dim": 8}}, bag_shots=(1, 4),
             instance_shots=(2,), train=TrainConfig(steps=5, seed=2),
-            pooling="topk_mean", cache_only=True,
+            pooling="topk_mean", freeze_keys=True,
         ),
         id="ExperimentConfig",
     ),
@@ -98,8 +98,8 @@ def test_run_record_in_memory_fields_not_written():
          "FewShotSpec.bag_shot must be int, got bool"),
         (ExperimentConfig, {"source": {}, "bag_shots": ["2"]},
          "ExperimentConfig.bag_shots must be int, got str"),
-        (ExperimentConfig, {"source": {}, "cache_only": 1},
-         "ExperimentConfig.cache_only must be bool, got int"),
+        (ExperimentConfig, {"source": {}, "per_bag": 1},
+         "ExperimentConfig.per_bag must be bool, got int"),
         (PromptConfig, {"path": 5}, "PromptConfig.path must be str, got int"),
         (AUCResult, {"per_class": [0.5, "x"], "macro": None},
          "AUCResult.per_class must be float, got str"),

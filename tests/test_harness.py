@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -8,7 +9,6 @@ from fewcache.harness import (
     ExperimentConfig,
     config_hash,
     emit_report,
-    load_report_csv,
     load_run_record,
     report_rows,
     run_experiment,
@@ -55,19 +55,6 @@ class TestRunExperiment:
     def test_seeds_are_base_plus_index(self, tiny_record):
         assert [r.seed for r in tiny_record.cell(2).reports] == [0, 1]
 
-    def test_cache_only_forces_alpha(self):
-        record = run_experiment(tiny_config(cache_only=True))
-        for report in record.cell(2).reports:
-            assert report.alpha == 1.0
-            assert report.flags["alpha_forced"] == "cache_only"
-            assert report.instance_auc.macro == report.cache_instance_auc.macro
-
-    def test_prior_only_forces_alpha(self):
-        record = run_experiment(tiny_config(prior_only=True))
-        for report in record.cell(2).reports:
-            assert report.alpha == 0.0
-            assert report.instance_auc.macro == report.prior_instance_auc.macro
-
     def test_cell_failure_recorded_not_fatal(self):
         record = run_experiment(tiny_config(bag_shots=(2, 100)))
         good = record.cell(2)
@@ -85,11 +72,9 @@ class TestRunExperiment:
 
     def test_variant_names(self):
         assert tiny_config().variant_name() == "full"
-        assert tiny_config(cache_only=True).variant_name() == "cache_only"
         assert (
-            tiny_config(cache_only=True, freeze_keys=True,
-                        freeze_value_logits=True).variant_name()
-            == "cache_only+frozen_keys+frozen_labels"
+            tiny_config(freeze_keys=True, freeze_value_logits=True).variant_name()
+            == "full+frozen_keys+frozen_labels"
         )
 
     def test_config_round_trip(self):
@@ -147,12 +132,14 @@ class TestSerialization:
 
     def test_report_csv_round_trip(self, tiny_record, tmp_path):
         emit_report(tiny_record, tmp_path)
-        loaded = load_report_csv(tmp_path / "report.csv")
+        with open(tmp_path / "report.csv", newline="") as f:
+            loaded = list(csv.DictReader(f))
         expected = report_rows(tiny_record)
         assert len(loaded) == len(expected)
         for got, want in zip(loaded, expected):
             for key, value in want.items():
-                assert got[key] == value, key
+                parsed = None if got[key] == "" else type(value)(got[key])
+                assert parsed == value, key
 
     def test_unknown_format_rejected(self, tiny_record, tmp_path):
         with pytest.raises(ValueError):

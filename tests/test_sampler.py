@@ -143,7 +143,7 @@ class TestSampleBags:
         ids = sample_bags(small_dataset, 2, seed=0)
         assert len(ids) == 4
         assert len(set(ids)) == 4
-        by_id = small_dataset.bags_by_id()
+        by_id = {b.id: b for b in small_dataset.bags}
         labels = [by_id[i].label for i in ids]
         assert labels.count(0) == 2 and labels.count(1) == 2
 

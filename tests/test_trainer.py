@@ -253,3 +253,29 @@ def test_restore_rejects_shape_mismatch(separable_setup, tmp_path, corrupt):
     corrupt(out)
     with pytest.raises(CorruptCheckpointError):
         restore(out)
+
+
+TOY_MISMATCHES = {
+    "token_count": lambda out: _edit_sidecar(
+        out, lambda s: s["prior"].update(tokens_per_class=2)
+    ),
+    "prompt_token_width": lambda out: _edit_matrix(
+        out, "prior_prompt_tokens.femb", lambda rows: np.hstack([rows, rows])
+    ),
+    "missing_toy_key": lambda out: _edit_sidecar(
+        out, lambda s: s["prior"].pop("learnable_per_class")
+    ),
+}
+
+
+@pytest.mark.parametrize("corrupt", TOY_MISMATCHES.values(), ids=TOY_MISMATCHES.keys())
+def test_restore_rejects_toy_mismatch(separable_setup, tmp_path, corrupt):
+    ds, split = separable_setup
+    cache = build_cache(split, ds.store, ds.classes)
+    prior = prior_toy_encoder(np.random.default_rng(0).normal(size=(2, 3, 8)), ds.classes,
+                              ds.dim, num_learnable=4)
+    out = snapshot(cache, prior, tmp_path / "ckpt")
+    restore(out)
+    corrupt(out)
+    with pytest.raises(CorruptCheckpointError):
+        restore(out)
