@@ -28,7 +28,15 @@ import numpy as np
 
 from .dataset import EmbeddingStore
 from .errors import ShapeMismatchError
-from .numerics import PROB_CLAMP, REAL, as_matrix, l2_normalize_rows, softmax_rows
+from .numerics import (
+    PROB_CLAMP,
+    REAL,
+    _mean_nll,
+    _softmax_rows,
+    as_matrix,
+    l2_normalize_rows,
+    softmax_rows,
+)
 from .sampler import FewShotSplit
 
 DEFAULT_BETA = 10.0
@@ -151,40 +159,83 @@ def cache_loss_and_grads(
     y = np.asarray(labels, dtype=np.int64).reshape(-1)
     if q.shape[0] != y.size:
         raise ShapeMismatchError(f"{q.shape[0]} queries vs {y.size} labels")
-    m = q.shape[0]
+    q = _query_matrix(model, q)
+    keys = as_matrix(model.keys, "cache keys")
     values = model.value_distributions()
+    free = np.flatnonzero(~model.frozen_mask)
+    grad_keys = np.empty_like(keys)
+    grad_free = np.empty((free.size, model.num_classes), dtype=REAL)
+    work = _CacheWork(q.shape[0], model.n_cache, model.num_classes)
+    loss = _cache_loss_and_grads(
+        work, keys, values, values[free], model.beta, q, y, free, grad_keys, grad_free
+    )
+    grad_value_logits = np.zeros_like(model.value_logits)
+    grad_value_logits[free] = grad_free
+    return loss, grad_keys, grad_value_logits
 
-    attn = attention(model, q)
-    probs = attn @ values
-    picked = probs[np.arange(m), y]
-    clamped = np.clip(picked, PROB_CLAMP, 1.0)
-    loss = float(-np.log(clamped).mean())
+
+class _CacheWork:
+    """Scratch buffers for one batch size of _cache_loss_and_grads."""
+
+    def __init__(self, m: int, n_cache: int, num_classes: int):
+        self.rows = np.arange(m)
+        self.attn = np.empty((m, n_cache), dtype=REAL)
+        self.g_attention = np.empty((m, n_cache), dtype=REAL)
+        self.product = np.empty((m, n_cache), dtype=REAL)
+        self.probs = np.empty((m, num_classes), dtype=REAL)
+        self.g_probs = np.empty((m, num_classes), dtype=REAL)
+        self.g_values = np.empty((n_cache, num_classes), dtype=REAL)
+
+
+def _cache_loss_and_grads(
+    work: _CacheWork,
+    keys: np.ndarray,
+    values: np.ndarray,
+    free_values: np.ndarray,
+    beta: float,
+    q: np.ndarray,
+    y: np.ndarray,
+    free: np.ndarray,
+    grad_keys: np.ndarray,
+    grad_free: np.ndarray,
+) -> float:
+    """Trusted core of cache_loss_and_grads; returns the loss.
+
+    `values` are the effective value rows, `free` indexes the learnable
+    ones and `free_values` holds those rows. Writes the key gradient to
+    `grad_keys` and the gradient of the free rows' logits to `grad_free`.
+    """
+    m = q.shape[0]
+    attn = np.matmul(q, keys.T, out=work.attn)
+    attn *= beta
+    _softmax_rows(attn, attn)
+    probs = np.matmul(attn, values, out=work.probs)
+    picked = probs[work.rows, y]
+    loss = _mean_nll(picked)
 
     # d loss / d probs: only the target column of each row, zero where the
     # probability sits below the clamp (the loss is flat there).
-    g_probs = np.zeros_like(probs)
+    g_probs = work.g_probs
+    g_probs.fill(0.0)
     live = picked > PROB_CLAMP
-    g_probs[np.arange(m)[live], y[live]] = -1.0 / (m * picked[live])
+    g_probs[work.rows[live], y[live]] = -1.0 / (m * picked[live])
 
     # Through probs = attention @ values.
-    g_values = attn.T @ g_probs
-    g_attention = g_probs @ values.T
+    g_values = np.matmul(attn.T, g_probs, out=work.g_values)
+    g_scores = np.matmul(g_probs, values.T, out=work.g_attention)
 
     # Softmax backward for the attention rows.
-    g_scores = attn * (g_attention - (g_attention * attn).sum(axis=1, keepdims=True))
+    g_scores -= np.multiply(g_scores, attn, out=work.product).sum(axis=1, keepdims=True)
+    g_scores *= attn
 
-    grad_keys = model.beta * (g_scores.T @ q)
+    np.matmul(g_scores.T, q, out=grad_keys)
+    grad_keys *= beta
 
     # Unfrozen value rows pass through their own row-softmax.
-    grad_value_logits = np.zeros_like(model.value_logits)
-    free = ~model.frozen_mask
-    if free.any():
-        v_free = values[free]
-        g_free = g_values[free]
-        grad_value_logits[free] = v_free * (
-            g_free - (g_free * v_free).sum(axis=1, keepdims=True)
-        )
-    return loss, grad_keys, grad_value_logits
+    g_free = g_values[free]
+    g_free -= (g_free * free_values).sum(axis=1, keepdims=True)
+    np.multiply(free_values, g_free, out=grad_free)
+    return loss
 
 
 def project(model: CacheModel) -> CacheModel:

@@ -27,7 +27,7 @@ from .dataset import (
     read_embeddings,
     synth_generate,
 )
-from .errors import DimensionConflictError, ManifestFormatError, UnknownSourceKindError, UsageError
+from .errors import DimensionConflictError, ManifestFormatError, UnknownSourceKindError
 from .numerics import l2_normalize_rows
 
 # Offset added to the data seed when drawing the held-out test split of a
@@ -70,37 +70,57 @@ def synthetic_prompt_features(
     return l2_normalize_rows(protos)
 
 
-def _required(config: dict, key: str):
-    if key not in config:
-        raise UsageError(f"{config['kind']} source config must name {key!r}")
-    return config[key]
+@dataclass
+class SyntheticSource:
+    """A `source` block of kind "synthetic": generated train and test sets."""
+
+    kind: str
+    spec: SynthSpec
+    test_bags_per_class: int = 0
+    prompt_sigma: float = DEFAULT_PROMPT_SIGMA
+    prompt_seed: Optional[int] = None  # defaults to spec.seed
+
+
+@dataclass
+class FileSource:
+    """A `source` block of kind "file": FEMB dumps produced elsewhere."""
+
+    kind: str
+    train_manifest: str
+    prompt_features: str
+    test_manifest: Optional[str] = None
+    encoder_name: str = "unknown"
+
+
+_SOURCE_KINDS = {"synthetic": SyntheticSource, "file": FileSource}
 
 
 def resolve_source(config: dict) -> EmbeddingSource:
-    """Build an EmbeddingSource from a config dict.
+    """Build an EmbeddingSource from the `source` block of a config.
 
-    kind "synthetic": {"spec": SynthSpec fields, "test_bags_per_class",
-    "prompt_sigma", "prompt_seed"}. kind "file": {"train_manifest",
-    "test_manifest"?, "prompt_features"}. Dimension conflicts between
-    instance and prompt features are rejected; a missing required key
-    or a malformed spec raises UsageError.
+    The block decodes strictly as a SyntheticSource or a FileSource,
+    chosen by its "kind", so an unknown or missing key, or a value of the
+    wrong type, raises UsageError. Dimension conflicts between instance
+    and prompt features are rejected.
     """
     kind = config.get("kind")
-    if kind == "synthetic":
-        spec = from_doc(SynthSpec, _required(config, "spec"))
+    if not isinstance(kind, str) or kind not in _SOURCE_KINDS:
+        raise UnknownSourceKindError(f"unknown embedding source kind {kind!r}")
+    src = from_doc(_SOURCE_KINDS[kind], config)
+    if isinstance(src, SyntheticSource):
+        spec = src.spec
         train = synth_generate(spec)
         test = None
-        test_bags = int(config.get("test_bags_per_class", 0))
-        if test_bags > 0:
+        if src.test_bags_per_class > 0:
             test_spec = replace(
-                spec, bags_per_class=test_bags, seed=spec.seed + TEST_SEED_OFFSET
+                spec, bags_per_class=src.test_bags_per_class, seed=spec.seed + TEST_SEED_OFFSET
             )
             test = synth_generate(test_spec)
         prompts = synthetic_prompt_features(
             spec.num_classes,
             spec.dim,
-            sigma=float(config.get("prompt_sigma", DEFAULT_PROMPT_SIGMA)),
-            seed=int(config.get("prompt_seed", spec.seed)),
+            sigma=src.prompt_sigma,
+            seed=spec.seed if src.prompt_seed is None else src.prompt_seed,
         )
         provenance = {
             "encoder": "synthetic-prototypes",
@@ -116,38 +136,35 @@ def resolve_source(config: dict) -> EmbeddingSource:
             prompt_features=prompts, provenance=provenance,
         )
 
-    if kind == "file":
-        train = load_manifest(_required(config, "train_manifest"))
-        test = load_manifest(config["test_manifest"]) if config.get("test_manifest") else None
-        if test is not None and test.dim != train.dim:
-            raise DimensionConflictError(
-                f"train dim {train.dim} != test dim {test.dim}"
-            )
-        prompt_store = read_embeddings(_required(config, "prompt_features"))
-        if prompt_store.d != train.dim:
-            raise DimensionConflictError(
-                f"instance dim {train.dim} but prompt-feature dim {prompt_store.d}"
-            )
-        if prompt_store.n != train.num_classes:
-            raise DimensionConflictError(
-                f"prompt file holds {prompt_store.n} rows for "
-                f"{train.num_classes} classes"
-            )
-        prompts = l2_normalize_rows(prompt_store.rows)
-        provenance = {
-            "encoder": config.get("encoder_name", "unknown"),
-            "checksum": _sha256_file(config["train_manifest"]),
-            "prompt_checksum": _sha256_file(config["prompt_features"]),
-        }
-        # Dumps produced elsewhere may ship a provenance sidecar next to
-        # the manifest (encoder name, preprocessing notes, checksum).
-        sidecar = Path(config["train_manifest"]).with_suffix(".provenance.json")
-        if sidecar.exists():
-            provenance.update(from_doc(dict, read_json(sidecar, ManifestFormatError),
-                                       ManifestFormatError))
-        return EmbeddingSource(
-            kind=kind, dim=train.dim, train_dataset=train, test_dataset=test,
-            prompt_features=prompts, provenance=provenance,
+    train = load_manifest(src.train_manifest)
+    test = load_manifest(src.test_manifest) if src.test_manifest else None
+    if test is not None and test.dim != train.dim:
+        raise DimensionConflictError(
+            f"train dim {train.dim} != test dim {test.dim}"
         )
-
-    raise UnknownSourceKindError(f"unknown embedding source kind {kind!r}")
+    prompt_store = read_embeddings(src.prompt_features)
+    if prompt_store.d != train.dim:
+        raise DimensionConflictError(
+            f"instance dim {train.dim} but prompt-feature dim {prompt_store.d}"
+        )
+    if prompt_store.n != train.num_classes:
+        raise DimensionConflictError(
+            f"prompt file holds {prompt_store.n} rows for "
+            f"{train.num_classes} classes"
+        )
+    prompts = l2_normalize_rows(prompt_store.rows)
+    provenance = {
+        "encoder": src.encoder_name,
+        "checksum": _sha256_file(src.train_manifest),
+        "prompt_checksum": _sha256_file(src.prompt_features),
+    }
+    # Dumps produced elsewhere may ship a provenance sidecar next to
+    # the manifest (encoder name, preprocessing notes, checksum).
+    sidecar = Path(src.train_manifest).with_suffix(".provenance.json")
+    if sidecar.exists():
+        provenance.update(from_doc(dict, read_json(sidecar, ManifestFormatError),
+                                   ManifestFormatError))
+    return EmbeddingSource(
+        kind=kind, dim=train.dim, train_dataset=train, test_dataset=test,
+        prompt_features=prompts, provenance=provenance,
+    )

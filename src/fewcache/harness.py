@@ -26,7 +26,7 @@ import numpy as np
 from .cache_branch import DEFAULT_BETA, build_cache, retrieve
 from .codec import SKIP, from_doc, read_json, to_doc
 from .encoders import EmbeddingSource, resolve_source
-from .errors import UsageError
+from .errors import FewcacheError, UsageError
 from .fusion_eval import POOL_OPERATORS, EvalReport, fuse, pick_alpha, score
 from .prior_branch import (
     DEFAULT_TAU,
@@ -260,9 +260,11 @@ def run_experiment(cfg: ExperimentConfig, keep_predictions: bool = False) -> Run
     """Run every grid cell x repeat; aggregate mean/std per cell.
 
     Deterministic given the config and base seed: repeat r uses seed
-    base_seed + r. A failing stage marks that repeat as a recorded
-    failure and the sweep continues. A source whose test set is missing or
-    lacks instance labels is a UsageError, raised before any sampling.
+    base_seed + r. A stage that fails with a domain error (FewcacheError)
+    or a rejected value (ValueError) marks that repeat as a recorded
+    failure and the sweep continues; any other exception is a bug and
+    propagates. A source whose test set is missing or lacks instance
+    labels is a UsageError, raised before any sampling.
     """
     t0 = time.perf_counter()
     source = resolve_source(cfg.source)
@@ -287,7 +289,7 @@ def run_experiment(cfg: ExperimentConfig, keep_predictions: bool = False) -> Run
                         source, cfg, bag_shot, instance_shot, seed,
                         keep_predictions=keep_predictions,
                     )
-                except Exception as exc:  # recorded, never fatal to siblings
+                except (FewcacheError, ValueError) as exc:  # recorded, never fatal to siblings
                     cell.failures.append(f"seed {seed}: {type(exc).__name__}: {exc}")
                     continue
                 cell.reports.append(report)

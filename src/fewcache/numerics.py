@@ -1,8 +1,12 @@
 """Dense math kernels used by every other module.
 
 All kernels operate on 2-d numpy arrays in the build-wide precision
-(REAL, default float64) and are pure functions: nothing here mutates its
-arguments or keeps state, so everything is safe to call concurrently.
+(REAL, default float64). The public kernels validate their arguments and
+are pure: they mutate no argument and keep no state, so they are safe to
+call concurrently. Each is a thin wrapper over a `_`-prefixed trusted
+core that does the same IEEE operations in place on caller-owned buffers
+and checks nothing; the training loop validates once and then calls the
+cores, so the public kernels and the loop run the same arithmetic.
 """
 
 from __future__ import annotations
@@ -45,9 +49,15 @@ def softmax_rows(m) -> np.ndarray:
     1000 do not overflow because the row maximum is subtracted first.
     """
     a = as_matrix(m, "softmax input")
-    shifted = a - a.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return _softmax_rows(a, np.empty_like(a))
+
+
+def _softmax_rows(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Trusted core of softmax_rows; `out` may be `a`."""
+    np.subtract(a, a.max(axis=1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=1, keepdims=True)
+    return out
 
 
 def l2_normalize_rows(m) -> np.ndarray:
@@ -56,18 +66,52 @@ def l2_normalize_rows(m) -> np.ndarray:
     Raises DegenerateRowError naming the first all-zero row.
     """
     a = as_matrix(m, "normalize input")
-    norms = np.linalg.norm(a, axis=1)
+    norms = np.empty(a.shape[0], dtype=REAL)
+    _row_norms(a, norms, np.empty_like(a))
+    # Allocated once the squares are freed, as np.linalg.norm followed by
+    # a / norms did: on a 3000-row load the other order moved the k-means
+    # distance buffers that follow and raised a core-set run's peak RSS 10%.
+    out = np.empty_like(a)
+    _unit_rows(a, norms, out)
+    return out
+
+
+def _row_norms(a: np.ndarray, norms: np.ndarray, sq: np.ndarray) -> None:
+    """Trusted core, first half of l2_normalize_rows: the plain row norms
+    of `a` into `norms`, by the operations of np.linalg.norm(a, axis=1);
+    `sq` is scratch shaped like `a`."""
+    np.multiply(a, a, out=sq)
+    np.add.reduce(sq, axis=1, out=norms)
+    np.sqrt(norms, out=norms)
+
+
+def _unit_rows(a: np.ndarray, norms: np.ndarray, out: np.ndarray) -> None:
+    """Trusted core, second half of l2_normalize_rows: the unit rows of `a`
+    into `out` (which may be `a`), given the plain row norms. Raises
+    before writing `out` if a row is all zero."""
+    if not norms.min(initial=np.inf) < _TINY_NORM:
+        np.divide(a, norms[:, None], out=out)
+        return
     tiny = np.flatnonzero(norms < _TINY_NORM)
-    if tiny.size:
-        # The squares of these rows underflow to subnormals or zero; scaling
-        # by a power of two is exact, so scale them up before the norm.
-        a = a.copy()
-        a[tiny] *= _TINY_SCALE
-        norms[tiny] = np.linalg.norm(a[tiny], axis=1)
-    zero = np.flatnonzero(norms == 0.0)
+    # The squares of these rows underflow to subnormals or zero; scaling
+    # by a power of two is exact, so scale them up before the norm.
+    scaled = a[tiny] * _TINY_SCALE
+    scaled_norms = np.linalg.norm(scaled, axis=1)
+    zero = np.flatnonzero(scaled_norms == 0.0)
     if zero.size:
-        raise DegenerateRowError(int(zero[0]))
-    return a / norms[:, None]
+        raise DegenerateRowError(int(tiny[zero[0]]))
+    divisor = norms.copy()
+    divisor[tiny] = 1.0
+    np.divide(a, divisor[:, None], out=out)
+    out[tiny] = scaled / scaled_norms[:, None]
+
+
+def _mean_nll(picked: np.ndarray) -> float:
+    """Mean negative log of target probabilities clamped to [PROB_CLAMP, 1]:
+    the loss of both branches, as -np.log(np.clip(picked, ...)).mean()."""
+    clamped = np.maximum(picked, PROB_CLAMP)
+    np.minimum(clamped, 1.0, out=clamped)
+    return float(-(np.add.reduce(np.log(clamped, out=clamped)) / picked.size))
 
 
 @dataclass
@@ -101,13 +145,46 @@ def adam_step(
         raise ShapeMismatchError(f"param shape {param.shape} != grad shape {grad.shape}")
     if state.m.shape != param.shape:
         raise ShapeMismatchError(f"state shape {state.m.shape} != param shape {param.shape}")
-    t = state.step + 1
-    m = beta1 * state.m + (1.0 - beta1) * grad
-    v = beta2 * state.v + (1.0 - beta2) * grad * grad
-    m_hat = m / (1.0 - beta1**t)
-    v_hat = v / (1.0 - beta2**t)
-    new_param = param - lr * m_hat / (np.sqrt(v_hat) + eps)
-    return new_param, AdamState(m, v, t)
+    new_param = np.array(param, dtype=REAL)
+    new_state = AdamState(state.m.copy(), state.v.copy(), state.step)
+    scratch = (np.empty_like(new_param), np.empty_like(new_param))
+    _adam_step(new_param, grad, new_state, lr, scratch, beta1, beta2, eps)
+    return new_param, new_state
+
+
+def _adam_step(
+    param: np.ndarray,
+    grad: np.ndarray,
+    state: AdamState,
+    lr: float,
+    scratch: tuple[np.ndarray, np.ndarray],
+    beta1: float = 0.9,
+    beta2: float = 0.999,
+    eps: float = 1e-8,
+) -> None:
+    """Trusted core of adam_step: updates `param` and `state` in place.
+
+    `scratch` holds two arrays shaped like `param`. Each line is the same
+    IEEE operation as the textbook form, in the same order:
+    m = b1 m + (1 - b1) g, v = b2 v + ((1 - b2) g) g and
+    param -= (lr m_hat) / (sqrt(v_hat) + eps).
+    """
+    state.step += 1
+    t = state.step
+    s, r = scratch
+    state.m *= beta1
+    state.m += np.multiply(grad, 1.0 - beta1, out=s)
+    state.v *= beta2
+    np.multiply(grad, 1.0 - beta2, out=s)
+    s *= grad
+    state.v += s
+    np.divide(state.m, 1.0 - beta1**t, out=s)
+    s *= lr
+    np.divide(state.v, 1.0 - beta2**t, out=r)
+    np.sqrt(r, out=r)
+    r += eps
+    s /= r
+    param -= s
 
 
 @dataclass

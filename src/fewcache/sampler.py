@@ -243,9 +243,13 @@ def kmeans(points, k: int, max_iter: int = 100, seed=0) -> KMeansResult:
     """Lloyd iterations from a k-means++ start, deterministic given seed.
 
     Empty clusters are re-seeded with the point farthest from its current
-    centroid. When the points hold fewer than k distinct rows, coinciding
-    centroids can still leave clusters empty in the result. Inertia is
-    recorded once per iteration and is non-increasing.
+    centroid. Iteration stops when the assignment is unchanged or when the
+    inertia, recorded once per iteration, stops falling. In exact
+    arithmetic the second only happens at convergence; in floating point
+    it ends the cycles of points whose distances the expansion cannot
+    tell apart (fewer distinct rows than k, or rows that differ only
+    below rounding), where re-seeded centroids keep trading copies of
+    one row. Such inputs can leave clusters empty in the result.
     """
     x = as_matrix(points, "kmeans points")
     n = x.shape[0]
@@ -268,8 +272,11 @@ def kmeans(points, k: int, max_iter: int = 100, seed=0) -> KMeansResult:
         new_assignment = d2.argmin(axis=1)
         point_d2 = d2[rows, new_assignment]
         history.append(float(point_d2.sum()))
+        # Either way the centroids are unchanged since d2, so this is the result.
         if np.array_equal(new_assignment, assignment):
-            break  # centroids are unchanged since d2, so this is the result
+            break
+        if it and not history[-1] < history[-2]:
+            break  # the inertia stopped falling
         assignment = new_assignment
         counts = np.bincount(assignment, minlength=k)
         _update_centroids(x, assignment, counts, centroids)

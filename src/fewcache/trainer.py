@@ -10,19 +10,29 @@ The two losses touch disjoint parameter groups, so joint optimization is
 two independent descents run in lockstep; their sum is what the history
 records. A group with learning rate zero is left bit-identical,
 projection included.
+
+`train` validates once, on entry: the labeled queries, keys and value
+logits must be finite and match in width, and the prompt parameters
+must encode to finite, nonzero text features. Every step then runs the
+trusted in-place cores behind the public kernels (`_cache_loss_and_grads`,
+`_prior_loss_and_grads`, `_adam_step`, `_row_norms`, `_unit_rows`) on buffers
+allocated once, with the same IEEE operations and RNG draws as the public
+kernels, so results are bit-identical to a loop over those. A key row
+that an update drives to zero still raises DegenerateRowError at that
+step; the trained parameters are checked for finiteness once, on exit.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .cache_branch import CacheModel, cache_loss_and_grads, project
+from .cache_branch import CacheModel, _CacheWork, _cache_loss_and_grads
 from .codec import OMIT_NONE, from_doc, read_json, to_doc
 from .dataset import EmbeddingStore, read_embeddings, write_embeddings
 from .errors import (
@@ -30,9 +40,19 @@ from .errors import (
     CorruptCheckpointError,
     FembError,
     ModeMismatchError,
+    NonFiniteInputError,
+    ShapeMismatchError,
 )
-from .numerics import AdamState, adam_step
-from .prior_branch import PRIOR_MODES, PROTOTYPE, TOY_ENCODER, PriorModel, prior_loss_and_grads
+from .numerics import AdamState, _adam_step, _row_norms, _softmax_rows, _unit_rows, as_matrix
+from .prior_branch import (
+    PRIOR_MODES,
+    PROTOTYPE,
+    TOY_ENCODER,
+    PriorModel,
+    _PriorWork,
+    _prior_loss_and_grads,
+    encode_prompts,
+)
 from .sampler import FewShotSplit
 
 CHECKPOINT_VERSION = 1
@@ -90,46 +110,69 @@ def train(
     if cfg.steps == 0:
         return cache, prior, state
 
-    queries = store.rows[split.labeled_rows].copy()
+    queries = as_matrix(store.rows[split.labeled_rows], "labeled queries")
+    cache.keys = keys = as_matrix(cache.keys, "cache keys")
+    if not queries.shape[1] == cache.dim == prior.dim:
+        raise ShapeMismatchError(
+            f"query dim {queries.shape[1]}, key dim {cache.dim}, text feature dim {prior.dim}"
+        )
+    values = cache.value_distributions()
+    encode_prompts(prior)
     labels = split.labeled_classes.copy()
     n = queries.shape[0]
     batch = cfg.batch_size if cfg.batch_size is not None else min(4096, n)
     rng = np.random.default_rng(cfg.seed)
 
-    adam_keys = AdamState.zeros_like(cache.keys)
-    adam_values = AdamState.zeros_like(cache.value_logits)
-    adam_prompt = AdamState.zeros_like(prior.learnable())
+    # The learnable value rows are optimized as one compact block; frozen
+    # rows keep their stored distribution in `values` throughout.
+    free = np.flatnonzero(~cache.frozen_mask)
+    free_logits = cache.value_logits[free]
+    free_values = values[free]
+    prompt = prior.learnable()
+    g_keys, g_free, g_prompt = (np.empty_like(p) for p in (keys, free_logits, prompt))
+    adam_keys, adam_values, adam_prompt = (
+        AdamState.zeros_like(p) for p in (keys, free_logits, prompt)
+    )
+    keys_scratch, values_scratch, prompt_scratch = (
+        (np.empty_like(p), np.empty_like(p)) for p in (keys, free_logits, prompt)
+    )
+    key_norms = np.empty(keys.shape[0])
+    cache_work = _CacheWork(batch, cache.n_cache, cache.num_classes)
+    prior_work = _PriorWork(prior, batch)
+    qb = np.empty((batch, queries.shape[1]))
 
     for step in range(cfg.steps):
         idx = rng.choice(n, size=batch, replace=batch > n)
-        qb, yb = queries[idx], labels[idx]
+        np.take(queries, idx, axis=0, out=qb)
+        yb = labels[idx]
 
-        cache_loss, g_keys, g_values = cache_loss_and_grads(cache, qb, yb)
-        prompt_loss, g_prompt = prior_loss_and_grads(prior, qb, yb)
+        cache_loss = _cache_loss_and_grads(
+            cache_work, keys, values, free_values, cache.beta, qb, yb, free, g_keys, g_free
+        )
+        prompt_loss = _prior_loss_and_grads(prior_work, prior, qb, yb, g_prompt)
 
         if cfg.lr_keys > 0.0:
-            new_keys, adam_keys = adam_step(
-                cache.keys, cfg.cache_loss_weight * g_keys, adam_keys, cfg.lr_keys
-            )
-            cache = project(replace(cache, keys=new_keys))
+            g_keys *= cfg.cache_loss_weight
+            _adam_step(keys, g_keys, adam_keys, cfg.lr_keys, keys_scratch)
+            _row_norms(keys, key_norms, keys_scratch[0])
+            _unit_rows(keys, key_norms, keys)
         if cfg.lr_value_logits > 0.0:
-            new_values, adam_values = adam_step(
-                cache.value_logits,
-                cfg.cache_loss_weight * g_values,
-                adam_values,
-                cfg.lr_value_logits,
-            )
-            cache = replace(cache, value_logits=new_values)
+            g_free *= cfg.cache_loss_weight
+            _adam_step(free_logits, g_free, adam_values, cfg.lr_value_logits, values_scratch)
+            _softmax_rows(free_logits, free_values)
+            values[free] = free_values
         if cfg.lr_prompt > 0.0:
-            new_prompt, adam_prompt = adam_step(
-                prior.learnable(), cfg.prompt_loss_weight * g_prompt, adam_prompt, cfg.lr_prompt
-            )
-            prior = prior.with_learnable(new_prompt)
+            g_prompt *= cfg.prompt_loss_weight
+            _adam_step(prompt, g_prompt, adam_prompt, cfg.lr_prompt, prompt_scratch)
 
         total = cfg.cache_loss_weight * cache_loss + cfg.prompt_loss_weight * prompt_loss
         state.history.append((step, cache_loss, prompt_loss, total))
-        state.step = step + 1
 
+    cache.value_logits[free] = free_logits
+    for name, param in (("cache keys", keys), ("value logits", free_logits), ("prompt", prompt)):
+        if not np.isfinite(param).all():
+            raise NonFiniteInputError(f"trained {name} contain NaN or infinity")
+    state.step = cfg.steps
     return cache, prior, state
 
 

@@ -17,7 +17,7 @@ from fewcache.cache_branch import (
 from fewcache.dataset import EmbeddingStore
 from fewcache.errors import DegenerateRowError, NonFiniteInputError, ShapeMismatchError
 from fewcache.gradchecks import cache_gradient_suite
-from fewcache.numerics import l2_normalize_rows
+from fewcache.numerics import PROB_CLAMP, l2_normalize_rows, softmax_rows
 from fewcache.sampler import FewShotSplit
 
 # How far a probability row may deviate from the simplex.
@@ -253,3 +253,48 @@ class TestBlockedRetrieve:
         assert large < 16 * 2**20
         output_growth = (32768 - 4096) * model.num_classes * 8
         assert large - small <= output_growth + 2**20
+
+
+def _textbook_cache_loss_and_grads(model, q, y):
+    """cache_loss_and_grads as plain expressions on fresh arrays."""
+    m = q.shape[0]
+    values = softmax_rows(model.value_logits)
+    values[model.frozen_mask] = model.value_logits[model.frozen_mask]
+    attn = softmax_rows(model.beta * (q @ model.keys.T))
+    probs = attn @ values
+    picked = probs[np.arange(m), y]
+    loss = float(-np.log(np.clip(picked, PROB_CLAMP, 1.0)).mean())
+    g_probs = np.zeros_like(probs)
+    live = picked > PROB_CLAMP
+    g_probs[np.arange(m)[live], y[live]] = -1.0 / (m * picked[live])
+    g_values = attn.T @ g_probs
+    g_attention = g_probs @ values.T
+    g_scores = attn * (g_attention - (g_attention * attn).sum(axis=1, keepdims=True))
+    grad_keys = model.beta * (g_scores.T @ q)
+    grad_value_logits = np.zeros_like(model.value_logits)
+    free = ~model.frozen_mask
+    v_free, g_free = values[free], g_values[free]
+    grad_value_logits[free] = v_free * (g_free - (g_free * v_free).sum(axis=1, keepdims=True))
+    return loss, grad_keys, grad_value_logits
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(1, 9), st.integers(2, 4),
+       st.sampled_from([1.0, 20.0, 200.0]))
+def test_loss_and_grads_match_textbook_form(seed, n_cache, d, n_classes, beta):
+    # beta 200 with one-hot frozen rows drives target probabilities below
+    # the log clamp, so the flat branch is compared too.
+    rng = np.random.default_rng(seed)
+    frozen = rng.random(n_cache) < 0.5
+    value_logits = 3.0 * rng.normal(size=(n_cache, n_classes))
+    value_logits[frozen] = np.eye(n_classes)[rng.integers(0, n_classes, int(frozen.sum()))]
+    model = CacheModel(keys=l2_normalize_rows(rng.normal(size=(n_cache, d))),
+                       value_logits=value_logits, frozen_mask=frozen, beta=beta,
+                       classes=[str(c) for c in range(n_classes)])
+    q = l2_normalize_rows(rng.normal(size=(int(rng.integers(1, 20)), d)))
+    y = rng.integers(0, n_classes, q.shape[0])
+    got = cache_loss_and_grads(model, q, y)
+    want = _textbook_cache_loss_and_grads(model, q, y)
+    assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+    assert got[2].tobytes() == want[2].tobytes()

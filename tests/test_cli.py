@@ -246,6 +246,8 @@ MALFORMED_SWEEP_CONFIGS = [
     pytest.param({**SWEEP_DOC, "bag_shot": 2}, id="top-level-unknown-key"),
     pytest.param({k: v for k, v in SWEEP_DOC.items() if k != "source"}, id="missing-source"),
     pytest.param({**SWEEP_DOC, "source": {"kind": "synthetic"}}, id="source-without-spec"),
+    pytest.param({**SWEEP_DOC, "source": {**SWEEP_DOC["source"], "prompt_sigm": 0.3}},
+                 id="source-key-typo"),
     pytest.param({**SWEEP_DOC, "source": {**SWEEP_DOC["source"], "spec": {**SPEC_DOC, "dims": 3}}},
                  id="unknown-spec-key"),
     pytest.param({**SWEEP_DOC, "train": {"steps": "5"}}, id="steps-not-a-number"),

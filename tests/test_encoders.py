@@ -45,11 +45,20 @@ class TestSyntheticSource:
         assert a.provenance["checksum"] == b.provenance["checksum"]
 
     def test_missing_or_malformed_spec_is_usage_error(self):
-        with pytest.raises(UsageError, match="synthetic source config must name 'spec'"):
+        with pytest.raises(UsageError, match=r"SyntheticSource: missing key\(s\) 'spec'"):
             resolve_source({"kind": "synthetic"})
         bad_spec = {**SYNTH_CONFIG["spec"], "dims": 3}
         with pytest.raises(UsageError, match="SynthSpec: unknown key"):
             resolve_source({**SYNTH_CONFIG, "spec": bad_spec})
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"prompt_sigm": 0.3}, r"SyntheticSource: unknown key\(s\) 'prompt_sigm'"),
+        ({"test_bags_per_class": 2.5}, "SyntheticSource.test_bags_per_class must be int"),
+        ({"prompt_seed": "1"}, "SyntheticSource.prompt_seed must be int"),
+    ], ids=["key-typo", "float-bag-count", "string-seed"])
+    def test_malformed_block_is_usage_error(self, edit, message):
+        with pytest.raises(UsageError, match=message):
+            resolve_source({**SYNTH_CONFIG, **edit})
 
     def test_prompt_sigma_zero_gives_prototypes(self):
         feats = synthetic_prompt_features(2, 8, sigma=0.0, seed=0)
@@ -111,10 +120,21 @@ class TestFileSource:
     @pytest.mark.parametrize("key", ["train_manifest", "prompt_features"])
     def test_missing_key_is_usage_error(self, file_config, key):
         del file_config[key]
-        with pytest.raises(UsageError, match=f"file source config must name '{key}'"):
+        with pytest.raises(UsageError, match=rf"FileSource: missing key\(s\) '{key}'"):
+            resolve_source(file_config)
+
+    def test_unknown_key_is_usage_error(self, file_config):
+        file_config["test_manfiest"] = file_config.pop("test_manifest")
+        with pytest.raises(UsageError, match=r"FileSource: unknown key\(s\) 'test_manfiest'"):
             resolve_source(file_config)
 
 
 def test_unknown_kind_rejected():
     with pytest.raises(UnknownSourceKindError):
         resolve_source({"kind": "quantum"})
+
+
+@pytest.mark.parametrize("kind", [["synthetic"], None])
+def test_non_string_kind_rejected(kind):
+    with pytest.raises(UnknownSourceKindError):
+        resolve_source({"kind": kind})

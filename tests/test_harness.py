@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from fewcache import harness
 from fewcache.codec import from_doc, to_doc
 from fewcache.harness import (
     ExperimentConfig,
@@ -63,6 +64,14 @@ class TestRunExperiment:
         assert len(bad.reports) == 0
         assert len(bad.failures) == 2
         assert "InsufficientBagsError" in bad.failures[0]
+
+    def test_unexpected_exception_propagates(self, monkeypatch):
+        def broken_train(*args):
+            raise RuntimeError("bug in a kernel")
+
+        monkeypatch.setattr(harness, "train", broken_train)
+        with pytest.raises(RuntimeError, match="bug in a kernel"):
+            run_experiment(tiny_config())
 
     def test_annotation_ratio_bookkeeping(self, tiny_record):
         report = tiny_record.cell(2).reports[0]

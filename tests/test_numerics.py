@@ -146,6 +146,40 @@ class TestAdamStep:
             adam_step(param, np.zeros((2, 3)), AdamState.zeros_like(param), lr=0.1)
 
 
+class TestTextbookForms:
+    """The kernels are bit-identical to the plain numpy expressions they
+    replace in place; the training loop relies on that for its bytes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(finite_matrices)
+    def test_softmax_rows(self, m):
+        e = np.exp(m - m.max(axis=1, keepdims=True))
+        assert softmax_rows(m).tobytes() == (e / e.sum(axis=1, keepdims=True)).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(finite_matrices)
+    def test_l2_normalize_rows(self, m):
+        m = m + np.where(np.linalg.norm(m, axis=1, keepdims=True) < 1e-100, 1.0, 0.0)
+        expected = m / np.linalg.norm(m, axis=1)[:, None]
+        assert l2_normalize_rows(m).tobytes() == expected.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(finite_matrices, st.integers(1, 5), st.sampled_from([1e-3, 0.1, 3.0]))
+    def test_adam_step(self, param, steps, lr):
+        rng = np.random.default_rng(steps)
+        b1, b2, eps = 0.9, 0.999, 1e-8
+        ref, m, v = param, np.zeros_like(param), np.zeros_like(param)
+        out, state = param, AdamState.zeros_like(param)
+        for t in range(1, steps + 1):
+            g = rng.normal(size=param.shape) * 10.0 ** rng.integers(-9, 3)
+            m = b1 * m + (1 - b1) * g
+            v = b2 * v + (1 - b2) * g * g
+            ref = ref - lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
+            out, state = adam_step(out, g, state, lr)
+        assert out.tobytes() == ref.tobytes()
+        assert (state.m.tobytes(), state.v.tobytes()) == (m.tobytes(), v.tobytes())
+
+
 class TestFiniteDifferenceCheck:
     def test_quadratic_passes(self):
         def loss_and_grad(x):

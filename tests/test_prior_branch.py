@@ -2,11 +2,18 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fewcache.dataset import write_embeddings
 from fewcache.errors import ShapeMismatchError
 from fewcache.gradchecks import prior_prototype_suite, prior_toy_suite
-from fewcache.numerics import finite_difference_check, l2_normalize_rows
+from fewcache.numerics import (
+    PROB_CLAMP,
+    finite_difference_check,
+    l2_normalize_rows,
+    softmax_rows,
+)
 from fewcache.prior_branch import (
     PROTOTYPE,
     TOY_ENCODER,
@@ -173,3 +180,52 @@ class TestPromptFiles:
         with pytest.raises(ValueError):
             PriorModel(mode=PROTOTYPE, classes=["a", "b"], tau=0.0,
                        class_features=np.eye(2))
+
+
+def _textbook_prior_loss_and_grads(model, q, y):
+    """prior_loss_and_grads as plain expressions on fresh arrays."""
+    m = q.shape[0]
+    if model.mode == PROTOTYPE:
+        raw = model.class_features
+    else:
+        seq_len = model.base_tokens.shape[1] + model.prompt_tokens.shape[1]
+        pooled = (model.base_tokens.sum(axis=1) + model.prompt_tokens.sum(axis=1)) / seq_len
+        raw = pooled @ model.encoder_matrix
+    norms = np.linalg.norm(raw, axis=1, keepdims=True)
+    unit = raw / norms
+    probs = softmax_rows((q @ unit.T) / model.tau)
+    picked = probs[np.arange(m), y]
+    loss = float(-np.log(np.clip(picked, PROB_CLAMP, 1.0)).mean())
+    g_logits = probs.copy()
+    g_logits[np.arange(m), y] -= 1.0
+    g_logits /= m
+    g_logits[picked <= PROB_CLAMP] = 0.0
+    g_text = (g_logits.T @ q) / model.tau
+    g_raw = (g_text - (g_text * unit).sum(axis=1, keepdims=True) * unit) / norms
+    if model.mode == PROTOTYPE:
+        return loss, g_raw
+    g_pooled = g_raw @ model.encoder_matrix.T
+    return loss, np.repeat(g_pooled[:, None, :], model.prompt_tokens.shape[1], axis=1) / seq_len
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.integers(1, 9), st.integers(2, 4),
+       st.sampled_from([0.001, 0.01, 0.5]))
+def test_loss_and_grads_match_textbook_form(seed, toy, d, n_classes, tau):
+    # tau 0.001 pushes target probabilities below the log clamp.
+    rng = np.random.default_rng(seed)
+    classes = [str(c) for c in range(n_classes)]
+    if toy:
+        model = prior_toy_encoder(rng.normal(size=(n_classes, int(rng.integers(1, 4)), 5)),
+                                  classes, d, num_learnable=int(rng.integers(1, 4)), tau=tau,
+                                  seed=int(rng.integers(0, 100)))
+        model.prompt_tokens += rng.normal(size=model.prompt_tokens.shape)
+    else:
+        model = prior_from_features(rng.normal(size=(n_classes, d)), classes, tau=tau)
+        model.class_features *= rng.uniform(0.5, 2.0, size=(n_classes, 1))
+    q = l2_normalize_rows(rng.normal(size=(int(rng.integers(1, 20)), d)))
+    y = rng.integers(0, n_classes, q.shape[0])
+    got = prior_loss_and_grads(model, q, y)
+    want = _textbook_prior_loss_and_grads(model, q, y)
+    assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+    assert got[1].tobytes() == want[1].tobytes()

@@ -56,6 +56,8 @@ def _reference_kmeans(x, k, max_iter=100, seed=0):
         history.append(float(point_d2.sum()))
         if np.array_equal(new_assignment, assignment):
             break
+        if it > 0 and not history[-1] < history[-2]:
+            break  # the inertia stopped falling
         assignment = new_assignment
         for j in range(k):
             members = assignment == j
@@ -183,6 +185,18 @@ class TestKMeans:
         points = rng.normal(size=(6, 3))
         result = kmeans(points, 6, seed=1)
         assert result.inertia == pytest.approx(0.0, abs=1e-20)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_fewer_distinct_rows_than_k_stops_early(self, seed):
+        # Re-seeded centroids sit on exact copies of rows whose cluster mean
+        # is off by rounding, so they keep trading copies and the inertia
+        # wobbles at ~1e-15; without the stop rule this ran 100 iterations.
+        rows = np.random.default_rng(seed).normal(size=(4, 3))
+        points = np.repeat(rows, 10, axis=0)
+        result = kmeans(points, 20, seed=seed)
+        assert result.n_iter <= 3
+        assert len(set(result.assignment.tolist())) == 4
+        assert result.inertia == pytest.approx(0.0, abs=1e-12)
 
     def test_inertia_monotone(self, rng):
         points = rng.normal(size=(100, 4))

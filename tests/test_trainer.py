@@ -1,11 +1,22 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fewcache.cache_branch import build_cache, retrieve
+import fewcache.trainer
+from fewcache.cache_branch import (
+    CacheModel,
+    build_cache,
+    cache_loss_and_grads,
+    project,
+    retrieve,
+)
 from fewcache.dataset import (
+    EmbeddingStore,
     SynthSpec,
     class_prototypes,
     read_embeddings,
@@ -15,16 +26,19 @@ from fewcache.dataset import (
 from fewcache.errors import (
     CheckpointVersionError,
     CorruptCheckpointError,
+    DegenerateRowError,
     ModeMismatchError,
+    NonFiniteInputError,
 )
-from fewcache.numerics import l2_normalize_rows
+from fewcache.numerics import AdamState, adam_step, l2_normalize_rows
 from fewcache.prior_branch import (
     PROTOTYPE,
     prior_from_features,
+    prior_loss_and_grads,
     prior_predict,
     prior_toy_encoder,
 )
-from fewcache.sampler import FewShotSpec, sample_split
+from fewcache.sampler import FewShotSplit, FewShotSpec, sample_split
 from fewcache.trainer import (
     TrainConfig,
     history_to_csv,
@@ -150,6 +164,158 @@ class TestTrain:
         assert rows[0] == ["step", "cache_loss", "text_loss", "total"]
         assert len(rows) == 11
         assert float(rows[1][3]) == state.history[0][3]
+
+
+def _reference_train(cache, prior, split, store, cfg):
+    """The training loop over the public kernels, rebuilding the models
+    with dataclasses.replace each step: the oracle for `train`."""
+    cache, prior, history = cache.copy(), prior.copy(), []
+    queries = store.rows[split.labeled_rows].copy()
+    labels = split.labeled_classes.copy()
+    n = queries.shape[0]
+    batch = cfg.batch_size if cfg.batch_size is not None else min(4096, n)
+    rng = np.random.default_rng(cfg.seed)
+    adam_keys = AdamState.zeros_like(cache.keys)
+    adam_values = AdamState.zeros_like(cache.value_logits)
+    adam_prompt = AdamState.zeros_like(prior.learnable())
+    for step in range(cfg.steps):
+        idx = rng.choice(n, size=batch, replace=batch > n)
+        qb, yb = queries[idx], labels[idx]
+        cache_loss, g_keys, g_values = cache_loss_and_grads(cache, qb, yb)
+        prompt_loss, g_prompt = prior_loss_and_grads(prior, qb, yb)
+        if cfg.lr_keys > 0.0:
+            new_keys, adam_keys = adam_step(
+                cache.keys, cfg.cache_loss_weight * g_keys, adam_keys, cfg.lr_keys
+            )
+            cache = project(dataclasses.replace(cache, keys=new_keys))
+        if cfg.lr_value_logits > 0.0:
+            new_values, adam_values = adam_step(
+                cache.value_logits, cfg.cache_loss_weight * g_values, adam_values,
+                cfg.lr_value_logits,
+            )
+            cache = dataclasses.replace(cache, value_logits=new_values)
+        if cfg.lr_prompt > 0.0:
+            new_prompt, adam_prompt = adam_step(
+                prior.learnable(), cfg.prompt_loss_weight * g_prompt, adam_prompt, cfg.lr_prompt
+            )
+            prior = prior.with_learnable(new_prompt)
+        total = cfg.cache_loss_weight * cache_loss + cfg.prompt_loss_weight * prompt_loss
+        history.append((step, cache_loss, prompt_loss, total))
+    return cache, prior, history
+
+
+@st.composite
+def _training_problems(draw):
+    """A random cache (any frozen mask, value rows frozen on the simplex),
+    a prior of either mode, labeled store rows and a TrainConfig with each
+    learning rate possibly 0, batches below and above the labeled count
+    and loss weights other than 1."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 12))
+    classes = [f"c{i}" for i in range(draw(st.integers(2, 4)))]
+    n_cache = draw(st.integers(1, 24))
+    n_lab = draw(st.integers(1, 20))
+    frozen = np.array(draw(st.one_of(
+        st.just([True] * n_cache),
+        st.just([False] * n_cache),
+        st.lists(st.booleans(), min_size=n_cache, max_size=n_cache),
+    )))
+    value_logits = rng.normal(size=(n_cache, len(classes)))
+    value_logits[frozen] = rng.dirichlet(np.ones(len(classes)), size=int(frozen.sum()))
+    cache = CacheModel(
+        keys=l2_normalize_rows(rng.normal(size=(n_cache, d))),
+        value_logits=value_logits,
+        frozen_mask=frozen,
+        beta=draw(st.sampled_from([1.0, 10.0, 20.0, 60.0])),
+        classes=classes,
+    )
+    tau = draw(st.sampled_from([0.01, 0.1, 0.5]))
+    if draw(st.booleans()):
+        prior = prior_from_features(rng.normal(size=(len(classes), d)), classes, tau=tau)
+    else:
+        prior = prior_toy_encoder(
+            rng.normal(size=(len(classes), draw(st.integers(1, 3)), 5)), classes, d,
+            num_learnable=draw(st.integers(1, 3)), tau=tau, seed=draw(st.integers(0, 9)),
+        )
+    store = EmbeddingStore.from_array(l2_normalize_rows(rng.normal(size=(n_lab + 5, d))))
+    labeled = rng.permutation(n_lab + 5)[:n_lab]
+    split = FewShotSplit(
+        selected_bags=[], labeled_rows=labeled,
+        labeled_classes=rng.integers(0, len(classes), size=n_lab),
+        unlabeled_rows=np.empty(0, dtype=np.int64), seed=0,
+    )
+    rate = st.sampled_from([0.0, 1e-3, 1e-2, 0.1])
+    weight = st.sampled_from([1.0, 0.0, 0.5, 2.5])
+    cfg = TrainConfig(
+        lr_keys=draw(rate), lr_value_logits=draw(rate), lr_prompt=draw(rate),
+        batch_size=draw(st.one_of(st.none(), st.integers(1, 2 * n_lab + 2))),
+        steps=draw(st.integers(1, 12)), seed=draw(st.integers(0, 1000)),
+        cache_loss_weight=draw(weight), prompt_loss_weight=draw(weight),
+    )
+    return cache, prior, split, store, cfg
+
+
+class TestTrainOracle:
+    @settings(max_examples=120, deadline=None)
+    @given(_training_problems())
+    def test_bit_identical_to_public_kernel_loop(self, problem):
+        cache, prior, split, store, cfg = problem
+        ref_cache, ref_prior, ref_history = _reference_train(cache, prior, split, store, cfg)
+        got_cache, got_prior, state = train(cache, prior, split, store, cfg)
+        assert got_cache.keys.tobytes() == ref_cache.keys.tobytes()
+        assert got_cache.value_logits.tobytes() == ref_cache.value_logits.tobytes()
+        assert got_prior.learnable().tobytes() == ref_prior.learnable().tobytes()
+        assert np.array(state.history).tobytes() == np.array(ref_history).tobytes()
+        assert state.step == cfg.steps
+
+
+class TestValidateOnce:
+    def test_non_finite_labeled_row_rejected_before_first_step(self, separable_setup,
+                                                               monkeypatch):
+        ds, split = separable_setup
+        rows = ds.store.rows.copy()
+        rows[split.labeled_rows[3], 5] = np.nan
+        store = EmbeddingStore.from_array(rows)
+
+        def no_step(*args):
+            raise AssertionError("a training step ran")
+
+        monkeypatch.setattr(fewcache.trainer, "_cache_loss_and_grads", no_step)
+        with pytest.raises(NonFiniteInputError, match="labeled queries"):
+            train(*_models(ds, split), split, store, TrainConfig(steps=5))
+
+    def test_key_row_driven_to_zero_raises(self):
+        # d = 1 and loss weight 2**60: the scaled gradient dwarfs Adam's eps,
+        # so the first update moves key row 1 by exactly lr, from 0.4 to 0.
+        store = EmbeddingStore.from_array([[1.0]])
+        split = FewShotSplit([], np.array([0]), np.array([0]), np.empty(0, dtype=np.int64), 0)
+        prior = prior_from_features([[1.0], [-1.0]], ["a", "b"])
+        cache = CacheModel(keys=np.array([[1.0], [0.4]]), value_logits=np.eye(2),
+                           frozen_mask=np.ones(2, dtype=bool), beta=1.0, classes=["a", "b"])
+        cfg = TrainConfig(steps=3, lr_keys=0.4, lr_value_logits=0.0, lr_prompt=0.0,
+                          cache_loss_weight=2.0**60)
+        _, g_keys, _ = cache_loss_and_grads(cache, store.rows, [0])
+        new_keys, _ = adam_step(cache.keys, cfg.cache_loss_weight * g_keys,
+                                AdamState.zeros_like(cache.keys), cfg.lr_keys)
+        assert new_keys[1, 0] == 0.0
+        for run in (train, _reference_train):
+            with pytest.raises(DegenerateRowError) as exc:
+                run(cache, prior, split, store, cfg)
+            assert exc.value.row == 1
+
+    def test_tiny_key_rows_keep_full_precision(self):
+        # Rows 1-3 score ~0 against a query that key 0 matches at beta 1000,
+        # so their attention underflows to 0, their gradient and update are
+        # exactly 0, and projection normalizes the tiny rows themselves.
+        tiny = [[8.18628025e-162, 0.0], [1e-170, 1e-170], [5e-324, 0.0]]
+        cache = CacheModel(keys=np.array([[1.0, 0.0], *tiny]), value_logits=np.zeros((4, 2)),
+                           frozen_mask=np.zeros(4, dtype=bool), beta=1000.0, classes=["a", "b"])
+        prior = prior_from_features(np.eye(2), ["a", "b"])
+        store = EmbeddingStore.from_array([[1.0, 0.0]])
+        split = FewShotSplit([], np.array([0]), np.array([0]), np.empty(0, dtype=np.int64), 0)
+        trained, _, _ = train(cache, prior, split, store, TrainConfig(steps=1, lr_keys=0.1))
+        expected = [[1.0, 0.0], [0.5**0.5, 0.5**0.5], [1.0, 0.0]]
+        np.testing.assert_allclose(trained.keys[1:], expected, atol=1e-15)
 
 
 class TestCheckpoints:
