@@ -114,8 +114,8 @@ def build_cache(
     )
 
 
-def _query_matrix(model: CacheModel, queries) -> np.ndarray:
-    q = as_matrix(queries, "queries")
+def _query_matrix(model: CacheModel, queries, name: str = "queries") -> np.ndarray:
+    q = as_matrix(queries, name)
     if q.shape[1] != model.dim:
         raise ShapeMismatchError(f"query dim {q.shape[1]} != key dim {model.dim}")
     return q
@@ -124,7 +124,13 @@ def _query_matrix(model: CacheModel, queries) -> np.ndarray:
 def attention(model: CacheModel, queries) -> np.ndarray:
     """Full (m, n_cache) softmax attention of unit-norm query rows over the keys."""
     q = _query_matrix(model, queries)
-    return softmax_rows(model.beta * (q @ model.keys.T))
+    # Keys and beta are not checked on their own: non-finite ones show here.
+    return as_matrix(_attention(q, model.keys, model.beta), "attention")
+
+
+def _attention(q: np.ndarray, keys: np.ndarray, beta: float) -> np.ndarray:
+    """Trusted core of attention."""
+    return _softmax_rows(beta * (q @ keys.T))
 
 
 def retrieve(model: CacheModel, queries) -> np.ndarray:
@@ -155,87 +161,61 @@ def cache_loss_and_grads(
     clamp contribute a flat (zero-gradient) region, consistent with the
     clamped loss actually evaluated.
     """
-    q = as_matrix(labeled_queries, "labeled queries")
+    q = _query_matrix(model, labeled_queries, "labeled queries")
     y = np.asarray(labels, dtype=np.int64).reshape(-1)
     if q.shape[0] != y.size:
         raise ShapeMismatchError(f"{q.shape[0]} queries vs {y.size} labels")
-    q = _query_matrix(model, q)
     keys = as_matrix(model.keys, "cache keys")
-    values = model.value_distributions()
     free = np.flatnonzero(~model.frozen_mask)
-    grad_keys = np.empty_like(keys)
-    grad_free = np.empty((free.size, model.num_classes), dtype=REAL)
-    work = _CacheWork(q.shape[0], model.n_cache, model.num_classes)
-    loss = _cache_loss_and_grads(
-        work, keys, values, values[free], model.beta, q, y, free, grad_keys, grad_free
+    loss, grad_keys, grad_free = _cache_loss_and_grads(
+        keys, model.value_distributions(), model.beta, q, y, free
     )
     grad_value_logits = np.zeros_like(model.value_logits)
     grad_value_logits[free] = grad_free
     return loss, grad_keys, grad_value_logits
 
 
-class _CacheWork:
-    """Scratch buffers for one batch size of _cache_loss_and_grads."""
-
-    def __init__(self, m: int, n_cache: int, num_classes: int):
-        self.rows = np.arange(m)
-        self.attn = np.empty((m, n_cache), dtype=REAL)
-        self.g_attention = np.empty((m, n_cache), dtype=REAL)
-        self.product = np.empty((m, n_cache), dtype=REAL)
-        self.probs = np.empty((m, num_classes), dtype=REAL)
-        self.g_probs = np.empty((m, num_classes), dtype=REAL)
-        self.g_values = np.empty((n_cache, num_classes), dtype=REAL)
-
-
 def _cache_loss_and_grads(
-    work: _CacheWork,
     keys: np.ndarray,
     values: np.ndarray,
-    free_values: np.ndarray,
     beta: float,
     q: np.ndarray,
     y: np.ndarray,
     free: np.ndarray,
-    grad_keys: np.ndarray,
-    grad_free: np.ndarray,
-) -> float:
-    """Trusted core of cache_loss_and_grads; returns the loss.
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Trusted core of cache_loss_and_grads.
 
-    `values` are the effective value rows, `free` indexes the learnable
-    ones and `free_values` holds those rows. Writes the key gradient to
-    `grad_keys` and the gradient of the free rows' logits to `grad_free`.
+    `values` are the effective value rows and `free` indexes the
+    learnable ones. Returns (loss, grad_keys, grad_free), the last being
+    the gradient of the free rows' logits.
     """
     m = q.shape[0]
-    attn = np.matmul(q, keys.T, out=work.attn)
-    attn *= beta
-    _softmax_rows(attn, attn)
-    probs = np.matmul(attn, values, out=work.probs)
-    picked = probs[work.rows, y]
+    rows = np.arange(m)
+    attn = _attention(q, keys, beta)
+    probs = attn @ values
+    picked = probs[rows, y]
     loss = _mean_nll(picked)
 
     # d loss / d probs: only the target column of each row, zero where the
     # probability sits below the clamp (the loss is flat there).
-    g_probs = work.g_probs
-    g_probs.fill(0.0)
+    g_probs = np.zeros_like(probs)
     live = picked > PROB_CLAMP
-    g_probs[work.rows[live], y[live]] = -1.0 / (m * picked[live])
+    g_probs[rows[live], y[live]] = -1.0 / (m * picked[live])
 
     # Through probs = attention @ values.
-    g_values = np.matmul(attn.T, g_probs, out=work.g_values)
-    g_scores = np.matmul(g_probs, values.T, out=work.g_attention)
+    g_values = attn.T @ g_probs
+    g_attention = g_probs @ values.T
 
     # Softmax backward for the attention rows.
-    g_scores -= np.multiply(g_scores, attn, out=work.product).sum(axis=1, keepdims=True)
-    g_scores *= attn
+    g_scores = attn * (g_attention - np.add.reduce(g_attention * attn, axis=1, keepdims=True))
 
-    np.matmul(g_scores.T, q, out=grad_keys)
-    grad_keys *= beta
+    grad_keys = beta * (g_scores.T @ q)
 
     # Unfrozen value rows pass through their own row-softmax.
+    v_free = values[free]
     g_free = g_values[free]
-    g_free -= (g_free * free_values).sum(axis=1, keepdims=True)
-    np.multiply(free_values, g_free, out=grad_free)
-    return loss
+    grad_free = v_free * (g_free - np.add.reduce(g_free * v_free, axis=1, keepdims=True))
+    return loss, grad_keys, grad_free
 
 
 def project(model: CacheModel) -> CacheModel:

@@ -4,9 +4,10 @@ All kernels operate on 2-d numpy arrays in the build-wide precision
 (REAL, default float64). The public kernels validate their arguments and
 are pure: they mutate no argument and keep no state, so they are safe to
 call concurrently. Each is a thin wrapper over a `_`-prefixed trusted
-core that does the same IEEE operations in place on caller-owned buffers
-and checks nothing; the training loop validates once and then calls the
-cores, so the public kernels and the loop run the same arithmetic.
+core that runs the same IEEE operations and checks nothing; `_adam_step`
+updates its parameter and moments in place. The training loop validates
+once and then calls the cores, so the public kernels and the loop run
+the same arithmetic.
 """
 
 from __future__ import annotations
@@ -48,16 +49,15 @@ def softmax_rows(m) -> np.ndarray:
     Each output row is nonnegative and sums to 1; entries of magnitude
     1000 do not overflow because the row maximum is subtracted first.
     """
-    a = as_matrix(m, "softmax input")
-    return _softmax_rows(a, np.empty_like(a))
+    return _softmax_rows(as_matrix(m, "softmax input"))
 
 
-def _softmax_rows(a: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Trusted core of softmax_rows; `out` may be `a`."""
-    np.subtract(a, a.max(axis=1, keepdims=True), out=out)
-    np.exp(out, out=out)
-    out /= out.sum(axis=1, keepdims=True)
-    return out
+def _softmax_rows(a: np.ndarray) -> np.ndarray:
+    """Trusted core of softmax_rows; allocates only its result."""
+    e = a - np.maximum.reduce(a, axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=1, keepdims=True)
+    return e
 
 
 def l2_normalize_rows(m) -> np.ndarray:
@@ -65,45 +65,23 @@ def l2_normalize_rows(m) -> np.ndarray:
 
     Raises DegenerateRowError naming the first all-zero row.
     """
-    a = as_matrix(m, "normalize input")
-    norms = np.empty(a.shape[0], dtype=REAL)
-    _row_norms(a, norms, np.empty_like(a))
-    # Allocated once the squares are freed, as np.linalg.norm followed by
-    # a / norms did: on a 3000-row load the other order moved the k-means
-    # distance buffers that follow and raised a core-set run's peak RSS 10%.
-    out = np.empty_like(a)
-    _unit_rows(a, norms, out)
-    return out
+    return _l2_normalize_rows(as_matrix(m, "normalize input"))
 
 
-def _row_norms(a: np.ndarray, norms: np.ndarray, sq: np.ndarray) -> None:
-    """Trusted core, first half of l2_normalize_rows: the plain row norms
-    of `a` into `norms`, by the operations of np.linalg.norm(a, axis=1);
-    `sq` is scratch shaped like `a`."""
-    np.multiply(a, a, out=sq)
-    np.add.reduce(sq, axis=1, out=norms)
-    np.sqrt(norms, out=norms)
-
-
-def _unit_rows(a: np.ndarray, norms: np.ndarray, out: np.ndarray) -> None:
-    """Trusted core, second half of l2_normalize_rows: the unit rows of `a`
-    into `out` (which may be `a`), given the plain row norms. Raises
-    before writing `out` if a row is all zero."""
-    if not norms.min(initial=np.inf) < _TINY_NORM:
-        np.divide(a, norms[:, None], out=out)
-        return
-    tiny = np.flatnonzero(norms < _TINY_NORM)
-    # The squares of these rows underflow to subnormals or zero; scaling
-    # by a power of two is exact, so scale them up before the norm.
-    scaled = a[tiny] * _TINY_SCALE
-    scaled_norms = np.linalg.norm(scaled, axis=1)
-    zero = np.flatnonzero(scaled_norms == 0.0)
-    if zero.size:
-        raise DegenerateRowError(int(tiny[zero[0]]))
-    divisor = norms.copy()
-    divisor[tiny] = 1.0
-    np.divide(a, divisor[:, None], out=out)
-    out[tiny] = scaled / scaled_norms[:, None]
+def _l2_normalize_rows(a: np.ndarray) -> np.ndarray:
+    """Trusted core of l2_normalize_rows; still raises DegenerateRowError."""
+    norms = np.sqrt(np.add.reduce(a * a, axis=1))  # np.linalg.norm(a, axis=1)
+    if norms.min(initial=np.inf) < _TINY_NORM:
+        tiny = np.flatnonzero(norms < _TINY_NORM)
+        # The squares of these rows underflow to subnormals or zero; scaling
+        # by a power of two is exact, so scale them up before the norm.
+        a = a.copy()
+        a[tiny] *= _TINY_SCALE
+        norms[tiny] = np.linalg.norm(a[tiny], axis=1)
+        zero = np.flatnonzero(norms == 0.0)
+        if zero.size:
+            raise DegenerateRowError(int(zero[0]))
+    return a / norms[:, None]
 
 
 def _mean_nll(picked: np.ndarray) -> float:
@@ -147,8 +125,7 @@ def adam_step(
         raise ShapeMismatchError(f"state shape {state.m.shape} != param shape {param.shape}")
     new_param = np.array(param, dtype=REAL)
     new_state = AdamState(state.m.copy(), state.v.copy(), state.step)
-    scratch = (np.empty_like(new_param), np.empty_like(new_param))
-    _adam_step(new_param, grad, new_state, lr, scratch, beta1, beta2, eps)
+    _adam_step(new_param, grad, new_state, lr, beta1, beta2, eps)
     return new_param, new_state
 
 
@@ -157,34 +134,21 @@ def _adam_step(
     grad: np.ndarray,
     state: AdamState,
     lr: float,
-    scratch: tuple[np.ndarray, np.ndarray],
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """Trusted core of adam_step: updates `param` and `state` in place.
-
-    `scratch` holds two arrays shaped like `param`. Each line is the same
-    IEEE operation as the textbook form, in the same order:
-    m = b1 m + (1 - b1) g, v = b2 v + ((1 - b2) g) g and
-    param -= (lr m_hat) / (sqrt(v_hat) + eps).
-    """
+    """Trusted core of adam_step: updates `param` and `state` in place,
+    by the same IEEE operations in the same order as the textbook form."""
     state.step += 1
     t = state.step
-    s, r = scratch
     state.m *= beta1
-    state.m += np.multiply(grad, 1.0 - beta1, out=s)
+    state.m += (1.0 - beta1) * grad
     state.v *= beta2
-    np.multiply(grad, 1.0 - beta2, out=s)
-    s *= grad
-    state.v += s
-    np.divide(state.m, 1.0 - beta1**t, out=s)
-    s *= lr
-    np.divide(state.v, 1.0 - beta2**t, out=r)
-    np.sqrt(r, out=r)
-    r += eps
-    s /= r
-    param -= s
+    state.v += (1.0 - beta2) * grad * grad
+    m_hat = state.m / (1.0 - beta1**t)
+    v_hat = state.v / (1.0 - beta2**t)
+    param -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
 @dataclass

@@ -28,10 +28,9 @@ from .errors import ManifestFormatError, ShapeMismatchError
 from .numerics import (
     PROB_CLAMP,
     REAL,
+    _l2_normalize_rows,
     _mean_nll,
-    _row_norms,
     _softmax_rows,
-    _unit_rows,
     as_matrix,
     l2_normalize_rows,
     softmax_rows,
@@ -190,13 +189,23 @@ def load_prior(config: PromptConfig, classes: list[str], dim: int) -> PriorModel
     )
 
 
+def _raw_text(model: PriorModel) -> np.ndarray:
+    """Class text features before normalizing: the prototype rows, or the
+    mean token embedding per class through the frozen encoder."""
+    if model.mode == PROTOTYPE:
+        return model.class_features
+    seq_len = model.base_tokens.shape[1] + model.prompt_tokens.shape[1]
+    pooled = (model.base_tokens.sum(axis=1) + model.prompt_tokens.sum(axis=1)) / seq_len
+    return pooled @ model.encoder_matrix
+
+
 def encode_prompts(model: PriorModel) -> np.ndarray:
     """Unit-norm class text features for the model's current parameters.
 
     Raises NonFiniteInputError if they are not finite and
     DegenerateRowError if one is zero before normalizing.
     """
-    return as_matrix(_encode_into(_PriorWork(model, 0), model), "class text features")
+    return l2_normalize_rows(_raw_text(model))
 
 
 def prior_predict(model: PriorModel, queries) -> np.ndarray:
@@ -226,96 +235,42 @@ def prior_loss_and_grads(
         raise ShapeMismatchError(f"{q.shape[0]} queries vs {y.size} labels")
     if q.shape[1] != model.dim:
         raise ShapeMismatchError(f"query dim {q.shape[1]} != text feature dim {model.dim}")
-    encode_prompts(model)  # rejects non-finite parameters and zero text rows
-    grad = np.empty(model.learnable().shape, dtype=REAL)
-    loss = _prior_loss_and_grads(_PriorWork(model, q.shape[0]), model, q, y, grad)
-    return loss, grad
-
-
-class _PriorWork:
-    """Scratch buffers for one model shape and batch size of _prior_loss_and_grads."""
-
-    def __init__(self, model: PriorModel, m: int):
-        n, d = model.num_classes, model.dim
-        self.rows = np.arange(m)
-        self.logits = np.empty((m, n), dtype=REAL)
-        self.text = np.empty((n, d), dtype=REAL)
-        self.norms = np.empty(n, dtype=REAL)
-        self.sq = np.empty((n, d), dtype=REAL)
-        self.g_text = np.empty((n, d), dtype=REAL)
-        if model.mode == TOY_ENCODER:
-            self.base_sum = model.base_tokens.sum(axis=1)
-            self.pooled = np.empty_like(self.base_sum)
-            self.raw = np.empty((n, d), dtype=REAL)
-            self.g_pooled = np.empty_like(self.base_sum)
-
-
-def _encode_into(work: _PriorWork, model: PriorModel) -> np.ndarray:
-    """Trusted core of encode_prompts: the unit text features into
-    `work.text`, their plain row norms into `work.norms`."""
-    if model.mode == PROTOTYPE:
-        raw = model.class_features
-    else:
-        # The mean token embedding per class, through the frozen encoder.
-        pooled = np.add.reduce(model.prompt_tokens, axis=1, out=work.pooled)
-        pooled += work.base_sum
-        pooled /= model.base_tokens.shape[1] + model.prompt_tokens.shape[1]
-        raw = np.matmul(pooled, model.encoder_matrix, out=work.raw)
-    _row_norms(raw, work.norms, work.sq)
-    _unit_rows(raw, work.norms, work.text)
-    return work.text
+    raw = as_matrix(_raw_text(model), "class text features")
+    return _prior_loss_and_grads(model, raw, q, y)
 
 
 def _prior_loss_and_grads(
-    work: _PriorWork, model: PriorModel, q: np.ndarray, y: np.ndarray, grad: np.ndarray
-) -> float:
-    """Trusted core of prior_loss_and_grads: returns the loss and writes
-    the gradient of the learnable parameters to `grad`."""
+    model: PriorModel, raw: np.ndarray, q: np.ndarray, y: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Trusted core of prior_loss_and_grads, given the model's text
+    features before normalizing (`_raw_text`)."""
     m = q.shape[0]
-    text = _encode_into(work, model)
-    logits = np.matmul(q, text.T, out=work.logits)
-    logits /= model.tau
-    probs = _softmax_rows(logits, logits)
-    picked = probs[work.rows, y]
+    rows = np.arange(m)
+    text = _l2_normalize_rows(raw)
+    probs = _softmax_rows((q @ text.T) / model.tau)
+    picked = probs[rows, y]
     loss = _mean_nll(picked)
 
     # Combined softmax+CE gradient per row, masked where the loss is flat.
     g_logits = probs
-    g_logits[work.rows, y] -= 1.0
+    g_logits[rows, y] -= 1.0
     g_logits /= m
     g_logits[picked <= PROB_CLAMP] = 0.0
 
-    g_text = np.matmul(g_logits.T, q, out=work.g_text)
-    g_text /= model.tau
-    _text_backward(work, model, g_text, grad)
-    return loss
+    g_text = (g_logits.T @ q) / model.tau
+    return loss, _text_backward(model, raw, text, g_text)
 
 
 def _text_backward(
-    work: _PriorWork, model: PriorModel, g_text: np.ndarray, grad: np.ndarray
-) -> None:
-    """Chain a gradient on the unit text features of `_encode_into` back
-    to the learnable parameters of the current mode, into `grad`.
-    Overwrites `g_text`."""
-    text = work.text
-    norms = work.norms[:, None]
-    # Backprop through the row normalization text = raw / ||raw||.
-    g_text -= (g_text * text).sum(axis=1, keepdims=True) * text
+    model: PriorModel, raw: np.ndarray, text: np.ndarray, g_text: np.ndarray
+) -> np.ndarray:
+    """Chain a gradient on the unit text features text = raw / ||raw||
+    back to the learnable parameters of the current mode."""
+    norms = np.sqrt(np.add.reduce(raw * raw, axis=1, keepdims=True))
+    g_raw = (g_text - np.add.reduce(g_text * text, axis=1, keepdims=True) * text) / norms
     if model.mode == PROTOTYPE:
-        np.divide(g_text, norms, out=grad)
-        return
-    g_text /= norms
-    g_pooled = np.matmul(g_text, model.encoder_matrix.T, out=work.g_pooled)
+        return g_raw
+    g_pooled = g_raw @ model.encoder_matrix.T
+    d = model.prompt_tokens.shape[1]
     # Every learnable token contributes 1/seq_len to the pooled mean.
-    g_pooled /= model.base_tokens.shape[1] + model.prompt_tokens.shape[1]
-    grad[...] = g_pooled[:, None, :]
-
-
-def _grad_from_text_grad(model: PriorModel, g_text) -> np.ndarray:
-    """Gradient of the learnable parameters for an upstream gradient on
-    the unit text features: the backward half of _prior_loss_and_grads."""
-    work = _PriorWork(model, 0)
-    _encode_into(work, model)
-    grad = np.empty(model.learnable().shape, dtype=REAL)
-    _text_backward(work, model, np.array(g_text, dtype=REAL), grad)
-    return grad
+    return np.repeat(g_pooled[:, None, :], d, axis=1) / (model.base_tokens.shape[1] + d)

@@ -243,13 +243,12 @@ def kmeans(points, k: int, max_iter: int = 100, seed=0) -> KMeansResult:
     """Lloyd iterations from a k-means++ start, deterministic given seed.
 
     Empty clusters are re-seeded with the point farthest from its current
-    centroid. Iteration stops when the assignment is unchanged or when the
-    inertia, recorded once per iteration, stops falling. In exact
-    arithmetic the second only happens at convergence; in floating point
-    it ends the cycles of points whose distances the expansion cannot
-    tell apart (fewer distinct rows than k, or rows that differ only
-    below rounding), where re-seeded centroids keep trading copies of
-    one row. Such inputs can leave clusters empty in the result.
+    centroid. Iteration stops when the assignment is unchanged. When the
+    points hold fewer than k distinct rows it also stops once the inertia,
+    recorded once per iteration, stops falling: there coinciding centroids
+    leave clusters empty, and the re-seeded ones can keep trading copies
+    of one row at an inertia that only rounding tells from 0. Such inputs
+    can leave clusters empty in the result.
     """
     x = as_matrix(points, "kmeans points")
     n = x.shape[0]
@@ -264,6 +263,7 @@ def kmeans(points, k: int, max_iter: int = 100, seed=0) -> KMeansResult:
     rows = np.arange(n)
     history: list[float] = []
     n_iter = 0
+    few_distinct = None  # counted only once the inertia stops falling
     # One n x k buffer for every iteration: a fresh one per step fragments the heap.
     d2 = np.empty((n, k), dtype=x.dtype)
     for it in range(max_iter):
@@ -276,7 +276,10 @@ def kmeans(points, k: int, max_iter: int = 100, seed=0) -> KMeansResult:
         if np.array_equal(new_assignment, assignment):
             break
         if it and not history[-1] < history[-2]:
-            break  # the inertia stopped falling
+            if few_distinct is None:
+                few_distinct = np.unique(x, axis=0).shape[0] < k
+            if few_distinct:
+                break
         assignment = new_assignment
         counts = np.bincount(assignment, minlength=k)
         _update_centroids(x, assignment, counts, centroids)

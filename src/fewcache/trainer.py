@@ -14,12 +14,13 @@ projection included.
 `train` validates once, on entry: the labeled queries, keys and value
 logits must be finite and match in width, and the prompt parameters
 must encode to finite, nonzero text features. Every step then runs the
-trusted in-place cores behind the public kernels (`_cache_loss_and_grads`,
-`_prior_loss_and_grads`, `_adam_step`, `_row_norms`, `_unit_rows`) on buffers
-allocated once, with the same IEEE operations and RNG draws as the public
-kernels, so results are bit-identical to a loop over those. A key row
-that an update drives to zero still raises DegenerateRowError at that
-step; the trained parameters are checked for finiteness once, on exit.
+unchecked cores behind the public kernels (`_cache_loss_and_grads`,
+`_prior_loss_and_grads`, `_adam_step`, `_l2_normalize_rows`,
+`_softmax_rows`), with Adam moments and parameters updated in place and
+the same IEEE operations and RNG draws as the public kernels, so results
+are bit-identical to a loop over those. A key row that an update drives
+to zero still raises DegenerateRowError at that step; the trained
+parameters are checked for finiteness once, on exit.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cache_branch import CacheModel, _CacheWork, _cache_loss_and_grads
+from .cache_branch import CacheModel, _cache_loss_and_grads
 from .codec import OMIT_NONE, from_doc, read_json, to_doc
 from .dataset import EmbeddingStore, read_embeddings, write_embeddings
 from .errors import (
@@ -43,14 +44,14 @@ from .errors import (
     NonFiniteInputError,
     ShapeMismatchError,
 )
-from .numerics import AdamState, _adam_step, _row_norms, _softmax_rows, _unit_rows, as_matrix
+from .numerics import AdamState, _adam_step, _l2_normalize_rows, _softmax_rows, as_matrix
 from .prior_branch import (
     PRIOR_MODES,
     PROTOTYPE,
     TOY_ENCODER,
     PriorModel,
-    _PriorWork,
     _prior_loss_and_grads,
+    _raw_text,
     encode_prompts,
 )
 from .sampler import FewShotSplit
@@ -111,7 +112,7 @@ def train(
         return cache, prior, state
 
     queries = as_matrix(store.rows[split.labeled_rows], "labeled queries")
-    cache.keys = keys = as_matrix(cache.keys, "cache keys")
+    keys = as_matrix(cache.keys, "cache keys")
     if not queries.shape[1] == cache.dim == prior.dim:
         raise ShapeMismatchError(
             f"query dim {queries.shape[1]}, key dim {cache.dim}, text feature dim {prior.dim}"
@@ -127,47 +128,35 @@ def train(
     # rows keep their stored distribution in `values` throughout.
     free = np.flatnonzero(~cache.frozen_mask)
     free_logits = cache.value_logits[free]
-    free_values = values[free]
     prompt = prior.learnable()
-    g_keys, g_free, g_prompt = (np.empty_like(p) for p in (keys, free_logits, prompt))
     adam_keys, adam_values, adam_prompt = (
         AdamState.zeros_like(p) for p in (keys, free_logits, prompt)
     )
-    keys_scratch, values_scratch, prompt_scratch = (
-        (np.empty_like(p), np.empty_like(p)) for p in (keys, free_logits, prompt)
-    )
-    key_norms = np.empty(keys.shape[0])
-    cache_work = _CacheWork(batch, cache.n_cache, cache.num_classes)
-    prior_work = _PriorWork(prior, batch)
-    qb = np.empty((batch, queries.shape[1]))
 
     for step in range(cfg.steps):
         idx = rng.choice(n, size=batch, replace=batch > n)
-        np.take(queries, idx, axis=0, out=qb)
-        yb = labels[idx]
+        qb, yb = queries[idx], labels[idx]
 
-        cache_loss = _cache_loss_and_grads(
-            cache_work, keys, values, free_values, cache.beta, qb, yb, free, g_keys, g_free
+        cache_loss, g_keys, g_free = _cache_loss_and_grads(
+            keys, values, cache.beta, qb, yb, free
         )
-        prompt_loss = _prior_loss_and_grads(prior_work, prior, qb, yb, g_prompt)
+        prompt_loss, g_prompt = _prior_loss_and_grads(prior, _raw_text(prior), qb, yb)
 
         if cfg.lr_keys > 0.0:
-            g_keys *= cfg.cache_loss_weight
-            _adam_step(keys, g_keys, adam_keys, cfg.lr_keys, keys_scratch)
-            _row_norms(keys, key_norms, keys_scratch[0])
-            _unit_rows(keys, key_norms, keys)
+            _adam_step(keys, cfg.cache_loss_weight * g_keys, adam_keys, cfg.lr_keys)
+            keys = _l2_normalize_rows(keys)
         if cfg.lr_value_logits > 0.0:
-            g_free *= cfg.cache_loss_weight
-            _adam_step(free_logits, g_free, adam_values, cfg.lr_value_logits, values_scratch)
-            _softmax_rows(free_logits, free_values)
-            values[free] = free_values
+            _adam_step(
+                free_logits, cfg.cache_loss_weight * g_free, adam_values, cfg.lr_value_logits
+            )
+            values[free] = _softmax_rows(free_logits)
         if cfg.lr_prompt > 0.0:
-            g_prompt *= cfg.prompt_loss_weight
-            _adam_step(prompt, g_prompt, adam_prompt, cfg.lr_prompt, prompt_scratch)
+            _adam_step(prompt, cfg.prompt_loss_weight * g_prompt, adam_prompt, cfg.lr_prompt)
 
         total = cfg.cache_loss_weight * cache_loss + cfg.prompt_loss_weight * prompt_loss
         state.history.append((step, cache_loss, prompt_loss, total))
 
+    cache.keys = keys
     cache.value_logits[free] = free_logits
     for name, param in (("cache keys", keys), ("value logits", free_logits), ("prompt", prompt)):
         if not np.isfinite(param).all():

@@ -167,6 +167,18 @@ class TestCacheLoss:
         with pytest.raises(ShapeMismatchError):
             cache_loss_and_grads(_two_key_model(), [[1.0, 0.0]], [0, 1])
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_keys_or_beta_rejected(self):
+        # The core checks nothing, so the wrapper and `attention` must.
+        model = _two_key_model()
+        model.keys[1, 0] = np.inf
+        with pytest.raises(NonFiniteInputError, match="cache keys"):
+            cache_loss_and_grads(model, [[1.0, 0.0]], [0])
+        with pytest.raises(NonFiniteInputError):
+            attention(model, [[1.0, 0.0]])
+        with pytest.raises(NonFiniteInputError):
+            attention(_two_key_model(beta=np.nan), [[1.0, 0.0]])
+
 
 class TestProject:
     def test_rescales(self):

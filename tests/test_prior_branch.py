@@ -61,12 +61,13 @@ class TestEncodePrompts:
         upstream = rng.normal(size=(2, 5))
         shape = model.prompt_tokens.shape
 
-        from fewcache.prior_branch import _grad_from_text_grad
+        from fewcache.prior_branch import _raw_text, _text_backward
 
         def loss_and_grad(x):
             m = model.with_learnable(x.reshape(shape))
-            loss = float((encode_prompts(m) * upstream).sum())
-            return loss, _grad_from_text_grad(m, upstream).ravel()
+            text = encode_prompts(m)
+            loss = float((text * upstream).sum())
+            return loss, _text_backward(m, _raw_text(m), text, upstream).ravel()
 
         report = finite_difference_check(loss_and_grad, model.prompt_tokens.ravel())
         assert report.passed, report.max_rel_error

@@ -56,8 +56,6 @@ def _reference_kmeans(x, k, max_iter=100, seed=0):
         history.append(float(point_d2.sum()))
         if np.array_equal(new_assignment, assignment):
             break
-        if it > 0 and not history[-1] < history[-2]:
-            break  # the inertia stopped falling
         assignment = new_assignment
         for j in range(k):
             members = assignment == j
@@ -87,6 +85,16 @@ def _assert_matches_reference(x, k, seed):
     assert kmeans(x, k, max_iter=0, seed=seed).centroids.tobytes() == seeds.tobytes()
     centroids, assignment, inertia, history, n_iter, reps = _reference_kmeans(x, k, seed=seed)
     result = kmeans(x, k, seed=seed)
+    if result.n_iter < n_iter:
+        # Only with fewer distinct rows than k does kmeans also stop once the
+        # inertia stops falling. Up to there it runs the loops' iterations, so
+        # it returns their state one iteration earlier and records its inertia.
+        assert np.unique(x, axis=0).shape[0] < k
+        n_iter = result.n_iter
+        centroids, assignment, inertia, history, _, reps = _reference_kmeans(
+            x, k, max_iter=n_iter - 1, seed=seed
+        )
+        history = history + [inertia]
     assert result.centroids.tobytes() == centroids.tobytes()
     assert np.array_equal(result.assignment, assignment)
     assert np.float64(result.inertia).tobytes() == np.float64(inertia).tobytes()
@@ -98,15 +106,16 @@ def _assert_matches_reference(x, k, seed):
 
 
 @st.composite
-def _point_sets(draw):
+def _point_sets(draw, k_within_distinct=False):
     """Small point sets with duplicated rows, exact ties and row scales from
     1e-165 to 1e150 (near 1e-162 squared distances are subnormal); a shared
     offset up to 1e12 times the spread makes the expansion cancel, and past
-    1e154 its squared norms overflow."""
+    1e154 its squared norms overflow. With `k_within_distinct`, k is at most
+    the number of distinct base rows."""
     n = draw(st.integers(1, 60))
     d = draw(st.integers(1, 20))
-    k = draw(st.integers(1, n))
     distinct = draw(st.integers(1, n))
+    k = draw(st.integers(1, distinct if k_within_distinct else n))
     exponent = st.one_of(st.integers(-165, 150), st.integers(-163, -160))
     exponents = draw(st.lists(exponent, min_size=1, max_size=3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -129,6 +138,16 @@ class TestKMeansOracle:
     @settings(max_examples=150, deadline=None)
     @given(_point_sets())
     def test_bit_identical_to_loops(self, case):
+        x, k, seed = case
+        _assert_matches_reference(x, k, seed)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @settings(max_examples=100, deadline=None)
+    @given(_point_sets(k_within_distinct=True))
+    def test_bit_identical_to_loops_at_k_within_distinct_rows(self, case):
+        # Mostly at least k distinct rows, where kmeans must run every Lloyd
+        # and re-seed iteration of the loops.
         x, k, seed = case
         _assert_matches_reference(x, k, seed)
 
