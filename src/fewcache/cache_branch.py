@@ -15,9 +15,12 @@ a convex combination of simplex rows, hence itself on the simplex.
 beta scales the unit-norm dot products (which live in [-1, 1]) so that
 the attention is not stuck near uniform.
 
-`retrieve` streams the queries through fixed row blocks and keeps only
-the (m, N) probabilities, so its memory does not grow with m beyond the
-output; `attention` is the opt-in full (m, n_cache) matrix.
+Memory contract: `retrieve` checks its inputs once, then scores the
+queries in row blocks of at most numerics._BLOCK_ELEMENTS attention
+entries, each written into one reused (rows, n_cache) buffer. It holds
+its (m, N) output, that one block and the (n_cache, N) value rows, so
+its memory grows with m only by the output; `attention` is the opt-in
+full (m, n_cache) matrix.
 """
 
 from __future__ import annotations
@@ -27,11 +30,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dataset import EmbeddingStore
-from .errors import ShapeMismatchError
+from .errors import NonFiniteInputError, ShapeMismatchError
 from .numerics import (
     PROB_CLAMP,
     REAL,
+    _all_finite,
     _mean_nll,
+    _row_blocks,
     _softmax_rows,
     as_matrix,
     l2_normalize_rows,
@@ -40,10 +45,6 @@ from .numerics import (
 from .sampler import FewShotSplit
 
 DEFAULT_BETA = 10.0
-
-# Attention entries scored per block in `retrieve` (2 MiB of float64), so
-# the (m, n_cache) temporaries never exist for a slide-scale test set.
-_BLOCK_ELEMENTS = 1 << 18
 
 @dataclass
 class CacheModel:
@@ -128,9 +129,14 @@ def attention(model: CacheModel, queries) -> np.ndarray:
     return as_matrix(_attention(q, model.keys, model.beta), "attention")
 
 
-def _attention(q: np.ndarray, keys: np.ndarray, beta: float) -> np.ndarray:
-    """Trusted core of attention."""
-    return _softmax_rows(beta * (q @ keys.T))
+def _attention(
+    q: np.ndarray, keys: np.ndarray, beta: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Trusted core of attention; scores into `out` (default: a new array)
+    and turns them into the attention in place."""
+    scores = np.matmul(q, keys.T, out=out)
+    scores *= beta
+    return _softmax_rows(scores)
 
 
 def retrieve(model: CacheModel, queries) -> np.ndarray:
@@ -138,14 +144,27 @@ def retrieve(model: CacheModel, queries) -> np.ndarray:
 
     Queries are scored in blocks of at most _BLOCK_ELEMENTS attention
     entries; a query set that fits in one block is scored in one call.
+    Each block goes through the core of `attention`, so the result
+    equals attention(model, queries) @ model.value_distributions().
     """
     q = _query_matrix(model, queries)
+    keys = as_matrix(model.keys, "cache keys")
+    if not np.isfinite(model.beta):
+        raise NonFiniteInputError(f"cache beta {model.beta} is not finite")
     values = model.value_distributions()
-    rows = max(1, _BLOCK_ELEMENTS // model.n_cache)
-    probs = np.empty((q.shape[0], model.num_classes), dtype=REAL)
-    for start in range(0, q.shape[0], rows):
-        block = slice(start, start + rows)
-        np.matmul(attention(model, q[block]), values, out=probs[block])
+    m = q.shape[0]
+    starts = _row_blocks(m, model.n_cache)
+    probs = np.empty((m, model.num_classes), dtype=REAL)
+    scores = np.empty((min(starts.step, m), model.n_cache), dtype=REAL)
+    # Finite inputs can still overflow the scores (keys far from unit norm
+    # or a huge beta); such a softmax row is NaN, and so is its output row.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in starts:
+            stop = min(start + starts.step, m)
+            attn = _attention(q[start:stop], keys, model.beta, out=scores[: stop - start])
+            np.matmul(attn, values, out=probs[start:stop])
+    if not _all_finite(probs):
+        raise NonFiniteInputError("attention contains NaN or infinity")
     return probs
 
 

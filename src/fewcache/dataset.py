@@ -6,6 +6,12 @@ per-instance labels. All rows are L2-normalized at load time: every
 consumer compares features by cosine/dot product, so the contract is
 centralized here.
 
+Memory contract: `load_manifest` checks every FEMB header against the
+manifest before it allocates the float64 store, once. It then copies one
+bag at a time into the store and normalizes and checks the rows in place,
+one row block (numerics._BLOCK_ELEMENTS) at a time. So a load holds the
+store, plus one bag as read and widened, plus one block.
+
 File formats, each with the error a bad file raises. The CLI prints it
 as one stderr line and exits 1; usage errors (bad flag, missing file
 named in a config, malformed config) exit 2. Each JSON format is a
@@ -35,10 +41,12 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import BinaryIO, Iterator, Optional
 
 import numpy as np
 
@@ -55,7 +63,7 @@ from .errors import (
     TruncatedPayloadError,
     UnsupportedVersionError,
 )
-from .numerics import REAL, l2_normalize_rows
+from .numerics import REAL, _all_finite, _l2_normalize_rows, _row_blocks, l2_normalize_rows
 
 FEMB_MAGIC = b"FEMB"
 _FEMB_HEADER = struct.Struct("<4sIQQ")
@@ -139,9 +147,12 @@ class Dataset:
                     raise LabelRangeError(
                         f"bag {bag.id!r} instance label out of range [0, {self.num_classes})"
                     )
-        norms = np.linalg.norm(self.store.rows, axis=1)
-        if norms.size and np.abs(norms - 1.0).max() > 1e-9:
-            raise DimensionMismatchError("store rows are not unit-norm")
+        rows = self.store.rows
+        starts = _row_blocks(rows.shape[0], rows.shape[1])
+        for start in starts:
+            norms = np.linalg.norm(rows[start : start + starts.step], axis=1)
+            if np.abs(norms - 1.0).max() > 1e-9:
+                raise DimensionMismatchError("store rows are not unit-norm")
 
     def instance_labels_vector(self) -> np.ndarray:
         """Per-instance labels over the whole store; -1 where unknown."""
@@ -172,30 +183,47 @@ def write_embeddings(path, rows: np.ndarray, version: int = 1) -> Path:
     return path
 
 
+@contextmanager
+def _femb_header(path: Path) -> Iterator[tuple[BinaryIO, np.dtype, int, int]]:
+    """Open a FEMB file and check its header and size; yields the file at
+    the payload with (payload dtype, n, d).
+
+    Reads the header only, so a header that promises more rows than the
+    file holds fails before anything is allocated for them.
+    """
+    try:
+        f = open(path, "rb")
+    except FileNotFoundError:
+        raise MissingFileError(f"embedding file not found: {path}") from None
+    with f:
+        head = f.read(_FEMB_HEADER.size)
+        if len(head) < _FEMB_HEADER.size:
+            raise TruncatedPayloadError(f"{path}: shorter than the FEMB header")
+        magic, version, n, d = _FEMB_HEADER.unpack(head)
+        if magic != FEMB_MAGIC:
+            raise BadMagicError(f"{path}: bad magic {magic!r}")
+        if version not in _FEMB_DTYPES:
+            raise UnsupportedVersionError(f"{path}: unknown FEMB version {version}")
+        dtype = _FEMB_DTYPES[version]
+        expected = n * d * dtype.itemsize
+        payload = os.fstat(f.fileno()).st_size - _FEMB_HEADER.size
+        if payload < expected:
+            raise TruncatedPayloadError(
+                f"{path}: payload holds {payload} bytes, header promises {expected}"
+            )
+        if payload > expected:
+            raise FembError(f"{path}: {payload - expected} trailing bytes after payload")
+        yield f, dtype, n, d
+
+
 def read_embeddings(path) -> EmbeddingStore:
     """Read a FEMB file bit-exactly, widening the payload to REAL."""
     path = Path(path)
-    if not path.exists():
-        raise MissingFileError(f"embedding file not found: {path}")
-    blob = path.read_bytes()
-    if len(blob) < _FEMB_HEADER.size:
-        raise TruncatedPayloadError(f"{path}: shorter than the FEMB header")
-    magic, version, n, d = _FEMB_HEADER.unpack_from(blob)
-    if magic != FEMB_MAGIC:
-        raise BadMagicError(f"{path}: bad magic {magic!r}")
-    if version not in _FEMB_DTYPES:
-        raise UnsupportedVersionError(f"{path}: unknown FEMB version {version}")
-    dtype = _FEMB_DTYPES[version]
-    expected = n * d * dtype.itemsize
-    payload = blob[_FEMB_HEADER.size :]
-    if len(payload) < expected:
-        raise TruncatedPayloadError(
-            f"{path}: payload holds {len(payload)} bytes, header promises {expected}"
-        )
-    if len(payload) > expected:
-        raise FembError(f"{path}: {len(payload) - expected} trailing bytes after payload")
-    a = np.frombuffer(payload, dtype=dtype).reshape(n, d).astype(REAL)
-    if not np.all(np.isfinite(a)):
+    with _femb_header(path) as (f, dtype, n, d):
+        raw = np.empty((n, d), dtype=dtype)
+        f.readinto(raw)
+    a = raw.astype(REAL, copy=False)
+    if not _all_finite(a):
         raise NonFiniteValueError(f"{path}: payload contains NaN or infinity")
     return EmbeddingStore.from_array(a)
 
@@ -227,19 +255,20 @@ def load_manifest(path) -> Dataset:
         raise MissingFileError(f"manifest not found: {path}")
     doc = from_doc(ManifestDoc, read_json(path, ManifestFormatError), ManifestFormatError)
     base = path.parent
-    chunks: list[np.ndarray] = []
+    for entry in doc.bags:
+        with _femb_header(base / entry.embeddings) as (_, _, n, d):
+            if d != doc.dim:
+                raise DimensionMismatchError(
+                    f"bag {entry.id!r}: embedding dim {d} != manifest dim {doc.dim}"
+                )
+            if n != entry.n:
+                raise DimensionMismatchError(
+                    f"bag {entry.id!r}: file holds {n} rows, manifest declares {entry.n}"
+                )
+    rows = np.empty((sum(entry.n for entry in doc.bags), doc.dim), dtype=REAL)
     bags: list[Bag] = []
     cursor = 0
     for entry in doc.bags:
-        store = read_embeddings(base / entry.embeddings)
-        if store.d != doc.dim:
-            raise DimensionMismatchError(
-                f"bag {entry.id!r}: embedding dim {store.d} != manifest dim {doc.dim}"
-            )
-        if store.n != entry.n:
-            raise DimensionMismatchError(
-                f"bag {entry.id!r}: file holds {store.n} rows, manifest declares {entry.n}"
-            )
         inst_labels = None
         if entry.instance_labels:
             lpath = base / entry.instance_labels
@@ -247,11 +276,11 @@ def load_manifest(path) -> Dataset:
                 raise MissingFileError(f"bag {entry.id!r}: label file not found: {lpath}")
             raw = from_doc(list[int], read_json(lpath, ManifestFormatError), ManifestFormatError)
             inst_labels = np.asarray(raw, dtype=np.int64)
-        chunks.append(store.rows)
+        rows[cursor : cursor + entry.n] = read_embeddings(base / entry.embeddings).rows
         bags.append(Bag(entry.id, entry.label, cursor, cursor + entry.n, inst_labels))
         cursor += entry.n
-    rows = np.concatenate(chunks, axis=0) if chunks else np.zeros((0, doc.dim), dtype=REAL)
-    rows = l2_normalize_rows(rows) if rows.size else rows
+    if rows.size:
+        _l2_normalize_rows(rows, out=rows)
     ds = Dataset(
         name=path.stem if doc.name is None else doc.name,
         dim=doc.dim,

@@ -5,9 +5,14 @@ All kernels operate on 2-d numpy arrays in the build-wide precision
 are pure: they mutate no argument and keep no state, so they are safe to
 call concurrently. Each is a thin wrapper over a `_`-prefixed trusted
 core that runs the same IEEE operations and checks nothing; `_adam_step`
-updates its parameter and moments in place. The training loop validates
+and `_softmax_rows` update their argument in place, and
+`_l2_normalize_rows` writes where `out` says. The training loop validates
 once and then calls the cores, so the public kernels and the loop run
 the same arithmetic.
+
+Memory contract: work over many rows goes in row blocks of at most
+_BLOCK_ELEMENTS entries (`_row_blocks`), so a kernel's temporaries stay one
+block whatever the row count.
 """
 
 from __future__ import annotations
@@ -32,13 +37,34 @@ PROB_CLAMP = 1e-12
 _TINY_NORM = 2.0 ** -450
 _TINY_SCALE = 2.0 ** 600
 
+# Entries per row block (2 MiB of float64): the one block size of every
+# kernel that streams over rows (retrieve, normalization, norm checks).
+_BLOCK_ELEMENTS = 1 << 18
+
+
+def _row_blocks(n_rows: int, row_elements: int) -> range:
+    """Start rows of the blocks that split n_rows rows of row_elements
+    entries each into at most _BLOCK_ELEMENTS entries (one row at least);
+    block i covers rows [starts[i], starts[i] + starts.step)."""
+    return range(0, n_rows, max(1, _BLOCK_ELEMENTS // max(1, row_elements)))
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    """True iff no entry of the 2-d array is NaN or infinite; checked one
+    row block at a time, so it holds one block of flags."""
+    starts = _row_blocks(a.shape[0], a.shape[1])
+    for start in starts:
+        if not np.isfinite(a[start : start + starts.step]).all():
+            return False
+    return True
+
 
 def as_matrix(m, name: str = "matrix") -> np.ndarray:
     """Coerce to a finite 2-d REAL array, raising on bad input."""
     a = np.asarray(m, dtype=REAL)
     if a.ndim != 2:
         raise ShapeMismatchError(f"{name} must be 2-d, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not _all_finite(a):
         raise NonFiniteInputError(f"{name} contains NaN or infinity")
     return a
 
@@ -49,15 +75,16 @@ def softmax_rows(m) -> np.ndarray:
     Each output row is nonnegative and sums to 1; entries of magnitude
     1000 do not overflow because the row maximum is subtracted first.
     """
-    return _softmax_rows(as_matrix(m, "softmax input"))
+    return _softmax_rows(as_matrix(m, "softmax input").copy())
 
 
 def _softmax_rows(a: np.ndarray) -> np.ndarray:
-    """Trusted core of softmax_rows; allocates only its result."""
-    e = a - np.maximum.reduce(a, axis=1, keepdims=True)
-    np.exp(e, out=e)
-    e /= np.add.reduce(e, axis=1, keepdims=True)
-    return e
+    """Trusted core of softmax_rows: overwrites `a` with its softmax and
+    returns it; allocates only two row vectors."""
+    a -= np.maximum.reduce(a, axis=1, keepdims=True)
+    np.exp(a, out=a)
+    a /= np.add.reduce(a, axis=1, keepdims=True)
+    return a
 
 
 def l2_normalize_rows(m) -> np.ndarray:
@@ -68,20 +95,35 @@ def l2_normalize_rows(m) -> np.ndarray:
     return _l2_normalize_rows(as_matrix(m, "normalize input"))
 
 
-def _l2_normalize_rows(a: np.ndarray) -> np.ndarray:
-    """Trusted core of l2_normalize_rows; still raises DegenerateRowError."""
-    norms = np.sqrt(np.add.reduce(a * a, axis=1))  # np.linalg.norm(a, axis=1)
-    if norms.min(initial=np.inf) < _TINY_NORM:
-        tiny = np.flatnonzero(norms < _TINY_NORM)
-        # The squares of these rows underflow to subnormals or zero; scaling
-        # by a power of two is exact, so scale them up before the norm.
-        a = a.copy()
-        a[tiny] *= _TINY_SCALE
-        norms[tiny] = np.linalg.norm(a[tiny], axis=1)
-        zero = np.flatnonzero(norms == 0.0)
-        if zero.size:
-            raise DegenerateRowError(int(zero[0]))
-    return a / norms[:, None]
+def _l2_normalize_rows(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Trusted core of l2_normalize_rows; still raises DegenerateRowError.
+
+    Writes into `out` (`out=a` normalizes in place) one row block at a
+    time, so it holds one block of squares. Every row is reduced on its
+    own, so the blocks do not change a bit.
+    """
+    starts = _row_blocks(a.shape[0], a.shape[1])
+    for start in starts:
+        x = a[start : start + starts.step]
+        norms = np.sqrt(np.add.reduce(x * x, axis=1))  # np.linalg.norm(x, axis=1)
+        tiny = np.flatnonzero(norms < _TINY_NORM) if norms.min() < _TINY_NORM else None
+        if tiny is not None:
+            # The squares of these rows underflow to subnormals or zero; scaling
+            # by a power of two is exact, so scale them up before the norm.
+            scaled = x[tiny] * _TINY_SCALE
+            norms[tiny] = np.linalg.norm(scaled, axis=1)
+            zero = np.flatnonzero(norms == 0.0)
+            if zero.size:
+                raise DegenerateRowError(start + int(zero[0]))
+        if out is None:
+            # Allocated once the squares are freed, so a one-block result
+            # reuses their memory instead of faulting in fresh pages.
+            out = np.empty_like(a)
+        o = out[start : start + starts.step]
+        np.divide(x, norms[:, None], out=o)
+        if tiny is not None:
+            o[tiny] = scaled / norms[tiny, None]
+    return a.copy() if out is None else out
 
 
 def _mean_nll(picked: np.ndarray) -> float:

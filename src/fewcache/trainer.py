@@ -79,6 +79,8 @@ class TrainConfig:
             raise ValueError("learning rates must be >= 0")
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
+        if self.batch_size is not None and self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
 
 
 @dataclass
@@ -144,12 +146,12 @@ def train(
 
         if cfg.lr_keys > 0.0:
             _adam_step(keys, cfg.cache_loss_weight * g_keys, adam_keys, cfg.lr_keys)
-            keys = _l2_normalize_rows(keys)
+            _l2_normalize_rows(keys, out=keys)
         if cfg.lr_value_logits > 0.0:
             _adam_step(
                 free_logits, cfg.cache_loss_weight * g_free, adam_values, cfg.lr_value_logits
             )
-            values[free] = _softmax_rows(free_logits)
+            values[free] = _softmax_rows(free_logits.copy())
         if cfg.lr_prompt > 0.0:
             _adam_step(prompt, cfg.prompt_loss_weight * g_prompt, adam_prompt, cfg.lr_prompt)
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fewcache import cache_branch
+from fewcache import numerics
 from fewcache.cache_branch import (
     CacheModel,
     attention,
@@ -232,7 +232,7 @@ class TestBlockedRetrieve:
         expected = attention(model, q) @ model.value_distributions()
         for rows in (1, 7, m - 1, m, m + 5):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(cache_branch, "_BLOCK_ELEMENTS", rows * n_cache)
+                mp.setattr(numerics, "_BLOCK_ELEMENTS", rows * n_cache)
                 probs = retrieve(model, q)
             assert probs.shape == (m, num_classes)
             np.testing.assert_allclose(probs, expected, rtol=0.0, atol=1e-12)
@@ -244,9 +244,53 @@ class TestBlockedRetrieve:
         q = np.tile([1.0, 0.0], (10, 1))
         q[9, 0] = np.nan
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cache_branch, "_BLOCK_ELEMENTS", 2 * model.n_cache)
+            mp.setattr(numerics, "_BLOCK_ELEMENTS", 2 * model.n_cache)
             with pytest.raises(NonFiniteInputError):
                 retrieve(model, q)
+
+    @pytest.mark.parametrize("m, rows", [(30, 7), (64, 16), (5, 1), (9, 100)])
+    def test_bit_identical_to_attention_per_block(self, m, rows):
+        # Blocks of `rows` queries, the last one ragged unless rows divides m.
+        rng = np.random.default_rng(m)
+        model = _random_model(rng, n_cache=11, dim=5, num_classes=3, beta=20.0)
+        q = l2_normalize_rows(rng.normal(size=(m, 5)))
+        values = model.value_distributions()
+        expected = np.concatenate(
+            [attention(model, q[s : s + rows]) @ values for s in range(0, m, rows)]
+        )
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(numerics, "_BLOCK_ELEMENTS", rows * model.n_cache)
+            probs = retrieve(model, q)
+        assert probs.tobytes() == expected.tobytes()
+
+    def test_queries_not_mutated(self):
+        rng = np.random.default_rng(3)
+        model = _random_model(rng, n_cache=6, dim=4, num_classes=2, beta=10.0)
+        q = l2_normalize_rows(rng.normal(size=(13, 4)))
+        before = q.copy()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(numerics, "_BLOCK_ELEMENTS", 4 * model.n_cache)
+            retrieve(model, q)
+        assert q.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["keys", "beta"])
+    def test_non_finite_keys_or_beta(self, bad, where):
+        model = _two_key_model()
+        if where == "keys":
+            model.keys[1, 0] = bad
+        else:
+            model.beta = bad
+        with pytest.raises(NonFiniteInputError, match=f"cache {where}"):
+            retrieve(model, np.tile([1.0, 0.0], (5, 1)))
+
+    def test_overflowing_scores_raise(self):
+        # Finite keys and beta whose product overflows: a NaN softmax row.
+        model = _two_key_model()
+        model.keys = model.keys * 1e200
+        model.beta = 1e200
+        with pytest.raises(NonFiniteInputError, match="attention"):
+            retrieve(model, np.tile([1.0, 0.0], (5, 1)))
 
     def test_peak_memory_bounded_in_query_count(self):
         rng = np.random.default_rng(0)

@@ -343,6 +343,8 @@ class TestErrors:
                          id="unknown-prompt-mode"),
             pytest.param("prototype", 5, "TrainConfig must be a JSON object",
                          id="train-not-an-object"),
+            pytest.param("prototype", {"steps": 5, "batch_size": 0},
+                         "batch_size must be >= 1", id="zero-batch-size"),
         ],
     )
     def test_malformed_train_config_exits_2(self, pipeline_dirs, capsys, prompt_mode, train,

@@ -103,6 +103,7 @@ def test_run_record_in_memory_fields_not_written():
         (PromptConfig, {"path": 5}, "PromptConfig.path must be str, got int"),
         (AUCResult, {"per_class": [0.5, "x"], "macro": None},
          "AUCResult.per_class must be float, got str"),
+        (TrainConfig, {"batch_size": 0}, "TrainConfig: batch_size must be >= 1"),
     ],
 )
 def test_malformed_docs_raise_usage_error(cls, doc, match):

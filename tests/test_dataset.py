@@ -1,8 +1,11 @@
 import json
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from fewcache import numerics
 from fewcache.dataset import (
     Bag,
     Dataset,
@@ -17,6 +20,7 @@ from fewcache.dataset import (
 )
 from fewcache.errors import (
     BadMagicError,
+    DegenerateRowError,
     DimensionMismatchError,
     FembError,
     LabelRangeError,
@@ -182,6 +186,99 @@ class TestManifest:
         m2 = save_dataset(ds1, tmp_path / "b")
         ds2 = load_manifest(m2)
         assert np.array_equal(ds1.store.rows, ds2.store.rows)
+
+
+def _write_bags(tmp_path, bags, *, version=1, declared_n=None):
+    """Write one FEMB file per row array plus a manifest over them."""
+    entries = []
+    for i, rows in enumerate(bags):
+        write_embeddings(tmp_path / f"bag{i}.femb", rows, version=version)
+        n = rows.shape[0] if declared_n is None else declared_n
+        entries.append({"id": f"bag{i}", "label": i % 2, "embeddings": f"bag{i}.femb", "n": n})
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"dim": bags[0].shape[1], "classes": ["neg", "pos"],
+                                "bags": entries}))
+    return path
+
+
+class TestStreamedLoad:
+    """load_manifest fills one preallocated store bag by bag and normalizes
+    it in row blocks; the rows equal the whole-store normalization."""
+
+    @pytest.mark.parametrize(
+        "version, scale",
+        # float32 cannot hold rows small enough for the tiny-norm path
+        [(1, 1.0), (2, 1.0), (2, 2.0**-500)], ids=["v1", "v2", "v2-tiny"],
+    )
+    def test_rows_match_whole_store_normalize(self, tmp_path, rng, version, scale):
+        bags = [scale * rng.normal(size=(n, 6)) for n in (7, 1, 12, 5)]
+        path = _write_bags(tmp_path, bags, version=version)
+        files = [tmp_path / f"bag{i}.femb" for i in range(len(bags))]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(numerics, "_BLOCK_ELEMENTS", 1 << 30)  # the whole store is one block
+            expected = l2_normalize_rows(np.concatenate([read_embeddings(f).rows for f in files]))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(numerics, "_BLOCK_ELEMENTS", 4 * 6)  # blocks of 4 rows cross the bags
+            ds = load_manifest(path)
+        assert ds.store.rows.tobytes() == expected.tobytes()
+        assert [(b.start, b.end) for b in ds.bags] == [(0, 7), (7, 8), (8, 20), (20, 25)]
+
+    def test_default_blocks_match_textbook_form(self, tmp_path, rng):
+        # 3 x 1500 x 64 entries span two default blocks.
+        bags = [rng.normal(size=(1500, 64)) for _ in range(3)]
+        ds = load_manifest(_write_bags(tmp_path, bags, version=2))
+        store = np.concatenate(bags)
+        expected = store / np.linalg.norm(store, axis=1)[:, None]
+        assert ds.store.rows.tobytes() == expected.tobytes()
+
+    def test_zero_row_in_later_bag_names_store_row(self, tmp_path, rng):
+        bags = [rng.normal(size=(n, 3)) for n in (4, 4, 5)]
+        bags[2][3] = 0.0
+        path = _write_bags(tmp_path, bags)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(numerics, "_BLOCK_ELEMENTS", 3 * 3)
+            with pytest.raises(DegenerateRowError) as exc:
+                load_manifest(path)
+        assert exc.value.row == 11
+
+    @pytest.mark.parametrize("header_n", [4, 2**40], ids=["manifest-only", "header-too"])
+    def test_huge_declared_count_fails_before_allocating(self, tmp_path, rng, header_n):
+        path = _write_bags(tmp_path, [rng.normal(size=(4, 8))], declared_n=2**40)
+        femb = tmp_path / "bag0.femb"
+        blob = bytearray(femb.read_bytes())
+        struct.pack_into("<Q", blob, 8, header_n)
+        femb.write_bytes(bytes(blob))
+        error = DimensionMismatchError if header_n == 4 else TruncatedPayloadError
+        tracemalloc.start()
+        try:
+            with pytest.raises(error):
+                load_manifest(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize(
+        "corrupt, error",
+        [
+            pytest.param(lambda b: b[:-4], TruncatedPayloadError, id="truncated"),
+            pytest.param(lambda b: b + b"\x00\x00", FembError, id="trailing-bytes"),
+            pytest.param(lambda b: b[:-4] + struct.pack("<f", np.nan), NonFiniteValueError,
+                         id="nan"),
+            pytest.param(lambda b: b"NOPE" + b[4:], BadMagicError, id="bad-magic"),
+            pytest.param(lambda b: b[:4] + struct.pack("<I", 9) + b[8:],
+                         UnsupportedVersionError, id="unknown-version"),
+            pytest.param(lambda b: b[:10], TruncatedPayloadError, id="short-header"),
+        ],
+    )
+    def test_bad_file_in_later_bag_keeps_its_error(self, tmp_path, rng, corrupt, error):
+        path = _write_bags(tmp_path, [rng.normal(size=(3, 4)) for _ in range(3)])
+        femb = tmp_path / "bag2.femb"
+        femb.write_bytes(corrupt(femb.read_bytes()))
+        with pytest.raises(error):
+            load_manifest(path)
+        with pytest.raises(error):
+            read_embeddings(femb)
 
 
 class TestSynthGenerate:

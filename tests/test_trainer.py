@@ -154,6 +154,12 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(cache, prior, empty, ds.store, TrainConfig(steps=10))
 
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_rejected(self, batch_size):
+        # A zero batch would record NaN losses and change no parameter.
+        with pytest.raises(ValueError, match="batch_size must be >= 1"):
+            TrainConfig(steps=3, batch_size=batch_size)
+
     def test_history_csv(self, separable_setup, tmp_path):
         ds, split = separable_setup
         cache, prior = _models(ds, split)
