@@ -49,9 +49,9 @@ from .numerics import (
 )
 from .prior_branch import (
     PriorModel,
-    PromptConfig,
+    PriorSpec,
+    build_prior,
     encode_prompts,
-    load_prior,
     prior_from_features,
     prior_loss_and_grads,
     prior_predict,
@@ -86,7 +86,7 @@ __all__ = [
     "GradCheckReport",
     "KMeansResult",
     "PriorModel",
-    "PromptConfig",
+    "PriorSpec",
     "RunRecord",
     "SynthSpec",
     "TrainConfig",
@@ -97,6 +97,7 @@ __all__ = [
     "bag_pool",
     "binary_auc",
     "build_cache",
+    "build_prior",
     "cache_loss_and_grads",
     "emit_report",
     "encode_prompts",
@@ -107,7 +108,6 @@ __all__ = [
     "kmeans",
     "l2_normalize_rows",
     "load_manifest",
-    "load_prior",
     "prior_from_features",
     "prior_loss_and_grads",
     "prior_predict",

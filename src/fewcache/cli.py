@@ -32,6 +32,7 @@ from typing import Optional
 from .cache_branch import DEFAULT_BETA, build_cache, retrieve
 from .codec import from_doc, read_json, to_doc
 from .dataset import SynthSpec, load_manifest, save_dataset, synth_generate
+from .encoders import read_prompt_features
 from .errors import FewcacheError, UsageError
 from .fusion_eval import GRID_POINTS, POOL_OPERATORS, alpha_table_to_csv, fuse, pick_alpha, score
 from .gradchecks import run_all_suites
@@ -43,16 +44,19 @@ from .harness import (
     run_experiment,
     write_run_record,
 )
-from .prior_branch import PromptConfig, load_prior, prior_predict
+from .prior_branch import PriorSpec, build_prior, prior_predict
 from .sampler import FewShotSpec, load_split, sample_split, save_split
 from .trainer import TrainConfig, history_to_csv, restore, snapshot, train
 
 
 @dataclass
-class TrainJob:
+class TrainJob(PriorSpec):
+    """`fewcache train` config: `prompt` is the N x d prompt-feature FEMB;
+    the prior keys (prior_mode, prior_tau, toy_*) are PriorSpec's."""
+
     dataset: str
     split: str
-    prompt: PromptConfig
+    prompt: str
     train: TrainConfig = field(default_factory=TrainConfig)
     cache_beta: float = DEFAULT_BETA
 
@@ -164,7 +168,8 @@ def cmd_train(args) -> int:
     dataset = load_manifest(_existing(job.dataset, "dataset"))
     split = load_split(_existing(job.split, "split file"), dataset)
     cache = build_cache(split, dataset.store, dataset.classes, beta=job.cache_beta)
-    prior = load_prior(job.prompt, dataset.classes, dataset.dim)
+    prompts = read_prompt_features(job.prompt, dataset.dim, dataset.num_classes)
+    prior = build_prior(job, prompts, dataset.classes)
     cache, prior, state = train(cache, prior, split, dataset.store, train_cfg)
     out = _out_dir(args)
     snapshot(cache, prior, out / "checkpoint")

@@ -33,8 +33,10 @@ not JSON, or has a missing or unknown key or a wrongly typed value fails.
   {"version", "cache": {"beta", "frozen_mask", "classes"}, "prior":
   {"mode", "tau", "classes", and in toy-encoder mode "tokens_per_class",
   "learnable_per_class"}}
-* <prompt path>.json beside a toy-encoder token file
-  (prior_branch.PromptSidecar; ManifestFormatError): {"tokens_per_class"}
+
+A prompt-feature file is a FEMB file of one d-wide row per class
+(encoders.read_prompt_features); a file of another shape raises
+DimensionConflictError.
 """
 
 from __future__ import annotations
@@ -142,7 +144,7 @@ class Dataset:
                         f"bag {bag.id!r} has {len(bag.instance_labels)} instance labels "
                         f"for {bag.n} instances"
                     )
-                lo, hi = int(min(bag.instance_labels)), int(max(bag.instance_labels))
+                lo, hi = int(bag.instance_labels.min()), int(bag.instance_labels.max())
                 if lo < 0 or hi >= self.num_classes:
                     raise LabelRangeError(
                         f"bag {bag.id!r} instance label out of range [0, {self.num_classes})"

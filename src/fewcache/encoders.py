@@ -92,6 +92,22 @@ class FileSource:
     encoder_name: str = "unknown"
 
 
+def read_prompt_features(path, dim: int, num_classes: int) -> np.ndarray:
+    """The raw rows of a prompt-feature FEMB file: one d-wide row per class.
+
+    Raises DimensionConflictError if the file's width is not `dim` or it
+    does not hold `num_classes` rows.
+    """
+    store = read_embeddings(path)
+    if store.d != dim:
+        raise DimensionConflictError(f"instance dim {dim} but prompt-feature dim {store.d}")
+    if store.n != num_classes:
+        raise DimensionConflictError(
+            f"prompt file holds {store.n} rows for {num_classes} classes"
+        )
+    return store.rows
+
+
 _SOURCE_KINDS = {"synthetic": SyntheticSource, "file": FileSource}
 
 
@@ -142,17 +158,9 @@ def resolve_source(config: dict) -> EmbeddingSource:
         raise DimensionConflictError(
             f"train dim {train.dim} != test dim {test.dim}"
         )
-    prompt_store = read_embeddings(src.prompt_features)
-    if prompt_store.d != train.dim:
-        raise DimensionConflictError(
-            f"instance dim {train.dim} but prompt-feature dim {prompt_store.d}"
-        )
-    if prompt_store.n != train.num_classes:
-        raise DimensionConflictError(
-            f"prompt file holds {prompt_store.n} rows for "
-            f"{train.num_classes} classes"
-        )
-    prompts = l2_normalize_rows(prompt_store.rows)
+    prompts = l2_normalize_rows(
+        read_prompt_features(src.prompt_features, train.dim, train.num_classes)
+    )
     provenance = {
         "encoder": src.encoder_name,
         "checksum": _sha256_file(src.train_manifest),

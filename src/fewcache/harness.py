@@ -28,15 +28,7 @@ from .codec import SKIP, from_doc, read_json, to_doc
 from .encoders import EmbeddingSource, resolve_source
 from .errors import FewcacheError, UsageError
 from .fusion_eval import POOL_OPERATORS, EvalReport, fuse, pick_alpha, score
-from .prior_branch import (
-    DEFAULT_TAU,
-    PRIOR_MODES,
-    PROTOTYPE,
-    TOY_ENCODER,
-    prior_from_features,
-    prior_predict,
-    prior_toy_encoder,
-)
+from .prior_branch import PriorSpec, build_prior, prior_predict
 from .sampler import FewShotSpec, sample_split
 from .trainer import TrainConfig, train
 
@@ -46,7 +38,10 @@ DEFAULT_REPEATS = 5
 
 
 @dataclass
-class ExperimentConfig:
+class ExperimentConfig(PriorSpec):
+    """A `sweep` config; the prior keys (prior_mode, prior_tau, toy_*) are
+    PriorSpec's."""
+
     source: dict
     bag_shots: tuple[int, ...] = DEFAULT_BAG_SHOTS
     instance_shots: tuple[int, ...] = DEFAULT_INSTANCE_SHOTS
@@ -55,12 +50,6 @@ class ExperimentConfig:
     per_bag: bool = False
     train: TrainConfig = field(default_factory=TrainConfig)
     cache_beta: float = DEFAULT_BETA
-    prior_mode: str = PROTOTYPE
-    prior_tau: float = DEFAULT_TAU
-    toy_tokens_per_class: int = 4
-    toy_token_width: int = 16
-    toy_num_learnable: int = 10
-    toy_seed: int = 0
     pooling: str = "mean"
     grid_points: int = 101
     freeze_keys: bool = False
@@ -71,8 +60,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
-        if self.prior_mode not in PRIOR_MODES:
-            raise ValueError(f"unknown prior mode {self.prior_mode!r}")
+        super().__post_init__()
         if self.pooling not in POOL_OPERATORS:
             raise ValueError(f"unknown pooling operator {self.pooling!r}")
         if self.grid_points < 1:
@@ -189,17 +177,7 @@ def run_single(
         # this ablation mirrors cache annotated instances only.
         cache_split = replace(split, unlabeled_rows=np.empty(0, dtype=np.int64))
     cache = build_cache(cache_split, train_ds.store, train_ds.classes, beta=cfg.cache_beta)
-    if cfg.prior_mode == TOY_ENCODER:
-        rng = np.random.default_rng(cfg.toy_seed)
-        base_tokens = rng.standard_normal(
-            (train_ds.num_classes, cfg.toy_tokens_per_class, cfg.toy_token_width)
-        )
-        prior = prior_toy_encoder(
-            base_tokens, train_ds.classes, train_ds.dim,
-            num_learnable=cfg.toy_num_learnable, tau=cfg.prior_tau, seed=cfg.toy_seed,
-        )
-    else:
-        prior = prior_from_features(source.prompt_features, train_ds.classes, tau=cfg.prior_tau)
+    prior = build_prior(cfg, source.prompt_features, train_ds.classes)
 
     train_cfg = replace(
         cfg.train,

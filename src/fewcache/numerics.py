@@ -33,7 +33,8 @@ REAL = np.float64
 PROB_CLAMP = 1e-12
 
 # Rows with a norm below _TINY_NORM are rescaled by _TINY_SCALE before
-# normalizing; no row of that size overflows when squared after scaling.
+# normalizing, and rows whose squares overflow (norm inf) by 1 / _TINY_SCALE;
+# no finite row overflows when squared after either scaling.
 _TINY_NORM = 2.0 ** -450
 _TINY_SCALE = 2.0 ** 600
 
@@ -105,13 +106,17 @@ def _l2_normalize_rows(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarr
     starts = _row_blocks(a.shape[0], a.shape[1])
     for start in starts:
         x = a[start : start + starts.step]
-        norms = np.sqrt(np.add.reduce(x * x, axis=1))  # np.linalg.norm(x, axis=1)
-        tiny = np.flatnonzero(norms < _TINY_NORM) if norms.min() < _TINY_NORM else None
-        if tiny is not None:
-            # The squares of these rows underflow to subnormals or zero; scaling
-            # by a power of two is exact, so scale them up before the norm.
-            scaled = x[tiny] * _TINY_SCALE
-            norms[tiny] = np.linalg.norm(scaled, axis=1)
+        with np.errstate(over="ignore"):  # an overflowing row is rescaled below
+            norms = np.sqrt(np.add.reduce(x * x, axis=1))  # np.linalg.norm(x, axis=1)
+        odd = None
+        if norms.min() < _TINY_NORM or norms.max() == np.inf:
+            # The squares of these rows underflow to subnormals or zero, or
+            # overflow; scaling by a power of two is exact, so scale them into
+            # range before the norm.
+            odd = np.flatnonzero((norms < _TINY_NORM) | (norms == np.inf))
+            scale = np.where(norms[odd] < _TINY_NORM, _TINY_SCALE, 1.0 / _TINY_SCALE)
+            scaled = x[odd] * scale[:, None]
+            norms[odd] = np.linalg.norm(scaled, axis=1)
             zero = np.flatnonzero(norms == 0.0)
             if zero.size:
                 raise DegenerateRowError(start + int(zero[0]))
@@ -121,8 +126,8 @@ def _l2_normalize_rows(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarr
             out = np.empty_like(a)
         o = out[start : start + starts.step]
         np.divide(x, norms[:, None], out=o)
-        if tiny is not None:
-            o[tiny] = scaled / norms[tiny, None]
+        if odd is not None:
+            o[odd] = scaled / norms[odd, None]
     return a.copy() if out is None else out
 
 

@@ -5,14 +5,17 @@ vector per class, softmaxed over classes. Text features come from one of
 two pluggable sources standing in for a frozen language-side encoder:
 
 * prototype mode (default): the per-class feature rows themselves are
-  the learnable parameters, initialized from a prompt-feature file.
+  the learnable parameters, initialized from the N x d prompt features.
 * toy-encoder mode: each class has a fixed base token sequence plus D
   learnable tokens; the mean token embedding is pushed through a frozen
-  random linear map and normalized. This keeps the learnable-token
+  random linear map to width d and normalized. The base tokens and the
+  map are drawn from one seed. This keeps the learnable-token
   parameterization exercised end to end.
 
-Both modes feed the same downstream math, so prediction, loss, and
-fusion are mode-agnostic.
+One set of keys, `PriorSpec` (prior_mode, prior_tau and the toy_* keys),
+describes every initial prior, and `build_prior` builds it: `sweep` and
+`train` configs both inherit those keys. Both modes feed the same
+downstream math, so prediction, loss, and fusion are mode-agnostic.
 """
 
 from __future__ import annotations
@@ -22,9 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .codec import from_doc, read_json
-from .dataset import read_embeddings
-from .errors import ManifestFormatError, ShapeMismatchError
+from .errors import ShapeMismatchError
 from .numerics import (
     PROB_CLAMP,
     REAL,
@@ -42,29 +43,27 @@ PRIOR_MODES = (PROTOTYPE, TOY_ENCODER)
 
 DEFAULT_TAU = 0.01
 DEFAULT_NUM_LEARNABLE_TOKENS = 10
-DEFAULT_TOKEN_WIDTH = 16
 _TOKEN_INIT_SCALE = 0.02
 
 
-@dataclass(frozen=True)
-class PromptConfig:
-    """Where class text features come from and how the prior is shaped."""
+@dataclass(kw_only=True)
+class PriorSpec:
+    """The keys that describe an initial prior; `build_prior` builds it.
 
-    path: str
-    mode: str = PROTOTYPE
-    num_learnable: int = DEFAULT_NUM_LEARNABLE_TOKENS
-    token_width: int = DEFAULT_TOKEN_WIDTH
-    encoder_seed: int = 0
-    tau: float = DEFAULT_TAU
+    Sweep and train configs inherit these keys flat. The toy_* keys are
+    read in toy-encoder mode only.
+    """
+
+    prior_mode: str = PROTOTYPE
+    prior_tau: float = DEFAULT_TAU
+    toy_tokens_per_class: int = 4
+    toy_token_width: int = 16
+    toy_num_learnable: int = DEFAULT_NUM_LEARNABLE_TOKENS
+    toy_seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in PRIOR_MODES:
-            raise ValueError(f"unknown prior mode {self.mode!r}")
-
-
-@dataclass
-class PromptSidecar:
-    tokens_per_class: int
+        if self.prior_mode not in PRIOR_MODES:
+            raise ValueError(f"unknown prior mode {self.prior_mode!r}")
 
 
 @dataclass
@@ -156,36 +155,22 @@ def prior_toy_encoder(
     )
 
 
-def load_prior(config: PromptConfig, classes: list[str], dim: int) -> PriorModel:
-    """Build a prior from a prompt-feature file per the config's mode.
+def build_prior(spec: PriorSpec, prompt_features, classes: list[str]) -> PriorModel:
+    """The initial prior `spec` describes, given N x d prompt features.
 
-    Prototype mode expects an N x d feature matrix. Toy-encoder mode
-    expects an (N*S) x e token matrix plus a JSON sidecar
-    `<path>.json` holding {"tokens_per_class": S}.
+    Prototype mode starts from the features themselves. Toy-encoder mode
+    draws its (N, S, e) base tokens from `toy_seed` and maps tokens to the
+    features' width d.
     """
-    store = read_embeddings(config.path)
-    if config.mode == PROTOTYPE:
-        if store.d != dim:
-            raise ShapeMismatchError(
-                f"prompt features have dim {store.d}, instances have dim {dim}"
-            )
-        if store.n != len(classes):
-            raise ShapeMismatchError(
-                f"prompt file holds {store.n} rows for {len(classes)} classes"
-            )
-        return prior_from_features(store.rows, classes, tau=config.tau)
-    sidecar = read_json(f"{config.path}.json", ManifestFormatError)
-    per_class = from_doc(PromptSidecar, sidecar, ManifestFormatError).tokens_per_class
-    if store.n != per_class * len(classes):
-        raise ShapeMismatchError(
-            f"token file holds {store.n} rows, expected {per_class * len(classes)}"
-        )
-    base = store.rows.reshape(len(classes), per_class, store.d)
+    if spec.prior_mode == PROTOTYPE:
+        return prior_from_features(prompt_features, classes, tau=spec.prior_tau)
+    rng = np.random.default_rng(spec.toy_seed)
+    base_tokens = rng.standard_normal(
+        (len(classes), spec.toy_tokens_per_class, spec.toy_token_width)
+    )
     return prior_toy_encoder(
-        base, classes, dim,
-        num_learnable=config.num_learnable,
-        tau=config.tau,
-        seed=config.encoder_seed,
+        base_tokens, classes, np.shape(prompt_features)[1],
+        num_learnable=spec.toy_num_learnable, tau=spec.prior_tau, seed=spec.toy_seed,
     )
 
 

@@ -347,43 +347,26 @@ def sample_labeled_instances(
     set are flagged under "absent_classes" rather than failing, since
     rare classes may genuinely vanish from a small core set.
     """
-    rng = np.random.default_rng(seed)
-    flags: dict = {}
-    picked: list[np.ndarray] = []
-    for c in range(num_classes):
-        members = np.flatnonzero(core_labels == c)
-        if members.size == 0:
-            flags.setdefault("absent_classes", []).append(c)
-            continue
-        if members.size < instance_shot:
-            flags.setdefault("shortfall", {})[str(c)] = int(members.size)
-            picked.append(members)
-        else:
-            sel = rng.choice(members.size, size=instance_shot, replace=False)
-            picked.append(members[np.sort(sel)])
-    chosen = np.concatenate(picked) if picked else np.empty(0, dtype=np.int64)
-    return chosen, flags
+    return _sample_groups(core_labels, range(num_classes), instance_shot, seed, "absent_classes")
 
 
-def _sample_labeled_per_bag(
-    core_global: np.ndarray,
-    bag_of_row: np.ndarray,
-    selected_bag_ids: list[str],
-    bag_index: dict[str, int],
-    instance_shot: int,
-    seed,
+def _sample_groups(
+    core_group: np.ndarray, names, instance_shot: int, seed, absent_flag: str
 ) -> tuple[np.ndarray, dict]:
-    """Per-bag variant: L core members labeled inside each selected bag."""
+    """L core members from each group, in group order; core_group[i] is the
+    index into `names` of core member i's group. A group with fewer than L
+    members gives them all, under flags["shortfall"][str(name)]; an empty
+    one is listed under flags[absent_flag]."""
     rng = np.random.default_rng(seed)
     flags: dict = {}
     picked: list[np.ndarray] = []
-    for bag_id in selected_bag_ids:
-        members = np.flatnonzero(bag_of_row[core_global] == bag_index[bag_id])
+    for group, name in enumerate(names):
+        members = np.flatnonzero(core_group == group)
         if members.size == 0:
-            flags.setdefault("empty_bags", []).append(bag_id)
+            flags.setdefault(absent_flag, []).append(name)
             continue
         if members.size < instance_shot:
-            flags.setdefault("shortfall", {})[bag_id] = int(members.size)
+            flags.setdefault("shortfall", {})[str(name)] = int(members.size)
             picked.append(members)
         else:
             sel = rng.choice(members.size, size=instance_shot, replace=False)
@@ -416,12 +399,14 @@ def sample_split(dataset: Dataset, spec: FewShotSpec) -> FewShotSplit:
         )
 
     if spec.per_bag:
+        # Group by position in `selected`, so bags are labeled in that order.
         bag_of_row = np.full(dataset.store.n, -1, dtype=np.int64)
-        bag_index = {b.id: i for i, b in enumerate(dataset.bags)}
+        position = {bag_id: i for i, bag_id in enumerate(selected)}
         for b in dataset.bags:
-            bag_of_row[b.start : b.end] = bag_index[b.id]
-        chosen_local, flags = _sample_labeled_per_bag(
-            core_global, bag_of_row, selected, bag_index, spec.instance_shot, s_label
+            if b.id in position:
+                bag_of_row[b.start : b.end] = position[b.id]
+        chosen_local, flags = _sample_groups(
+            bag_of_row[core_global], selected, spec.instance_shot, s_label, "empty_bags"
         )
     else:
         chosen_local, flags = sample_labeled_instances(

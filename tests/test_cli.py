@@ -69,7 +69,7 @@ def trained(pipeline_dirs):
     train_cfg = write_json(
         tmp / "train.json",
         {"dataset": str(pipeline_dirs["manifest"]), "split": str(pipeline_dirs["split"]),
-         "prompt": {"path": str(pipeline_dirs["prompts"])}, "train": {"steps": 5}},
+         "prompt": str(pipeline_dirs["prompts"]), "train": {"steps": 5}},
     )
     assert main(["train", "--config", train_cfg, "--out", str(tmp / "run")]) == 0
     record = write_json(tmp / "record.json",
@@ -86,7 +86,7 @@ class TestPipeline:
             {
                 "dataset": str(pipeline_dirs["manifest"]),
                 "split": str(pipeline_dirs["split"]),
-                "prompt": {"path": str(pipeline_dirs["prompts"])},
+                "prompt": str(pipeline_dirs["prompts"]),
                 "train": {"steps": 40},
             },
         )
@@ -154,7 +154,7 @@ class TestPipeline:
         train_cfg = write_json(
             tmp_path / "t.json",
             {"dataset": str(full_manifest), "split": str(tmp_path / "split.json"),
-             "prompt": {"path": str(prompts)}, "train": {"steps": 10}},
+             "prompt": str(prompts), "train": {"steps": 10}},
         )
         assert main(["train", "--config", train_cfg, "--out", str(tmp_path)]) == 0
         eval_cfg = write_json(
@@ -267,7 +267,7 @@ MALFORMED_SWEEP_CONFIGS = [
 _TUNE = {"dataset": "@manifest", "split": "@split"}
 BASE_COMMAND_CONFIGS = {
     "eval": {"dataset": "@manifest", "checkpoint": "@checkpoint"},
-    "train": {"dataset": "@manifest", "split": "@split", "prompt": {"path": "@prompts"},
+    "train": {"dataset": "@manifest", "split": "@split", "prompt": "@prompts",
               "train": {"steps": 5}},
     "report": {"record": "@record"},
     "gradcheck": {},
@@ -353,7 +353,7 @@ class TestErrors:
         train_cfg = write_json(
             tmp / "train.json",
             {"dataset": str(pipeline_dirs["manifest"]), "split": str(pipeline_dirs["split"]),
-             "prompt": {"path": str(pipeline_dirs["prompts"]), "mode": prompt_mode},
+             "prompt": str(pipeline_dirs["prompts"]), "prior_mode": prompt_mode,
              "train": train},
         )
         capsys.readouterr()
@@ -395,12 +395,27 @@ class TestErrors:
     def test_missing_required_config_exits_2(self):
         assert main(["synth"]) == 2
 
+    def test_train_prompt_shape_conflict_exits_1(self, pipeline_dirs, capsys):
+        tmp = pipeline_dirs["tmp"]
+        write_embeddings(pipeline_dirs["prompts"], np.eye(2, 4))
+        train_cfg = write_json(
+            tmp / "train.json",
+            {"dataset": str(pipeline_dirs["manifest"]), "split": str(pipeline_dirs["split"]),
+             "prompt": str(pipeline_dirs["prompts"]), "train": {"steps": 5}},
+        )
+        capsys.readouterr()
+        assert main(["train", "--config", train_cfg, "--out", str(tmp / "run")]) == 1
+        err = capsys.readouterr().err
+        assert assert_one_domain_line(err) == "DimensionConflictError"
+        assert "prompt-feature dim 4" in err
+        assert not (tmp / "run").exists()
+
     def test_eval_corrupt_checkpoint_exits_1(self, pipeline_dirs, capsys):
         tmp = pipeline_dirs["tmp"]
         train_cfg = write_json(
             tmp / "train.json",
             {"dataset": str(pipeline_dirs["manifest"]), "split": str(pipeline_dirs["split"]),
-             "prompt": {"path": str(pipeline_dirs["prompts"])}, "train": {"steps": 5}},
+             "prompt": str(pipeline_dirs["prompts"]), "train": {"steps": 5}},
         )
         assert main(["train", "--config", train_cfg, "--out", str(tmp / "run")]) == 0
         sidecar_path = tmp / "run" / "checkpoint" / "checkpoint.json"
@@ -438,8 +453,8 @@ class TestErrors:
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     """Pristine inputs for the file-format tests: a dataset, its split, a
-    prototype prompt file, a toy-encoder token file with its sidecar, and a
-    checkpoint per prior mode. Tests work on copies and never write here."""
+    prompt file and a checkpoint per prior mode. Tests work on copies and
+    never write here."""
     tmp = tmp_path_factory.mktemp("files")
     manifest = tmp / "data" / "manifest.json"
     with redirect_stdout(io.StringIO()):
@@ -449,11 +464,9 @@ def files(tmp_path_factory):
         assert main(["sample", "--config", write_json(tmp / "sample.json", sample_doc),
                      "--out", str(tmp)]) == 0
         write_embeddings(tmp / "prompts.femb", np.eye(2, 8))
-        write_embeddings(tmp / "tokens.femb", np.random.default_rng(0).normal(size=(8, 6)))
-        write_json(tmp / "tokens.femb.json", {"tokens_per_class": 4})
-        for mode, prompts in (("prototype", "prompts.femb"), ("toy-encoder", "tokens.femb")):
+        for mode in ("prototype", "toy-encoder"):
             train_doc = {"dataset": str(manifest), "split": str(tmp / "split.json"),
-                         "prompt": {"path": str(tmp / prompts), "mode": mode},
+                         "prompt": str(tmp / "prompts.femb"), "prior_mode": mode,
                          "train": {"steps": 5}}
             assert main(["train", "--config", write_json(tmp / f"{mode}.json", train_doc),
                          "--out", str(tmp / mode)]) == 0
@@ -468,10 +481,10 @@ def _manifest(files, work):
     return work / "data" / "manifest.json", ["sample", "--config", write_json(work / "s.json", doc)]
 
 
-def _train_doc(files, split=None, prompt=None):
+def _train_doc(files, split=None):
     return {"dataset": str(files / "data" / "manifest.json"),
             "split": str(split or files / "split.json"),
-            "prompt": prompt or {"path": str(files / "prompts.femb")}, "train": {"steps": 5}}
+            "prompt": str(files / "prompts.femb"), "train": {"steps": 5}}
 
 
 def _split(files, work):
@@ -499,13 +512,6 @@ def _checkpoint(mode):
     return setup
 
 
-def _prompt_sidecar(files, work):
-    shutil.copy(files / "tokens.femb", work / "tokens.femb")
-    shutil.copy(files / "tokens.femb.json", work / "tokens.femb.json")
-    doc = _train_doc(files, prompt={"path": str(work / "tokens.femb"), "mode": "toy-encoder"})
-    return work / "tokens.femb.json", ["train", "--config", write_json(work / "t.json", doc)]
-
-
 def _train_config(files, work):
     path = Path(write_json(work / "t.json", _train_doc(files)))
     return path, ["train", "--config", str(path)]
@@ -517,7 +523,6 @@ FILE_FORMATS = {
     "tune-split": _tune_split,
     "checkpoint": _checkpoint("prototype"),
     "toy-checkpoint": _checkpoint("toy-encoder"),
-    "prompt-sidecar": _prompt_sidecar,
     "train-config": _train_config,
 }
 # Keys a document may omit; dropping "train" or "steps" would train 2000 steps.
@@ -639,10 +644,6 @@ class TestFileFormats:
                          "CheckpointVersionError", id="checkpoint-version-before-keys"),
             pytest.param("toy-checkpoint", put("prior", "tokens_per_class", value=3),
                          "CorruptCheckpointError", id="toy-checkpoint-wrong-token-count"),
-            pytest.param("prompt-sidecar", lambda doc, text: '{"token_per_class": 4}',
-                         "ManifestFormatError", id="prompt-sidecar-misspelled-key"),
-            pytest.param("prompt-sidecar", delete, "ManifestFormatError",
-                         id="prompt-sidecar-missing"),
             pytest.param("checkpoint", delete, "CorruptCheckpointError",
                          id="checkpoint-json-missing"),
         ],

@@ -2,12 +2,13 @@ import json
 
 import pytest
 
+from fewcache.cli import TrainJob
 from fewcache.codec import from_doc, to_doc
 from fewcache.dataset import SynthSpec
 from fewcache.errors import UsageError
 from fewcache.fusion_eval import AUCResult, EvalReport
 from fewcache.harness import CellResult, ExperimentConfig, RunRecord
-from fewcache.prior_branch import TOY_ENCODER, PromptConfig
+from fewcache.prior_branch import TOY_ENCODER
 from fewcache.sampler import FewShotSpec
 from fewcache.trainer import TrainConfig
 
@@ -41,7 +42,8 @@ VALUES = [
     pytest.param(FewShotSpec(bag_shot=2, instance_shot=4, coreset_cap=50, per_bag=True),
                  id="FewShotSpec"),
     pytest.param(TrainConfig(steps=10, batch_size=16, lr_prompt=0.0), id="TrainConfig"),
-    pytest.param(PromptConfig(path="p.femb", mode=TOY_ENCODER, tau=0.05), id="PromptConfig"),
+    pytest.param(TrainJob(dataset="m.json", split="s.json", prompt="p.femb",
+                          prior_mode=TOY_ENCODER, prior_tau=0.05, toy_seed=3), id="TrainJob"),
     pytest.param(
         ExperimentConfig(
             source={"kind": "synthetic", "spec": {"dim": 8}}, bag_shots=(1, 4),
@@ -100,7 +102,8 @@ def test_run_record_in_memory_fields_not_written():
          "ExperimentConfig.bag_shots must be int, got str"),
         (ExperimentConfig, {"source": {}, "per_bag": 1},
          "ExperimentConfig.per_bag must be bool, got int"),
-        (PromptConfig, {"path": 5}, "PromptConfig.path must be str, got int"),
+        (TrainJob, {"dataset": "m", "split": "s", "prompt": 5},
+         "TrainJob.prompt must be str, got int"),
         (AUCResult, {"per_class": [0.5, "x"], "macro": None},
          "AUCResult.per_class must be float, got str"),
         (TrainConfig, {"batch_size": 0}, "TrainConfig: batch_size must be >= 1"),

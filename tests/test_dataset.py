@@ -207,8 +207,9 @@ class TestStreamedLoad:
 
     @pytest.mark.parametrize(
         "version, scale",
-        # float32 cannot hold rows small enough for the tiny-norm path
-        [(1, 1.0), (2, 1.0), (2, 2.0**-500)], ids=["v1", "v2", "v2-tiny"],
+        # float32 cannot hold rows small or large enough for the rescaled paths
+        [(1, 1.0), (2, 1.0), (2, 2.0**-500), (2, 2.0**600)],
+        ids=["v1", "v2", "v2-tiny", "v2-huge"],
     )
     def test_rows_match_whole_store_normalize(self, tmp_path, rng, version, scale):
         bags = [scale * rng.normal(size=(n, 6)) for n in (7, 1, 12, 5)]

@@ -4,8 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from fewcache import harness
+from fewcache import cli, harness
 from fewcache.codec import from_doc, to_doc
+from fewcache.dataset import SynthSpec, save_dataset, synth_generate, write_embeddings
 from fewcache.harness import (
     ExperimentConfig,
     config_hash,
@@ -15,6 +16,7 @@ from fewcache.harness import (
     run_experiment,
     write_run_record,
 )
+from fewcache.sampler import FewShotSpec, sample_split, save_split
 from fewcache.trainer import TrainConfig
 
 TINY_SOURCE = {
@@ -159,3 +161,63 @@ class TestSerialization:
                                             train=TrainConfig(steps=20)))
         rows = report_rows(record)
         assert [r["bag_shot"] for r in rows] == [1, 2, 3]
+
+
+TOY_KEYS = {"prior_mode": "toy-encoder", "prior_tau": 0.05, "toy_tokens_per_class": 3,
+            "toy_token_width": 8, "toy_num_learnable": 4, "toy_seed": 5}
+
+
+class TestToyEncoderPrior:
+    def test_sweep_end_to_end(self, tmp_path):
+        doc = {**to_doc(tiny_config(train=TrainConfig(steps=30))), **TOY_KEYS}
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps(doc))
+        for sub in ("a", "b"):
+            assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / sub)]) == 0
+        record = load_run_record(tmp_path / "a" / "record.json")
+        assert {k: record.config[k] for k in TOY_KEYS} == TOY_KEYS
+        cell = record.cell(2)
+        assert cell.failures == [] and len(cell.reports) == 2
+        for report in cell.reports:
+            assert 0.0 <= report.prior_instance_auc.macro <= 1.0
+            assert 0.0 <= report.instance_auc.macro <= 1.0
+        assert (tmp_path / "a" / "record.json").read_bytes() == (
+            tmp_path / "b" / "record.json"
+        ).read_bytes()
+
+    @pytest.mark.parametrize("keys", [{"prior_mode": "toy-encoder"}, TOY_KEYS],
+                             ids=["defaults", "all-keys"])
+    def test_sweep_and_train_build_identical_initial_prior(self, tmp_path, monkeypatch, keys):
+        ds = synth_generate(SynthSpec(**TINY_SOURCE["spec"]))
+        manifest = save_dataset(ds, tmp_path / "data")
+        prompts = tmp_path / "prompts.femb"
+        write_embeddings(prompts, np.eye(2, 16))
+        split = save_split(sample_split(ds, FewShotSpec(bag_shot=2, instance_shot=4)),
+                           tmp_path / "split.json")
+
+        class Captured(Exception):
+            pass
+
+        def capture(priors):
+            def fake_train(cache, prior, *args):
+                priors.append(prior)
+                raise Captured
+            return fake_train
+
+        swept, trained = [], []
+        monkeypatch.setattr(harness, "train", capture(swept))
+        monkeypatch.setattr(cli, "train", capture(trained))
+        source = {"kind": "file", "train_manifest": str(manifest),
+                  "prompt_features": str(prompts), "test_manifest": str(manifest)}
+        with pytest.raises(Captured):
+            run_experiment(from_doc(ExperimentConfig, {"source": source, "bag_shots": [2],
+                                                       "instance_shots": [4], **keys}))
+        train_cfg = tmp_path / "train.json"
+        train_cfg.write_text(json.dumps({"dataset": str(manifest), "split": str(split),
+                                         "prompt": str(prompts), **keys}))
+        with pytest.raises(Captured):
+            cli.main(["train", "--config", str(train_cfg), "--out", str(tmp_path / "run")])
+        (a,), (b,) = swept, trained
+        assert (a.mode, a.tau, a.classes) == (b.mode, b.tau, b.classes)
+        for name in ("base_tokens", "encoder_matrix", "prompt_tokens"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name

@@ -80,6 +80,22 @@ class TestL2NormalizeRows:
         out = l2_normalize_rows([[8.18628025e-162, 0.0], [1e-170, 1e-170], [5e-324, 0.0]])
         np.testing.assert_allclose(out, [[1.0, 0.0], [0.5**0.5, 0.5**0.5], [1.0, 0.0]], atol=1e-15)
 
+    def test_huge_rows_keep_full_precision(self):
+        # squared entries overflow to inf; the suite turns a RuntimeWarning into an error
+        out = l2_normalize_rows([[1e200, 0.0], [3.0, 4.0], [1e300, -1e300]])
+        np.testing.assert_allclose(out, [[1.0, 0.0], [0.6, 0.8], [0.5**0.5, -0.5**0.5]],
+                                   atol=1e-15)
+
+    def test_rescaled_rows_match_unscaled_bits(self, rng):
+        # Scaling by a power of two is exact, so a tiny or huge row normalizes
+        # to the bits of its unscaled form, and the other rows are untouched.
+        r = rng.normal(size=(5, 4))
+        m = r.copy()
+        m[1] *= 2.0**-500
+        m[3] *= 2.0**600
+        expected = r / np.sqrt(np.add.reduce(r * r, axis=1))[:, None]
+        assert l2_normalize_rows(m).tobytes() == expected.tobytes()
+
     @settings(max_examples=60, deadline=None)
     @given(finite_matrices)
     def test_idempotent(self, m):

@@ -1,12 +1,11 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fewcache.dataset import write_embeddings
-from fewcache.errors import ShapeMismatchError
+from fewcache.encoders import read_prompt_features
+from fewcache.errors import DimensionConflictError, ShapeMismatchError
 from fewcache.gradchecks import prior_prototype_suite, prior_toy_suite
 from fewcache.numerics import (
     PROB_CLAMP,
@@ -18,9 +17,9 @@ from fewcache.prior_branch import (
     PROTOTYPE,
     TOY_ENCODER,
     PriorModel,
-    PromptConfig,
+    PriorSpec,
+    build_prior,
     encode_prompts,
-    load_prior,
     prior_from_features,
     prior_loss_and_grads,
     prior_predict,
@@ -143,39 +142,36 @@ class TestPromptFiles:
         feats = rng.normal(size=(3, 8)).astype(np.float32)
         path = tmp_path / "prompts.femb"
         write_embeddings(path, feats)
-        cfg = PromptConfig(path=str(path), mode=PROTOTYPE, tau=0.02)
-        model = load_prior(cfg, ["a", "b", "c"], dim=8)
+        rows = read_prompt_features(path, dim=8, num_classes=3)
+        model = build_prior(PriorSpec(prior_tau=0.02), rows, ["a", "b", "c"])
         assert model.mode == PROTOTYPE
         assert model.tau == 0.02
         np.testing.assert_allclose(
             model.class_features, l2_normalize_rows(feats.astype(np.float64)), atol=1e-12
         )
 
-    def test_load_toy_mode(self, tmp_path, rng):
-        tokens = rng.normal(size=(2 * 3, 5)).astype(np.float32)
-        path = tmp_path / "tokens.femb"
-        write_embeddings(path, tokens)
-        with open(str(path) + ".json", "w") as f:
-            json.dump({"tokens_per_class": 3}, f)
-        cfg = PromptConfig(path=str(path), mode=TOY_ENCODER, num_learnable=4,
-                           encoder_seed=9)
-        model = load_prior(cfg, ["a", "b"], dim=6)
+    def test_load_toy_mode(self, rng):
+        spec = PriorSpec(prior_mode=TOY_ENCODER, toy_tokens_per_class=3, toy_token_width=5,
+                         toy_num_learnable=4, toy_seed=9)
+        model = build_prior(spec, rng.normal(size=(2, 6)), ["a", "b"])
         assert model.mode == TOY_ENCODER
-        assert model.base_tokens.shape == (2, 3, 5)
         assert model.prompt_tokens.shape == (2, 4, 5)
         assert model.encoder_matrix.shape == (5, 6)
+        np.testing.assert_array_equal(
+            model.base_tokens, np.random.default_rng(9).standard_normal((2, 3, 5))
+        )
 
     def test_dim_mismatch_rejected(self, tmp_path, rng):
         path = tmp_path / "prompts.femb"
         write_embeddings(path, rng.normal(size=(2, 4)).astype(np.float32))
-        with pytest.raises(ShapeMismatchError):
-            load_prior(PromptConfig(path=str(path)), ["a", "b"], dim=8)
+        with pytest.raises(DimensionConflictError, match="prompt-feature dim 4"):
+            read_prompt_features(path, dim=8, num_classes=2)
 
     def test_class_count_mismatch_rejected(self, tmp_path, rng):
         path = tmp_path / "prompts.femb"
         write_embeddings(path, rng.normal(size=(2, 8)).astype(np.float32))
-        with pytest.raises(ShapeMismatchError):
-            load_prior(PromptConfig(path=str(path)), ["a", "b", "c"], dim=8)
+        with pytest.raises(DimensionConflictError, match="2 rows for 3 classes"):
+            read_prompt_features(path, dim=8, num_classes=3)
 
     def test_invalid_tau(self):
         with pytest.raises(ValueError):

@@ -370,3 +370,24 @@ class TestSampleSplit:
             per_bag_counts[bag_of[int(r)]] = per_bag_counts.get(bag_of[int(r)], 0) + 1
         assert set(per_bag_counts) <= set(split.selected_bags)
         assert all(v <= 2 for v in per_bag_counts.values())
+
+    def test_per_bag_flags_name_bags_in_selection_order(self):
+        # A 5% core set leaves one selected bag without core members and two
+        # with fewer than L; the flags key them by bag id, as split.json has.
+        ds = synth_generate(
+            SynthSpec(num_classes=2, dim=8, bags_per_class=4, instances_per_bag=30,
+                      positive_fraction=0.1, seed=2)
+        )
+        spec = FewShotSpec(bag_shot=3, instance_shot=2, coreset_fraction=0.05, seed=0,
+                           per_bag=True)
+        split = sample_split(ds, spec)
+        assert split.selected_bags == ["c0_b0", "c0_b1", "c0_b2", "c1_b0", "c1_b1", "c1_b3"]
+        assert list(split.flags.items()) == [
+            ("shortfall", {"c0_b0": 1, "c0_b2": 1}), ("empty_bags", ["c1_b1"])
+        ]
+        bag_of = np.empty(ds.num_instances, dtype=object)
+        for bag in ds.bags:
+            bag_of[bag.start : bag.end] = bag.id
+        assert list(bag_of[split.labeled_rows]) == [
+            "c0_b0", "c0_b1", "c0_b1", "c0_b2", "c1_b0", "c1_b0", "c1_b3", "c1_b3"
+        ]
