@@ -12,7 +12,6 @@ from .cache_branch import (
     attention,
     build_cache,
     cache_loss_and_grads,
-    project,
     retrieve,
 )
 from .codec import from_doc, to_doc
@@ -112,7 +111,6 @@ __all__ = [
     "prior_loss_and_grads",
     "prior_predict",
     "prior_toy_encoder",
-    "project",
     "read_embeddings",
     "resolve_source",
     "restore",

@@ -25,7 +25,7 @@ full (m, n_cache) matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +39,6 @@ from .numerics import (
     _row_blocks,
     _softmax_rows,
     as_matrix,
-    l2_normalize_rows,
     softmax_rows,
 )
 from .sampler import FewShotSplit
@@ -235,12 +234,3 @@ def _cache_loss_and_grads(
     g_free = g_values[free]
     grad_free = v_free * (g_free - np.add.reduce(g_free * v_free, axis=1, keepdims=True))
     return loss, grad_keys, grad_free
-
-
-def project(model: CacheModel) -> CacheModel:
-    """Re-normalize key rows to unit norm; value logits untouched.
-
-    Applied after every optimizer step so retrieval stays a cosine
-    comparison. Idempotent up to roundoff.
-    """
-    return replace(model, keys=l2_normalize_rows(model.keys))

@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import Optional
 
 from .cache_branch import DEFAULT_BETA, build_cache, retrieve
-from .codec import from_doc, read_json, to_doc
+from .codec import existing, from_doc, read_json, to_doc
 from .dataset import SynthSpec, load_manifest, save_dataset, synth_generate
 from .encoders import read_prompt_features
 from .errors import FewcacheError, UsageError
@@ -112,7 +112,7 @@ def _load_config(path: str | None, required: bool = True) -> dict:
         if required:
             raise UsageError("--config is required for this subcommand")
         return {}
-    doc = read_json(_existing(path, "config file"))
+    doc = read_json(existing(path, "config file"))
     if not isinstance(doc, dict):
         raise UsageError(f"config must be a JSON object, got {type(doc).__name__}")
     return doc
@@ -122,12 +122,6 @@ def _out_dir(args) -> Path:
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _existing(path: str | None, what: str) -> str:
-    if not path or not Path(path).exists():
-        raise UsageError(f"{what} not found: {path}")
-    return path
 
 
 def cmd_synth(args) -> int:
@@ -155,7 +149,7 @@ def cmd_sample(args) -> int:
     if args.seed is not None:
         spec_doc["seed"] = args.seed
     spec = from_doc(FewShotSpec, spec_doc)
-    split = sample_split(load_manifest(_existing(manifest, "dataset")), spec)
+    split = sample_split(load_manifest(existing(manifest, "dataset")), spec)
     path = save_split(split, _out_dir(args) / "split.json")
     print(path)
     return 0
@@ -165,8 +159,9 @@ def cmd_train(args) -> int:
     """Train both branches on a split and write a checkpoint."""
     job = from_doc(TrainJob, _load_config(args.config))
     train_cfg = job.train if args.seed is None else replace(job.train, seed=args.seed)
-    dataset = load_manifest(_existing(job.dataset, "dataset"))
-    split = load_split(_existing(job.split, "split file"), dataset)
+    existing(job.prompt, "prompt file")
+    dataset = load_manifest(existing(job.dataset, "dataset"))
+    split = load_split(existing(job.split, "split file"), dataset)
     cache = build_cache(split, dataset.store, dataset.classes, beta=job.cache_beta)
     prompts = read_prompt_features(job.prompt, dataset.dim, dataset.num_classes)
     prior = build_prior(job, prompts, dataset.classes)
@@ -181,13 +176,13 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     """Evaluate a checkpoint on a dataset, optionally tuning alpha."""
     job = from_doc(EvalJob, _load_config(args.config))
-    dataset = load_manifest(_existing(job.dataset, "dataset"))
-    cache, prior = restore(_existing(job.checkpoint, "checkpoint"))
+    dataset = load_manifest(existing(job.dataset, "dataset"))
+    cache, prior = restore(existing(job.checkpoint, "checkpoint"))
 
     alpha, table, flags = job.alpha, None, {}
     if alpha is None and job.tune is not None:
-        tune_ds = load_manifest(_existing(job.tune.dataset, "tune dataset"))
-        tune_split = load_split(_existing(job.tune.split, "tune split"), tune_ds)
+        tune_ds = load_manifest(existing(job.tune.dataset, "tune dataset"))
+        tune_split = load_split(existing(job.tune.split, "tune split"), tune_ds)
         q = tune_ds.store.rows[tune_split.labeled_rows]
         alpha, table, flags = pick_alpha(
             retrieve(cache, q), prior_predict(prior, q), tune_split.labeled_classes,
@@ -255,7 +250,7 @@ def cmd_gradcheck(args) -> int:
 def cmd_report(args) -> int:
     """Re-emit report files from an existing record.json."""
     job = from_doc(ReportJob, _load_config(args.config))
-    record = load_run_record(_existing(job.record, "record file"))
+    record = load_run_record(existing(job.record, "record file"))
     for path in emit_report(record, _out_dir(args), job.formats):
         print(path)
     return 0

@@ -4,8 +4,9 @@
 order; `from_doc` rebuilds it, resolving nested dataclasses, lists of
 them and tuples from the type hints and filling absent keys from the
 defaults. Any bad document (an unknown or missing key, a value of the
-wrong JSON type, or one the constructor rejects) raises the caller's
-error class: UsageError for configs, a file format's own domain error.
+wrong JSON type, a NaN or infinite float, or one the constructor
+rejects) raises the caller's error class: UsageError for configs, a
+file format's own domain error.
 
 Field metadata carries the two irregular cases of the serialized form:
 a SKIP field is never written (nor accepted on read), and an OMIT_NONE
@@ -17,7 +18,9 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
 import typing
+from pathlib import Path
 
 from .errors import UsageError
 
@@ -54,6 +57,13 @@ def to_doc(obj):
             doc[f.name] = to_doc(value)
         return doc
     return obj
+
+
+def existing(path: str | None, what: str) -> str:
+    """`path`, if it names an existing file or directory; else UsageError."""
+    if not path or not Path(path).exists():
+        raise UsageError(f"{what} not found: {path}")
+    return path
 
 
 def read_json(path, error: type[Exception] = UsageError):
@@ -109,7 +119,9 @@ def _decode(hint, value, where: str, error: type[Exception]):
             if len(value) != len(args):
                 raise error(f"{where} must hold {len(args)} items, got {len(value)}")
             return tuple(_decode(a, v, where, error) for a, v in zip(args, value))
-        if set(map(type, value)) <= _JSON_SCALARS.get(args[0], set()):
+        if set(map(type, value)) <= _JSON_SCALARS.get(args[0], set()) and (
+            args[0] is not float or all(map(math.isfinite, value))
+        ):
             return tuple(value) if origin is tuple else list(value)  # no call per item
         items = [_decode(args[0], v, where, error) for v in value]
         return tuple(items) if origin is tuple else items
@@ -120,4 +132,6 @@ def _decode(hint, value, where: str, error: type[Exception]):
         allowed = (int, float) if hint is float else hint
         if not isinstance(value, allowed) or (hint is not bool and isinstance(value, bool)):
             raise error(f"{where} must be {hint.__name__}, got {type(value).__name__}")
+        if hint is float and not math.isfinite(value):
+            raise error(f"{where} must be finite, got {value}")
     return value

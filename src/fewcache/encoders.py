@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .codec import from_doc, read_json, to_doc
+from .codec import existing, from_doc, read_json, to_doc
 from .dataset import (
     Dataset,
     SynthSpec,
@@ -39,16 +39,10 @@ DEFAULT_PROMPT_SIGMA = 0.35
 
 @dataclass
 class EmbeddingSource:
-    kind: str
-    dim: int
     train_dataset: Dataset
     test_dataset: Optional[Dataset]
     prompt_features: np.ndarray  # (num_classes, dim), unit rows
     provenance: dict
-
-    @property
-    def classes(self) -> list[str]:
-        return self.train_dataset.classes
 
 
 def _sha256_file(path) -> str:
@@ -116,8 +110,9 @@ def resolve_source(config: dict) -> EmbeddingSource:
 
     The block decodes strictly as a SyntheticSource or a FileSource,
     chosen by its "kind", so an unknown or missing key, or a value of the
-    wrong type, raises UsageError. Dimension conflicts between instance
-    and prompt features are rejected.
+    wrong type, raises UsageError, and so does a file the block names
+    that does not exist, before any file is read. Dimension conflicts
+    between instance and prompt features are rejected.
     """
     kind = config.get("kind")
     if not isinstance(kind, str) or kind not in _SOURCE_KINDS:
@@ -147,11 +142,12 @@ def resolve_source(config: dict) -> EmbeddingSource:
                 + prompts.tobytes()
             ).hexdigest(),
         }
-        return EmbeddingSource(
-            kind=kind, dim=spec.dim, train_dataset=train, test_dataset=test,
-            prompt_features=prompts, provenance=provenance,
-        )
+        return EmbeddingSource(train, test, prompts, provenance)
 
+    existing(src.train_manifest, "train manifest")
+    existing(src.prompt_features, "prompt features")
+    if src.test_manifest:
+        existing(src.test_manifest, "test manifest")
     train = load_manifest(src.train_manifest)
     test = load_manifest(src.test_manifest) if src.test_manifest else None
     if test is not None and test.dim != train.dim:
@@ -172,7 +168,4 @@ def resolve_source(config: dict) -> EmbeddingSource:
     if sidecar.exists():
         provenance.update(from_doc(dict, read_json(sidecar, ManifestFormatError),
                                    ManifestFormatError))
-    return EmbeddingSource(
-        kind=kind, dim=train.dim, train_dataset=train, test_dataset=test,
-        prompt_features=prompts, provenance=provenance,
-    )
+    return EmbeddingSource(train, test, prompts, provenance)

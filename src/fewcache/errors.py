@@ -127,10 +127,6 @@ class CorruptCheckpointError(CheckpointError):
     """Checkpoint container is missing files or fails to parse."""
 
 
-class ModeMismatchError(CheckpointError):
-    """Checkpoint holds a different prior-branch mode than expected."""
-
-
 # --- embedding sources -----------------------------------------------------
 
 

@@ -61,57 +61,58 @@ def _random_cache_config(rng: np.random.Generator):
     return model, queries, labels
 
 
-def cache_gradient_suite(
-    n_configs: int = 100, seed: int = 0, tol: float = 1e-4
+def _run_suite(
+    name: str, make_config, make_problem, n_configs: int, seed: int, tol: float
 ) -> SuiteResult:
-    """Check grad_keys and the unfrozen value-logit rows jointly."""
+    """Check n_configs configs drawn in turn by make_config(rng), each
+    turned by make_problem into a (loss_and_grad, params) pair; stop at
+    the first that fails."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_configs):
-        model, queries, labels = _random_cache_config(rng)
-        free = ~model.frozen_mask
-
-        def loss_and_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
-            nk = model.keys.size
-            m2 = CacheModel(
-                keys=x[:nk].reshape(model.keys.shape),
-                value_logits=model.value_logits.copy(),
-                frozen_mask=model.frozen_mask,
-                beta=model.beta,
-                classes=model.classes,
-            )
-            m2.value_logits[free] = x[nk:].reshape(-1, model.num_classes)
-            loss, g_keys, g_values = cache_loss_and_grads(m2, queries, labels)
-            return loss, np.concatenate([g_keys.ravel(), g_values[free].ravel()])
-
-        packed = np.concatenate([model.keys.ravel(), model.value_logits[free].ravel()])
-        report = finite_difference_check(loss_and_grad, packed, tol=tol)
-        worst = max(worst, report.max_rel_error)
-        if not report.passed:
-            return SuiteResult("cache_loss", n_configs, worst, False)
-    return SuiteResult("cache_loss", n_configs, worst, True)
-
-
-def _check_prior(
-    make_model, n_configs: int, seed: int, tol: float, name: str
-) -> SuiteResult:
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_configs):
-        model, queries, labels = make_model(rng)
-        shape = model.learnable().shape
-
-        def loss_and_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
-            loss, grad = prior_loss_and_grads(
-                model.with_learnable(x.reshape(shape)), queries, labels
-            )
-            return loss, grad.ravel()
-
-        report = finite_difference_check(loss_and_grad, model.learnable().ravel(), tol=tol)
+        report = finite_difference_check(*make_problem(*make_config(rng)), tol=tol)
         worst = max(worst, report.max_rel_error)
         if not report.passed:
             return SuiteResult(name, n_configs, worst, False)
     return SuiteResult(name, n_configs, worst, True)
+
+
+def _cache_problem(model: CacheModel, queries, labels):
+    """The keys and the unfrozen value-logit rows, packed into one vector."""
+    free = ~model.frozen_mask
+    nk = model.keys.size
+
+    def loss_and_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
+        m2 = CacheModel(
+            keys=x[:nk].reshape(model.keys.shape),
+            value_logits=model.value_logits.copy(),
+            frozen_mask=model.frozen_mask,
+            beta=model.beta,
+            classes=model.classes,
+        )
+        m2.value_logits[free] = x[nk:].reshape(-1, model.num_classes)
+        loss, g_keys, g_values = cache_loss_and_grads(m2, queries, labels)
+        return loss, np.concatenate([g_keys.ravel(), g_values[free].ravel()])
+
+    return loss_and_grad, np.concatenate([model.keys.ravel(), model.value_logits[free].ravel()])
+
+
+def _prior_problem(model: PriorModel, queries, labels):
+    """The prior's learnable parameters, flattened."""
+    shape = model.learnable().shape
+
+    def loss_and_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
+        loss, grad = prior_loss_and_grads(model.with_learnable(x.reshape(shape)), queries, labels)
+        return loss, grad.ravel()
+
+    return loss_and_grad, model.learnable().ravel()
+
+
+def cache_gradient_suite(
+    n_configs: int = 100, seed: int = 0, tol: float = 1e-4
+) -> SuiteResult:
+    """Check grad_keys and the unfrozen value-logit rows jointly."""
+    return _run_suite("cache_loss", _random_cache_config, _cache_problem, n_configs, seed, tol)
 
 
 def _random_prototype(rng: np.random.Generator):
@@ -153,11 +154,13 @@ def _random_toy(rng: np.random.Generator):
 
 
 def prior_prototype_suite(n_configs: int = 100, seed: int = 1, tol: float = 1e-4) -> SuiteResult:
-    return _check_prior(_random_prototype, n_configs, seed, tol, "prior_loss_prototype")
+    return _run_suite(
+        "prior_loss_prototype", _random_prototype, _prior_problem, n_configs, seed, tol
+    )
 
 
 def prior_toy_suite(n_configs: int = 100, seed: int = 2, tol: float = 1e-4) -> SuiteResult:
-    return _check_prior(_random_toy, n_configs, seed, tol, "prior_loss_toy_tokens")
+    return _run_suite("prior_loss_toy_tokens", _random_toy, _prior_problem, n_configs, seed, tol)
 
 
 def run_all_suites(n_configs: int = 100, seed: int = 0, tol: float = 1e-4) -> list[SuiteResult]:

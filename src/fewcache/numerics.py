@@ -1,14 +1,12 @@
 """Dense math kernels used by every other module.
 
 All kernels operate on 2-d numpy arrays in the build-wide precision
-(REAL, default float64). The public kernels validate their arguments and
-are pure: they mutate no argument and keep no state, so they are safe to
-call concurrently. Each is a thin wrapper over a `_`-prefixed trusted
-core that runs the same IEEE operations and checks nothing; `_adam_step`
-and `_softmax_rows` update their argument in place, and
-`_l2_normalize_rows` writes where `out` says. The training loop validates
-once and then calls the cores, so the public kernels and the loop run
-the same arithmetic.
+(REAL, default float64). `softmax_rows` and `l2_normalize_rows` validate
+their argument and are pure; each is a thin wrapper over a `_`-prefixed
+trusted core that runs the same IEEE operations and checks nothing
+(`_softmax_rows` overwrites its argument, `_l2_normalize_rows` writes
+where `out` says). `adam_step` checks shapes only and updates its
+parameter and state in place; the training loop calls it directly.
 
 Memory contract: work over many rows goes in row blocks of at most
 _BLOCK_ELEMENTS entries (`_row_blocks`), so a kernel's temporaries stay one
@@ -160,33 +158,16 @@ def adam_step(
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
-) -> tuple[np.ndarray, AdamState]:
-    """One bias-corrected Adam update; returns new (param, state).
+) -> None:
+    """One bias-corrected Adam update of `param` and `state`, in place.
 
-    Pure: neither `param` nor `state` is mutated. A zero gradient with
-    fresh state leaves the parameter bit-identical.
+    Runs the same IEEE operations in the same order as the textbook form.
+    A zero gradient with fresh state leaves the parameter bit-identical.
     """
     if param.shape != grad.shape:
         raise ShapeMismatchError(f"param shape {param.shape} != grad shape {grad.shape}")
     if state.m.shape != param.shape:
         raise ShapeMismatchError(f"state shape {state.m.shape} != param shape {param.shape}")
-    new_param = np.array(param, dtype=REAL)
-    new_state = AdamState(state.m.copy(), state.v.copy(), state.step)
-    _adam_step(new_param, grad, new_state, lr, beta1, beta2, eps)
-    return new_param, new_state
-
-
-def _adam_step(
-    param: np.ndarray,
-    grad: np.ndarray,
-    state: AdamState,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
-    """Trusted core of adam_step: updates `param` and `state` in place,
-    by the same IEEE operations in the same order as the textbook form."""
     state.step += 1
     t = state.step
     state.m *= beta1

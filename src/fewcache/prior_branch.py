@@ -8,9 +8,10 @@ two pluggable sources standing in for a frozen language-side encoder:
   the learnable parameters, initialized from the N x d prompt features.
 * toy-encoder mode: each class has a fixed base token sequence plus D
   learnable tokens; the mean token embedding is pushed through a frozen
-  random linear map to width d and normalized. The base tokens and the
-  map are drawn from one seed. This keeps the learnable-token
-  parameterization exercised end to end.
+  random linear map to width d and normalized. The base tokens, the map
+  and the initial learnable tokens are drawn in turn from one seeded
+  stream. This keeps the learnable-token parameterization exercised end
+  to end.
 
 One set of keys, `PriorSpec` (prior_mode, prior_tau and the toy_* keys),
 describes every initial prior, and `build_prior` builds it: `sweep` and
@@ -129,12 +130,13 @@ def prior_toy_encoder(
     dim: int,
     num_learnable: int = DEFAULT_NUM_LEARNABLE_TOKENS,
     tau: float = DEFAULT_TAU,
-    seed: int = 0,
+    seed: int | np.random.Generator = 0,
 ) -> PriorModel:
     """Toy-encoder prior: frozen base tokens + D learnable tokens per class.
 
-    The encoder is a fixed random linear map drawn once from `seed`; it
-    and the base tokens never receive gradients.
+    The encoder is a fixed random linear map drawn once from `seed` (a
+    seed, or a generator whose stream it continues); it and the base
+    tokens never receive gradients.
     """
     base = np.asarray(base_tokens, dtype=REAL)
     if base.ndim != 3 or base.shape[0] != len(classes):
@@ -159,8 +161,8 @@ def build_prior(spec: PriorSpec, prompt_features, classes: list[str]) -> PriorMo
     """The initial prior `spec` describes, given N x d prompt features.
 
     Prototype mode starts from the features themselves. Toy-encoder mode
-    draws its (N, S, e) base tokens from `toy_seed` and maps tokens to the
-    features' width d.
+    draws its (N, S, e) base tokens from `toy_seed`, then the encoder to
+    the features' width d and the prompt tokens from the same stream.
     """
     if spec.prior_mode == PROTOTYPE:
         return prior_from_features(prompt_features, classes, tau=spec.prior_tau)
@@ -170,7 +172,7 @@ def build_prior(spec: PriorSpec, prompt_features, classes: list[str]) -> PriorMo
     )
     return prior_toy_encoder(
         base_tokens, classes, np.shape(prompt_features)[1],
-        num_learnable=spec.toy_num_learnable, tau=spec.prior_tau, seed=spec.toy_seed,
+        num_learnable=spec.toy_num_learnable, tau=spec.prior_tau, seed=rng,
     )
 
 

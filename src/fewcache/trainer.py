@@ -15,12 +15,12 @@ projection included.
 logits must be finite and match in width, and the prompt parameters
 must encode to finite, nonzero text features. Every step then runs the
 unchecked cores behind the public kernels (`_cache_loss_and_grads`,
-`_prior_loss_and_grads`, `_adam_step`, `_l2_normalize_rows`,
-`_softmax_rows`), with Adam moments and parameters updated in place and
-the same IEEE operations and RNG draws as the public kernels, so results
-are bit-identical to a loop over those. A key row that an update drives
-to zero still raises DegenerateRowError at that step; the trained
-parameters are checked for finiteness once, on exit.
+`_prior_loss_and_grads`, `_l2_normalize_rows`, `_softmax_rows`) and the
+in-place `adam_step`, with the same IEEE operations and RNG draws as the
+public kernels, so results are bit-identical to a loop over those. A key
+row that an update drives to zero still raises DegenerateRowError at
+that step; the trained parameters are checked for finiteness once, on
+exit.
 """
 
 from __future__ import annotations
@@ -40,11 +40,10 @@ from .errors import (
     CheckpointVersionError,
     CorruptCheckpointError,
     FembError,
-    ModeMismatchError,
     NonFiniteInputError,
     ShapeMismatchError,
 )
-from .numerics import AdamState, _adam_step, _l2_normalize_rows, _softmax_rows, as_matrix
+from .numerics import AdamState, _l2_normalize_rows, _softmax_rows, adam_step, as_matrix
 from .prior_branch import (
     PRIOR_MODES,
     PROTOTYPE,
@@ -145,15 +144,13 @@ def train(
         prompt_loss, g_prompt = _prior_loss_and_grads(prior, _raw_text(prior), qb, yb)
 
         if cfg.lr_keys > 0.0:
-            _adam_step(keys, cfg.cache_loss_weight * g_keys, adam_keys, cfg.lr_keys)
+            adam_step(keys, cfg.cache_loss_weight * g_keys, adam_keys, cfg.lr_keys)
             _l2_normalize_rows(keys, out=keys)
         if cfg.lr_value_logits > 0.0:
-            _adam_step(
-                free_logits, cfg.cache_loss_weight * g_free, adam_values, cfg.lr_value_logits
-            )
+            adam_step(free_logits, cfg.cache_loss_weight * g_free, adam_values, cfg.lr_value_logits)
             values[free] = _softmax_rows(free_logits.copy())
         if cfg.lr_prompt > 0.0:
-            _adam_step(prompt, cfg.prompt_loss_weight * g_prompt, adam_prompt, cfg.lr_prompt)
+            adam_step(prompt, cfg.prompt_loss_weight * g_prompt, adam_prompt, cfg.lr_prompt)
 
         total = cfg.cache_loss_weight * cache_loss + cfg.prompt_loss_weight * prompt_loss
         state.history.append((step, cache_loss, prompt_loss, total))
@@ -242,7 +239,7 @@ def _read_checkpoint_matrix(base: Path, name: str) -> np.ndarray:
         raise CorruptCheckpointError(f"{name}: {exc}") from exc
 
 
-def restore(checkpoint_dir, expect_mode: Optional[str] = None) -> tuple[CacheModel, PriorModel]:
+def restore(checkpoint_dir) -> tuple[CacheModel, PriorModel]:
     """Load a checkpoint; predictions of the restored models are
     bit-identical to the snapshotted ones."""
     base = Path(checkpoint_dir)
@@ -252,9 +249,6 @@ def restore(checkpoint_dir, expect_mode: Optional[str] = None) -> tuple[CacheMod
             f"checkpoint version {sidecar.get('version')!r}, supported {CHECKPOINT_VERSION}"
         )
     doc = from_doc(CheckpointDoc, sidecar, CorruptCheckpointError)
-    mode = doc.prior.mode
-    if expect_mode is not None and mode != expect_mode:
-        raise ModeMismatchError(f"checkpoint holds mode {mode!r}, expected {expect_mode!r}")
 
     cache = CacheModel(
         keys=_read_checkpoint_matrix(base, "cache_keys.femb"),
@@ -264,7 +258,7 @@ def restore(checkpoint_dir, expect_mode: Optional[str] = None) -> tuple[CacheMod
         classes=doc.cache.classes,
     )
     classes = doc.prior.classes
-    if mode == PROTOTYPE:
+    if doc.prior.mode == PROTOTYPE:
         prior = PriorModel(
             mode=PROTOTYPE, classes=classes, tau=doc.prior.tau,
             class_features=_read_checkpoint_matrix(base, "prior_class_features.femb"),

@@ -11,7 +11,6 @@ from fewcache.cache_branch import (
     attention,
     build_cache,
     cache_loss_and_grads,
-    project,
     retrieve,
 )
 from fewcache.dataset import EmbeddingStore
@@ -178,27 +177,6 @@ class TestCacheLoss:
             attention(model, [[1.0, 0.0]])
         with pytest.raises(NonFiniteInputError):
             attention(_two_key_model(beta=np.nan), [[1.0, 0.0]])
-
-
-class TestProject:
-    def test_rescales(self):
-        model = _two_key_model()
-        model.keys = np.array([[2.0, 0.0], [0.0, 1.0]])
-        out = project(model)
-        np.testing.assert_allclose(out.keys, [[1.0, 0.0], [0.0, 1.0]])
-
-    def test_idempotent(self, rng):
-        model = _two_key_model()
-        model.keys = l2_normalize_rows(rng.normal(size=(2, 2)))
-        once = project(model)
-        twice = project(once)
-        np.testing.assert_allclose(twice.keys, once.keys, atol=1e-12)
-
-    def test_zero_row_rejected(self):
-        model = _two_key_model()
-        model.keys = np.array([[0.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(DegenerateRowError):
-            project(model)
 
 
 def _random_model(rng, n_cache, dim, num_classes, beta):

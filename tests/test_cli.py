@@ -260,6 +260,9 @@ MALFORMED_SWEEP_CONFIGS = [
     pytest.param({**SWEEP_DOC, "grid_points": 0}, id="zero-grid-points"),
     pytest.param({**SWEEP_DOC, "source": {"kind": "synthetic", "spec": SPEC_DOC}},
                  id="source-without-test-set"),
+    pytest.param({**SWEEP_DOC, "train": {"steps": 5, "lr_keys": float("nan")}}, id="nan-lr"),
+    pytest.param({**SWEEP_DOC, "prior_tau": float("inf")}, id="infinite-prior-tau"),
+    pytest.param({**SWEEP_DOC, "cache_beta": float("nan")}, id="nan-cache-beta"),
 ]
 
 # "@manifest", "@split", "@checkpoint", "@prompts" and "@record" stand for
@@ -315,6 +318,35 @@ class TestErrors:
         assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
         assert_one_usage_line(capsys.readouterr().err)
         assert not (out / "record.json").exists()
+
+    @pytest.mark.parametrize("key", ["train_manifest", "prompt_features", "test_manifest"])
+    def test_sweep_file_source_missing_file_exits_2(self, files, tmp_path, capsys, key):
+        manifest = str(files / "data" / "manifest.json")
+        source = {"kind": "file", "train_manifest": manifest, "test_manifest": manifest,
+                  "prompt_features": str(files / "prompts.femb"), key: str(tmp_path / "nope")}
+        cfg = write_json(tmp_path / "exp.json", {**SWEEP_DOC, "source": source})
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert_one_usage_line(captured.err)
+        assert f"not found: {tmp_path / 'nope'}" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_train_missing_prompt_file_exits_2(self, pipeline_dirs, capsys):
+        tmp = pipeline_dirs["tmp"]
+        train_cfg = write_json(
+            tmp / "train.json",
+            {"dataset": str(pipeline_dirs["manifest"]), "split": str(pipeline_dirs["split"]),
+             "prompt": str(tmp / "nope.femb"), "train": {"steps": 5}},
+        )
+        capsys.readouterr()
+        assert main(["train", "--config", train_cfg, "--out", str(tmp / "run")]) == 2
+        captured = capsys.readouterr()
+        assert_one_usage_line(captured.err)
+        assert "prompt file not found" in captured.err
+        assert captured.out == ""
+        assert not (tmp / "run").exists()
 
     @pytest.mark.parametrize(
         "doc, message",

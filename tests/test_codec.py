@@ -114,5 +114,24 @@ def test_malformed_docs_raise_usage_error(cls, doc, match):
         from_doc(cls, doc)
 
 
+@pytest.mark.parametrize(
+    "cls, text, match",
+    [
+        (TrainConfig, '{"lr_keys": NaN}', "TrainConfig.lr_keys must be finite, got nan"),
+        (ExperimentConfig, '{"source": {}, "prior_tau": Infinity}',
+         "ExperimentConfig.prior_tau must be finite, got inf"),
+        (ExperimentConfig, '{"source": {}, "cache_beta": -1e999}',
+         "ExperimentConfig.cache_beta must be finite, got -inf"),
+        (AUCResult, '{"per_class": [0.5, NaN], "macro": 0.5}',
+         "AUCResult.per_class must be finite, got nan"),
+        (list[float], "[0.5, 1, 1e999]", r"list\[float\] must be finite, got inf"),
+    ],
+    ids=["nan", "infinity", "overflowing-literal", "nan-in-list", "list-fast-path"],
+)
+def test_non_finite_floats_raise_usage_error(cls, text, match):
+    with pytest.raises(UsageError, match=match):
+        from_doc(cls, json.loads(text))
+
+
 def test_int_accepted_for_float():
     assert from_doc(TrainConfig, {"lr_keys": 0}).lr_keys == 0

@@ -22,7 +22,7 @@ SYNTH_CONFIG = {
 class TestSyntheticSource:
     def test_dimensions(self):
         src = resolve_source(SYNTH_CONFIG)
-        assert src.dim == 16
+        assert src.train_dataset.dim == 16
         assert src.train_dataset.num_instances == 120
         assert src.test_dataset.num_instances == 80
         assert src.prompt_features.shape == (2, 16)
@@ -88,7 +88,7 @@ class TestFileSource:
 
     def test_resolves(self, file_config):
         src = resolve_source(file_config)
-        assert src.dim == 8
+        assert src.train_dataset.dim == 8
         assert src.train_dataset.num_instances == 40
         assert src.test_dataset is not None
         assert src.provenance["encoder"] == "dump-v1"

@@ -113,25 +113,26 @@ class TestL2NormalizeRows:
 class TestAdamStep:
     def test_zero_gradient_identity(self):
         param = np.array([[1.0, -2.0], [0.5, 3.0]])
+        before = param.copy()
         state = AdamState.zeros_like(param)
-        new_param, new_state = adam_step(param, np.zeros_like(param), state, lr=0.1)
-        assert np.array_equal(new_param, param)
-        assert new_state.step == 1
+        assert adam_step(param, np.zeros_like(param), state, lr=0.1) is None
+        assert param.tobytes() == before.tobytes()
+        assert state.step == 1
 
     def test_first_step_magnitude(self):
         param = np.array([[1.0]])
         state = AdamState.zeros_like(param)
-        new_param, _ = adam_step(param, np.ones_like(param), state, lr=0.001)
+        adam_step(param, np.ones_like(param), state, lr=0.001)
         # bias-corrected m_hat = v_hat = 1, so the step is ~lr
-        assert new_param[0, 0] == pytest.approx(1.0 - 0.001, abs=1e-6)
-        assert new_param[0, 0] < 1.0
+        assert param[0, 0] == pytest.approx(1.0 - 0.001, abs=1e-6)
+        assert param[0, 0] < 1.0
 
     def test_constant_gradient_monotone(self):
         param = np.array([[5.0]])
         state = AdamState.zeros_like(param)
         values = [param[0, 0]]
         for _ in range(10):
-            param, state = adam_step(param, np.ones_like(param), state, lr=0.01)
+            adam_step(param, np.ones_like(param), state, lr=0.01)
             values.append(param[0, 0])
         assert all(b < a for a, b in zip(values, values[1:]))
 
@@ -151,15 +152,17 @@ class TestAdamStep:
             ref = ref - lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
 
         state = AdamState.zeros_like(param)
-        out = param
         for g in grads:
-            out, state = adam_step(out, g, state, lr, b1, b2, eps)
-        np.testing.assert_allclose(out, ref, atol=1e-15)
+            adam_step(param, g, state, lr, b1, b2, eps)
+        np.testing.assert_allclose(param, ref, atol=1e-15)
 
     def test_shape_mismatch(self):
         param = np.zeros((2, 2))
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(ShapeMismatchError, match="grad shape"):
             adam_step(param, np.zeros((2, 3)), AdamState.zeros_like(param), lr=0.1)
+        with pytest.raises(ShapeMismatchError, match="state shape"):
+            adam_step(param, np.zeros((2, 2)), AdamState.zeros_like(np.zeros((1, 2))), lr=0.1)
+        assert not param.any()
 
 
 class TestTextbookForms:
@@ -185,13 +188,13 @@ class TestTextbookForms:
         rng = np.random.default_rng(steps)
         b1, b2, eps = 0.9, 0.999, 1e-8
         ref, m, v = param, np.zeros_like(param), np.zeros_like(param)
-        out, state = param, AdamState.zeros_like(param)
+        out, state = param.copy(), AdamState.zeros_like(param)
         for t in range(1, steps + 1):
             g = rng.normal(size=param.shape) * 10.0 ** rng.integers(-9, 3)
             m = b1 * m + (1 - b1) * g
             v = b2 * v + (1 - b2) * g * g
             ref = ref - lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
-            out, state = adam_step(out, g, state, lr)
+            adam_step(out, g, state, lr)
         assert out.tobytes() == ref.tobytes()
         assert (state.m.tobytes(), state.v.tobytes()) == (m.tobytes(), v.tobytes())
 

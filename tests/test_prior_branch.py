@@ -161,6 +161,18 @@ class TestPromptFiles:
             model.base_tokens, np.random.default_rng(9).standard_normal((2, 3, 5))
         )
 
+    def test_toy_encoder_shares_no_draws_with_base_tokens(self, rng):
+        # One stream: base tokens first, then the encoder (scaled by
+        # 1/sqrt(16) = 1/4, exactly), so no frozen entry repeats a draw.
+        spec = PriorSpec(prior_mode=TOY_ENCODER)
+        model = build_prior(spec, rng.normal(size=(2, 32)), ["a", "b"])
+        stream = np.random.default_rng(spec.toy_seed)
+        base = stream.standard_normal(model.base_tokens.shape)
+        encoder_draws = stream.standard_normal(model.encoder_matrix.shape)
+        assert model.base_tokens.tobytes() == base.tobytes()
+        assert (model.encoder_matrix * 4.0).tobytes() == encoder_draws.tobytes()
+        assert not np.isin(model.encoder_matrix * 4.0, model.base_tokens).any()
+
     def test_dim_mismatch_rejected(self, tmp_path, rng):
         path = tmp_path / "prompts.femb"
         write_embeddings(path, rng.normal(size=(2, 4)).astype(np.float32))

@@ -12,7 +12,6 @@ from fewcache.cache_branch import (
     CacheModel,
     build_cache,
     cache_loss_and_grads,
-    project,
     retrieve,
 )
 from fewcache.dataset import (
@@ -27,12 +26,10 @@ from fewcache.errors import (
     CheckpointVersionError,
     CorruptCheckpointError,
     DegenerateRowError,
-    ModeMismatchError,
     NonFiniteInputError,
 )
 from fewcache.numerics import AdamState, adam_step, l2_normalize_rows
 from fewcache.prior_branch import (
-    PROTOTYPE,
     prior_from_features,
     prior_loss_and_grads,
     prior_predict,
@@ -143,8 +140,6 @@ class TestTrain:
 
     def test_no_labeled_instances_rejected(self, separable_setup):
         ds, split = separable_setup
-        import dataclasses
-
         empty = dataclasses.replace(
             split,
             labeled_rows=np.empty(0, dtype=np.int64),
@@ -173,8 +168,8 @@ class TestTrain:
 
 
 def _reference_train(cache, prior, split, store, cfg):
-    """The training loop over the public kernels, rebuilding the models
-    with dataclasses.replace each step: the oracle for `train`."""
+    """The training loop over the public kernels, on full-size parameter
+    arrays and with checks at every step: the oracle for `train`."""
     cache, prior, history = cache.copy(), prior.copy(), []
     queries = store.rows[split.labeled_rows].copy()
     labels = split.labeled_classes.copy()
@@ -190,21 +185,14 @@ def _reference_train(cache, prior, split, store, cfg):
         cache_loss, g_keys, g_values = cache_loss_and_grads(cache, qb, yb)
         prompt_loss, g_prompt = prior_loss_and_grads(prior, qb, yb)
         if cfg.lr_keys > 0.0:
-            new_keys, adam_keys = adam_step(
-                cache.keys, cfg.cache_loss_weight * g_keys, adam_keys, cfg.lr_keys
-            )
-            cache = project(dataclasses.replace(cache, keys=new_keys))
+            adam_step(cache.keys, cfg.cache_loss_weight * g_keys, adam_keys, cfg.lr_keys)
+            cache.keys = l2_normalize_rows(cache.keys)
         if cfg.lr_value_logits > 0.0:
-            new_values, adam_values = adam_step(
-                cache.value_logits, cfg.cache_loss_weight * g_values, adam_values,
-                cfg.lr_value_logits,
-            )
-            cache = dataclasses.replace(cache, value_logits=new_values)
+            adam_step(cache.value_logits, cfg.cache_loss_weight * g_values, adam_values,
+                      cfg.lr_value_logits)
         if cfg.lr_prompt > 0.0:
-            new_prompt, adam_prompt = adam_step(
-                prior.learnable(), cfg.prompt_loss_weight * g_prompt, adam_prompt, cfg.lr_prompt
-            )
-            prior = prior.with_learnable(new_prompt)
+            adam_step(prior.learnable(), cfg.prompt_loss_weight * g_prompt, adam_prompt,
+                      cfg.lr_prompt)
         total = cfg.cache_loss_weight * cache_loss + cfg.prompt_loss_weight * prompt_loss
         history.append((step, cache_loss, prompt_loss, total))
     return cache, prior, history
@@ -301,8 +289,9 @@ class TestValidateOnce:
         cfg = TrainConfig(steps=3, lr_keys=0.4, lr_value_logits=0.0, lr_prompt=0.0,
                           cache_loss_weight=2.0**60)
         _, g_keys, _ = cache_loss_and_grads(cache, store.rows, [0])
-        new_keys, _ = adam_step(cache.keys, cfg.cache_loss_weight * g_keys,
-                                AdamState.zeros_like(cache.keys), cfg.lr_keys)
+        new_keys = cache.keys.copy()
+        adam_step(new_keys, cfg.cache_loss_weight * g_keys, AdamState.zeros_like(new_keys),
+                  cfg.lr_keys)
         assert new_keys[1, 0] == 0.0
         for run in (train, _reference_train):
             with pytest.raises(DegenerateRowError) as exc:
@@ -376,13 +365,16 @@ class TestCheckpoints:
         with pytest.raises(CheckpointVersionError):
             restore(out)
 
-    def test_mode_mismatch_rejected(self, separable_setup, tmp_path):
+    @pytest.mark.parametrize("section, key, value", [
+        ("cache", "beta", float("nan")),
+        ("prior", "tau", float("inf")),
+    ])
+    def test_non_finite_number_rejected(self, separable_setup, tmp_path, section, key, value):
         _, cache, prior = self._trained(separable_setup)
         out = snapshot(cache, prior, tmp_path / "ckpt")
-        with pytest.raises(ModeMismatchError):
-            restore(out, expect_mode="toy-encoder")
-        cache2, prior2 = restore(out, expect_mode=PROTOTYPE)
-        assert prior2.mode == PROTOTYPE
+        _edit_sidecar(out, lambda s: s[section].update({key: value}))
+        with pytest.raises(CorruptCheckpointError, match=f"{key} must be finite"):
+            restore(out)
 
 
 def _edit_sidecar(out, edit):
