@@ -10,11 +10,16 @@ parameter and state in place; the training loop calls it directly.
 
 Memory contract: work over many rows goes in row blocks of at most
 _BLOCK_ELEMENTS entries (`_row_blocks`), so a kernel's temporaries stay one
-block whatever the row count.
+block whatever the row count. A kernel that splits its blocks between
+threads (`_block_shares`, `_run_shares`) holds one block per thread; the
+block boundaries do not depend on the thread count, so neither do the
+results.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -36,9 +41,17 @@ PROB_CLAMP = 1e-12
 _TINY_NORM = 2.0 ** -450
 _TINY_SCALE = 2.0 ** 600
 
-# Entries per row block (2 MiB of float64): the one block size of every
+# Entries per row block (1 MiB of float64): the one block size of every
 # kernel that streams over rows (retrieve, normalization, norm checks).
-_BLOCK_ELEMENTS = 1 << 18
+# Retrieve holds one block per thread, so two threads hold 2 MiB of scores.
+_BLOCK_ELEMENTS = 1 << 17
+
+# Threads that share a kernel's row blocks: the CPUs in the process's
+# affinity mask, read once at import (limit them with taskset).
+if hasattr(os, "sched_getaffinity"):
+    _WORKERS = len(os.sched_getaffinity(0))
+else:  # no affinity call on this platform
+    _WORKERS = os.cpu_count() or 1
 
 
 def _row_blocks(n_rows: int, row_elements: int) -> range:
@@ -46,6 +59,28 @@ def _row_blocks(n_rows: int, row_elements: int) -> range:
     entries each into at most _BLOCK_ELEMENTS entries (one row at least);
     block i covers rows [starts[i], starts[i] + starts.step)."""
     return range(0, n_rows, max(1, _BLOCK_ELEMENTS // max(1, row_elements)))
+
+
+def _block_shares(starts: range) -> list[range]:
+    """Deal the blocks of `starts` round-robin to W = min(_WORKERS, blocks)
+    threads, one at least: share i holds blocks i, i + W, ...; with no
+    blocks it is the one empty share."""
+    workers = max(1, min(_WORKERS, len(starts)))
+    return [starts[i::workers] for i in range(workers)]
+
+
+def _run_shares(work: Callable[[int], None], n_shares: int) -> None:
+    """Run work(i) for every share i: share 0 in the calling thread, the
+    others on a pool of their own. Returns once every share is done, and
+    raises the error of the first share (in share order) that failed."""
+    if n_shares == 1:
+        work(0)
+        return
+    with ThreadPoolExecutor(n_shares - 1) as pool:
+        others = [pool.submit(work, i) for i in range(1, n_shares)]
+        work(0)
+        for future in others:
+            future.result()
 
 
 def _all_finite(a: np.ndarray) -> bool:

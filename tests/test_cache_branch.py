@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import numpy as np
@@ -270,7 +271,60 @@ class TestBlockedRetrieve:
         with pytest.raises(NonFiniteInputError, match="attention"):
             retrieve(model, np.tile([1.0, 0.0], (5, 1)))
 
-    def test_peak_memory_bounded_in_query_count(self):
+    @pytest.mark.parametrize("row", [7, 9])
+    def test_overflow_in_later_block_raises_on_every_thread(self, row):
+        # Blocks of 2 rows on 2 threads: rows 6-7 are the pool thread's
+        # block 3, rows 8-9 the calling thread's block 4. Zero queries score
+        # 0; only `row` overflows, so only that thread's errstate hides it.
+        model = _two_key_model()
+        model.keys = model.keys * 1e200
+        model.beta = 1e200
+        q = np.zeros((10, 2))
+        q[row] = [1.0, 0.0]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(numerics, "_BLOCK_ELEMENTS", 2 * model.n_cache)
+            mp.setattr(numerics, "_WORKERS", 2)
+            with pytest.raises(NonFiniteInputError, match="attention"):
+                retrieve(model, q)
+
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    def test_empty_query_set(self, workers):
+        model = _two_key_model()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(numerics, "_WORKERS", workers)
+            probs = retrieve(model, np.empty((0, 2)))
+        assert probs.shape == (0, 2)
+
+    @pytest.mark.parametrize(
+        "m, rows",
+        [(10, 16), (20, 8), (103, 8)],
+        ids=["one-block", "fewer-blocks-than-workers", "many-blocks-ragged"],
+    )
+    def test_bytes_independent_of_worker_count(self, m, rows):
+        rng = np.random.default_rng(m)
+        model = _random_model(rng, n_cache=37, dim=64, num_classes=3, beta=20.0)
+        q = l2_normalize_rows(rng.normal(size=(m, 64)))
+        got = {}
+        interval = sys.getswitchinterval()
+        # Frequent thread switches: a share that wrote into another's
+        # rows or buffer would show as changed bytes.
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 2, 3, 8):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(numerics, "_BLOCK_ELEMENTS", rows * model.n_cache)
+                    mp.setattr(numerics, "_WORKERS", workers)
+                    got[workers] = retrieve(model, q).tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+        assert got[2] == got[1]
+        assert got[3] == got[1]
+        assert got[8] == got[1]
+
+    def test_peak_memory_bounded_in_query_count(self, monkeypatch):
+        # Memory holds one block per worker: fix the worker count, so the
+        # bound below does not depend on the CPUs of the host.
+        monkeypatch.setattr(numerics, "_WORKERS", 2)
         rng = np.random.default_rng(0)
         model = _random_model(rng, n_cache=512, dim=32, num_classes=2, beta=10.0)
 

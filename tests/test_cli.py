@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fewcache import errors
+from fewcache import errors, numerics
 from fewcache.cli import main
 from fewcache.dataset import (
     SynthSpec,
@@ -126,6 +126,23 @@ class TestPipeline:
         assert main(["eval", "--config", tuned_cfg, "--out", str(tuned_dir)]) == 0
         sweep_lines = (tuned_dir / "alpha_sweep.csv").read_text().strip().splitlines()
         assert len(sweep_lines) == 102
+
+    def test_eval_bytes_independent_of_worker_count(self, trained, monkeypatch):
+        tmp = trained["tmp"]
+        eval_cfg = write_json(
+            tmp / "eval.json",
+            {"dataset": str(trained["manifest"]), "checkpoint": str(trained["checkpoint"]),
+             "alpha": 0.5},
+        )
+        # Blocks of a few rows, so that two workers share many blocks.
+        monkeypatch.setattr(numerics, "_BLOCK_ELEMENTS", 256)
+        written = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(numerics, "_WORKERS", workers)
+            out = tmp / f"eval_{workers}"
+            assert main(["eval", "--config", eval_cfg, "--out", str(out)]) == 0
+            written[workers] = (out / "eval.json").read_bytes()
+        assert written[2] == written[1]
 
     def test_eval_single_label_bags_flags_undefined(self, tmp_path, rng):
         # all test bags share one label: bag AUC must be flagged, exit 0

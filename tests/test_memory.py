@@ -22,6 +22,10 @@ BLOCK_BYTES = BLOCK_ELEMENTS * 8
 # Small vectors, Python objects and numpy's ufunc buffer (8192 doubles,
 # used by in-place broadcasting operations).
 SLACK = 128 * 1024
+# Each further thread of retrieve: its own ufunc buffer (64 KiB), live at
+# the same time as the calling thread's, plus the pool thread and future
+# objects. Two threads measured at most 74 KiB above one.
+PER_THREAD = 80 * 1024
 
 
 @pytest.fixture(autouse=True)
@@ -65,21 +69,37 @@ def test_load_manifest_holds_store_plus_one_bag_and_blocks(tmp_path, rng):
     assert peaks[64] <= peaks[16] <= peaks[4]
 
 
-def test_retrieve_holds_output_plus_one_block(rng):
-    n_cache, dim, num_classes = 512, 32, 2
-    model = CacheModel(
+def _retrieve_model(rng):
+    n_cache, dim = 512, 32
+    return CacheModel(
         keys=l2_normalize_rows(rng.normal(size=(n_cache, dim))),
-        value_logits=rng.normal(size=(n_cache, num_classes)),
+        value_logits=rng.normal(size=(n_cache, 2)),
         frozen_mask=np.zeros(n_cache, dtype=bool),
         beta=10.0,
         classes=["a", "b"],
     )
-    values = n_cache * num_classes * 8
+
+
+def test_retrieve_holds_output_plus_one_block(rng, monkeypatch):
+    monkeypatch.setattr(numerics, "_WORKERS", 1)
+    model = _retrieve_model(rng)
+    values = model.n_cache * model.num_classes * 8
     peaks = {}
     for m in (4096, 16384):
-        q = l2_normalize_rows(rng.normal(size=(m, dim)))
+        q = l2_normalize_rows(rng.normal(size=(m, model.dim)))
         peaks[m] = _peak(retrieve, model, q)
-        output = m * num_classes * 8
+        output = m * model.num_classes * 8
         assert peaks[m] <= output + BLOCK_BYTES + values + SLACK, m
     # Only the output grows with the query count.
-    assert peaks[16384] - peaks[4096] <= (16384 - 4096) * num_classes * 8 + 4096
+    assert peaks[16384] - peaks[4096] <= (16384 - 4096) * model.num_classes * 8 + 4096
+
+
+def test_retrieve_holds_output_plus_one_block_per_worker(rng, monkeypatch):
+    monkeypatch.setattr(numerics, "_WORKERS", 2)
+    model = _retrieve_model(rng)
+    values = model.n_cache * model.num_classes * 8
+    for m in (4096, 16384):
+        q = l2_normalize_rows(rng.normal(size=(m, model.dim)))
+        output = m * model.num_classes * 8
+        peak = _peak(retrieve, model, q)
+        assert peak <= output + 2 * BLOCK_BYTES + values + SLACK + PER_THREAD, m
