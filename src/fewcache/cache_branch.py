@@ -17,12 +17,12 @@ the attention is not stuck near uniform.
 
 Memory contract: `retrieve` checks its inputs once, then scores the
 queries in row blocks of at most numerics._BLOCK_ELEMENTS attention
-entries. The blocks are dealt to one thread per CPU in the process's
-affinity mask (numerics._WORKERS, at most one per block), and each
-thread reuses one (rows, n_cache) buffer. It holds its (m, N) output,
-one block per thread and the (n_cache, N) value rows, so its memory
-grows with m only by the output; `attention` is the opt-in full
-(m, n_cache) matrix.
+entries. The blocks are shared by one thread per CPU in the process's
+affinity mask (numerics._WORKERS, at most one per block), each taking
+the next free block, and each thread reuses one (rows, n_cache)
+buffer. It holds its (m, N) output, one block per thread and the
+(n_cache, N) value rows, so its memory grows with m only by the
+output; `attention` is the opt-in full (m, n_cache) matrix.
 """
 
 from __future__ import annotations
@@ -37,10 +37,10 @@ from .numerics import (
     PROB_CLAMP,
     REAL,
     _all_finite,
-    _block_shares,
+    _block_workers,
     _mean_nll,
     _row_blocks,
-    _run_shares,
+    _run_blocks,
     _softmax_rows,
     as_matrix,
     softmax_rows,
@@ -146,11 +146,12 @@ def retrieve(model: CacheModel, queries) -> np.ndarray:
     """(m, N) class probabilities of unit-norm query rows, on the simplex.
 
     Queries are scored in blocks of at most _BLOCK_ELEMENTS attention
-    entries, dealt round-robin to one thread per CPU (at most one per
-    block); a query set that fits in one block is scored in one call on
-    the calling thread. Each block goes through the core of `attention`,
-    and the block boundaries do not depend on the thread count, so the
-    result is the same bytes on any number of CPUs and equals
+    entries on one thread per CPU (at most one per block), each taking
+    the next block no thread has taken; a query set that fits in one
+    block is scored in one call on the calling thread. Each block goes
+    through the core of `attention`, and the block boundaries depend
+    neither on the thread count nor on which thread scores a block, so
+    the result is the same bytes on any number of CPUs and equals
     attention(model, queries) @ model.value_distributions().
     """
     q = _query_matrix(model, queries)
@@ -160,23 +161,23 @@ def retrieve(model: CacheModel, queries) -> np.ndarray:
     values = model.value_distributions()
     m = q.shape[0]
     starts = _row_blocks(m, model.n_cache)
-    shares = _block_shares(starts)
+    workers = _block_workers(starts)
     probs = np.empty((m, model.num_classes), dtype=REAL)
     # Every thread's scores buffer is allocated here, so the threads
     # allocate no more than row vectors.
-    scores = np.empty((len(shares), min(starts.step, m), model.n_cache), dtype=REAL)
+    scores = np.empty((workers, min(starts.step, m), model.n_cache), dtype=REAL)
 
-    def score_share(i: int) -> None:
+    def score_blocks(i: int, blocks) -> None:
         # Finite inputs can still overflow the scores (keys far from unit
         # norm or a huge beta); such a softmax row is NaN, and so is its
         # output row. np.errstate is local to a thread: each enters its own.
         with np.errstate(over="ignore", invalid="ignore"):
-            for start in shares[i]:
+            for start in blocks:
                 stop = min(start + starts.step, m)
                 attn = _attention(q[start:stop], keys, model.beta, out=scores[i, : stop - start])
                 np.matmul(attn, values, out=probs[start:stop])
 
-    _run_shares(score_share, len(shares))
+    _run_blocks(score_blocks, starts, workers)
     if not _all_finite(probs):
         raise NonFiniteInputError("attention contains NaN or infinity")
     return probs

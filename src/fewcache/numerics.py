@@ -11,17 +11,18 @@ parameter and state in place; the training loop calls it directly.
 Memory contract: work over many rows goes in row blocks of at most
 _BLOCK_ELEMENTS entries (`_row_blocks`), so a kernel's temporaries stay one
 block whatever the row count. A kernel that splits its blocks between
-threads (`_block_shares`, `_run_shares`) holds one block per thread; the
-block boundaries do not depend on the thread count, so neither do the
-results.
+threads (`_block_workers`, `_run_blocks`) holds one block per thread; the
+block boundaries do not depend on the thread count or on which thread
+scores a block, so neither do the results.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -61,24 +62,40 @@ def _row_blocks(n_rows: int, row_elements: int) -> range:
     return range(0, n_rows, max(1, _BLOCK_ELEMENTS // max(1, row_elements)))
 
 
-def _block_shares(starts: range) -> list[range]:
-    """Deal the blocks of `starts` round-robin to W = min(_WORKERS, blocks)
-    threads, one at least: share i holds blocks i, i + W, ...; with no
-    blocks it is the one empty share."""
-    workers = max(1, min(_WORKERS, len(starts)))
-    return [starts[i::workers] for i in range(workers)]
+def _block_workers(starts: range) -> int:
+    """Threads that share the blocks of `starts`: min(_WORKERS, blocks),
+    one at least."""
+    return max(1, min(_WORKERS, len(starts)))
 
 
-def _run_shares(work: Callable[[int], None], n_shares: int) -> None:
-    """Run work(i) for every share i: share 0 in the calling thread, the
-    others on a pool of their own. Returns once every share is done, and
-    raises the error of the first share (in share order) that failed."""
-    if n_shares == 1:
-        work(0)
+def _run_blocks(work: Callable[[int, Iterable[int]], None], starts: range, workers: int) -> None:
+    """Run work(i, blocks) on `workers` threads, i = 0 in the calling thread
+    and the others on a pool of their own; `blocks` yields block starts.
+
+    Thread i takes block i first, then the lowest block that no thread has
+    taken, until none is left: a thread slowed by other load on its CPU
+    takes fewer blocks instead of holding the rest up. Returns once every
+    thread is done, and raises the error of the first thread (by i) that
+    failed.
+    """
+    if workers == 1:
+        work(0, starts)
         return
-    with ThreadPoolExecutor(n_shares - 1) as pool:
-        others = [pool.submit(work, i) for i in range(1, n_shares)]
-        work(0)
+    rest = iter(starts[workers:])
+    lock = threading.Lock()
+
+    def blocks(i: int) -> Iterator[int]:
+        yield starts[i]
+        while True:
+            with lock:
+                start = next(rest, None)
+            if start is None:
+                return
+            yield start
+
+    with ThreadPoolExecutor(workers - 1) as pool:
+        others = [pool.submit(work, i, blocks(i)) for i in range(1, workers)]
+        work(0, blocks(0))
         for future in others:
             future.result()
 

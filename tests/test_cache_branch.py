@@ -271,11 +271,12 @@ class TestBlockedRetrieve:
         with pytest.raises(NonFiniteInputError, match="attention"):
             retrieve(model, np.tile([1.0, 0.0], (5, 1)))
 
-    @pytest.mark.parametrize("row", [7, 9])
+    @pytest.mark.parametrize("row", [1, 3, 9])
     def test_overflow_in_later_block_raises_on_every_thread(self, row):
-        # Blocks of 2 rows on 2 threads: rows 6-7 are the pool thread's
-        # block 3, rows 8-9 the calling thread's block 4. Zero queries score
-        # 0; only `row` overflows, so only that thread's errstate hides it.
+        # Blocks of 2 rows on 2 threads: rows 0-1 are the calling thread's
+        # first block, rows 2-3 the pool thread's; rows 8-9 are block 4,
+        # taken by whichever thread is free first. Zero queries score 0;
+        # only `row` overflows, so only that thread's errstate hides it.
         model = _two_key_model()
         model.keys = model.keys * 1e200
         model.beta = 1e200

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from fewcache.errors import (
 )
 from fewcache.numerics import (
     AdamState,
+    _run_blocks,
     adam_step,
     finite_difference_check,
     l2_normalize_rows,
@@ -215,3 +217,28 @@ class TestFiniteDifferenceCheck:
         report = finite_difference_check(loss_and_grad, np.array([1.0, -2.0, 0.3]))
         assert not report.passed
         assert report.max_rel_error > 0.1
+
+
+class TestRunBlocks:
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    def test_every_block_runs_once(self, workers):
+        starts = range(0, 412, 4)
+        taken = {}
+
+        def work(i, blocks):
+            taken[i] = []
+            for start in blocks:
+                taken[i].append(start)
+
+        interval = sys.getswitchinterval()
+        # Frequent thread switches: a claim that is not atomic would show
+        # as a block taken twice or not at all.
+        sys.setswitchinterval(1e-6)
+        try:
+            _run_blocks(work, starts, workers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(taken) == list(range(workers))
+        assert sorted(s for got in taken.values() for s in got) == list(starts)
+        # Thread i takes block i first.
+        assert [taken[i][0] for i in range(workers)] == list(starts[:workers])
