@@ -18,11 +18,12 @@ the attention is not stuck near uniform.
 Memory contract: `retrieve` checks its inputs once, then scores the
 queries in row blocks of at most numerics._BLOCK_ELEMENTS attention
 entries. The blocks are shared by one thread per CPU in the process's
-affinity mask (numerics._WORKERS, at most one per block), each taking
-the next free block, and each thread reuses one (rows, n_cache)
-buffer. It holds its (m, N) output, one block per thread and the
-(n_cache, N) value rows, so its memory grows with m only by the
-output; `attention` is the opt-in full (m, n_cache) matrix.
+affinity mask (numerics._WORKERS, at most one per block; one while BLAS
+runs threads of its own), each taking the next free block, and each
+thread reuses one (rows, n_cache) buffer. It holds its (m, N) output,
+one block per thread and the (n_cache, N) value rows, so its memory
+grows with m only by the output; `attention` is the opt-in full
+(m, n_cache) matrix.
 """
 
 from __future__ import annotations
@@ -146,9 +147,10 @@ def retrieve(model: CacheModel, queries) -> np.ndarray:
     """(m, N) class probabilities of unit-norm query rows, on the simplex.
 
     Queries are scored in blocks of at most _BLOCK_ELEMENTS attention
-    entries on one thread per CPU (at most one per block), each taking
-    the next block no thread has taken; a query set that fits in one
-    block is scored in one call on the calling thread. Each block goes
+    entries on one thread per CPU (at most one per block, and one while
+    BLAS runs threads of its own), each taking the next block no thread
+    has taken; a query set that fits in one block is scored in one call
+    on the calling thread. Each block goes
     through the core of `attention`, and the block boundaries depend
     neither on the thread count nor on which thread scores a block, so
     the result is the same bytes on any number of CPUs and equals

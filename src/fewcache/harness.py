@@ -8,6 +8,15 @@ test set. Cell failures are recorded without aborting sibling cells.
 Result files are deterministic given (config, base seed): timestamps and
 wall-clock live in a separate metadata file so record/report files are
 content-hashable.
+
+The runs of a sweep are independent, so `run_experiment` runs them on one
+process per CPU in the affinity mask (numerics._run_jobs; at most one per
+run): this process plus forked children, each taking the lowest run no
+process has taken, with BLAS and the block kernels on one thread each.
+The outcomes come back in run order, so the result files are the same
+bytes on any number of CPUs. Where forking is not safe (no `fork` start
+method, a second Python thread alive, or a BLAS whose threads cannot be
+set) the same loop runs every run in this process.
 """
 
 from __future__ import annotations
@@ -23,6 +32,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import numerics
 from .cache_branch import DEFAULT_BETA, build_cache, retrieve
 from .codec import SKIP, from_doc, read_json, to_doc
 from .encoders import EmbeddingSource, resolve_source
@@ -86,10 +96,13 @@ class RunRecord:
     config_hash: str
     variant: str
     cells: list[CellResult]
-    # Never written to record.json: wall-clock time is volatile (it goes to
-    # metadata.json) and extras hold per-cell tuning-set predictions for
-    # in-memory verification.
+    # Never written to record.json: wall-clock time and the processes and
+    # BLAS threads the sweep found are volatile (they go to metadata.json)
+    # and extras hold per-cell tuning-set predictions for in-memory
+    # verification.
     wall_clock_seconds: float = field(default=0.0, metadata=SKIP)
+    processes: int = field(default=1, metadata=SKIP)
+    blas_threads: Optional[int] = field(default=None, metadata=SKIP)
     extras: dict = field(default_factory=dict, metadata=SKIP)
 
     def cell(self, bag_shot: int, instance_shot: Optional[int] = None) -> CellResult:
@@ -238,7 +251,8 @@ def run_experiment(cfg: ExperimentConfig, keep_predictions: bool = False) -> Run
     """Run every grid cell x repeat; aggregate mean/std per cell.
 
     Deterministic given the config and base seed: repeat r uses seed
-    base_seed + r. A stage that fails with a domain error (FewcacheError)
+    base_seed + r, and the runs share the CPUs (numerics._run_jobs) without
+    changing a byte. A stage that fails with a domain error (FewcacheError)
     or a rejected value (ValueError) marks that repeat as a recorded
     failure and the sweep continues; any other exception is a bug and
     propagates. A source whose test set is missing or lacks instance
@@ -256,27 +270,36 @@ def run_experiment(cfg: ExperimentConfig, keep_predictions: bool = False) -> Run
         variant=cfg.variant_name(),
         cells=[],
     )
-    for instance_shot in cfg.instance_shots:
-        for bag_shot in cfg.bag_shots:
-            cell = CellResult(bag_shot=bag_shot, instance_shot=instance_shot)
-            cell_extras = []
-            for repeat in range(cfg.repeats):
-                seed = cfg.base_seed + repeat
-                try:
-                    report, extras = run_single(
-                        source, cfg, bag_shot, instance_shot, seed,
-                        keep_predictions=keep_predictions,
-                    )
-                except (FewcacheError, ValueError) as exc:  # recorded, never fatal to siblings
-                    cell.failures.append(f"seed {seed}: {type(exc).__name__}: {exc}")
-                    continue
-                cell.reports.append(report)
-                if extras is not None:
-                    cell_extras.append(extras)
-            cell.aggregates = _aggregate(cell.reports)
-            record.cells.append(cell)
-            if cell_extras:
-                record.extras[(bag_shot, instance_shot)] = cell_extras
+    cells = [(i_shot, b_shot) for i_shot in cfg.instance_shots for b_shot in cfg.bag_shots]
+    jobs = [(i_shot, b_shot, cfg.base_seed + r) for i_shot, b_shot in cells
+            for r in range(cfg.repeats)]
+
+    def run(i: int):
+        instance_shot, bag_shot, seed = jobs[i]
+        try:
+            return run_single(source, cfg, bag_shot, instance_shot, seed,
+                              keep_predictions=keep_predictions)
+        except (FewcacheError, ValueError) as exc:  # recorded, never fatal to siblings
+            return f"seed {seed}: {type(exc).__name__}: {exc}"
+
+    record.blas_threads = numerics._blas_threads()
+    record.processes = numerics._processes(len(jobs))
+    outcomes = numerics._run_jobs(run, len(jobs), record.processes)
+    for c, (instance_shot, bag_shot) in enumerate(cells):
+        cell = CellResult(bag_shot=bag_shot, instance_shot=instance_shot)
+        cell_extras = []
+        for outcome in outcomes[c * cfg.repeats : (c + 1) * cfg.repeats]:
+            if isinstance(outcome, str):
+                cell.failures.append(outcome)
+                continue
+            report, extras = outcome
+            cell.reports.append(report)
+            if extras is not None:
+                cell_extras.append(extras)
+        cell.aggregates = _aggregate(cell.reports)
+        record.cells.append(cell)
+        if cell_extras:
+            record.extras[(bag_shot, instance_shot)] = cell_extras
     record.wall_clock_seconds = time.perf_counter() - t0
     return record
 
@@ -292,6 +315,8 @@ def write_run_record(record: RunRecord, out_dir) -> Path:
         json.dump(to_doc(record), f, indent=2, sort_keys=True)
     metadata = {
         "wall_clock_seconds": record.wall_clock_seconds,
+        "processes": record.processes,
+        "blas_threads": record.blas_threads,
         "created_unix": time.time(),
         "host": platform.node(),
         "platform": platform.platform(),

@@ -14,13 +14,31 @@ block whatever the row count. A kernel that splits its blocks between
 threads (`_block_workers`, `_run_blocks`) holds one block per thread; the
 block boundaries do not depend on the thread count or on which thread
 scores a block, so neither do the results.
+
+Independent jobs (the runs of a sweep) share the CPUs as processes
+instead: `_run_jobs` runs them on this process and forked children,
+each taking the lowest job no process has taken, and returns their
+outcomes in job order.
+
+One level of parallelism: threads never stack on threads or processes.
+The block kernels run on one thread while the loaded BLAS runs more than
+one, and while `_run_jobs` runs jobs in parallel, every process runs
+BLAS and the block kernels on one thread each (`_single_threaded`).
+`_blas_threads` reads the BLAS's thread count through its own entry
+points, found by a ctypes probe of the library numpy loaded; the probe
+runs on first use, not at import, once per process.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import itertools
 import os
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -62,9 +80,73 @@ def _row_blocks(n_rows: int, row_elements: int) -> range:
     return range(0, n_rows, max(1, _BLOCK_ELEMENTS // max(1, row_elements)))
 
 
+# Thread-count entry points of the BLAS builds numpy ships or links:
+# scipy-openblas (numpy 2 wheels) and OpenBLAS, with or without the 64-bit
+# integer suffix.
+_BLAS_SYMBOLS = tuple(
+    (f"{lib}_get_num_threads{suffix}", f"{lib}_set_num_threads{suffix}")
+    for lib in ("scipy_openblas", "openblas")
+    for suffix in ("64_", "")
+)
+
+# True inside _single_threaded: the block kernels run on the calling thread.
+# _run_jobs sets it only while this process runs one Python thread.
+_single = False
+
+
+@functools.cache
+def _blas_api() -> tuple:
+    """(get, set) thread-count functions of the BLAS numpy loaded, or ()
+    when it exports none of _BLAS_SYMBOLS; probed on the first call of this
+    process. numpy's core extension module links the BLAS, so its handle
+    resolves the BLAS's symbols."""
+    core = sys.modules.get("numpy._core._multiarray_umath") or sys.modules.get(
+        "numpy.core._multiarray_umath"
+    )
+    try:
+        lib = ctypes.CDLL(core.__file__)
+    except (AttributeError, OSError):  # no such module, or not a shared library
+        return ()
+    for get_name, set_name in _BLAS_SYMBOLS:
+        get = getattr(lib, get_name, None)
+        set_ = getattr(lib, set_name, None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return ()
+
+
+def _blas_threads() -> int | None:
+    """Threads the loaded BLAS runs on, or None when the probe found no way
+    to read and set them."""
+    api = _blas_api()
+    return api[0]() if api else None
+
+
+@contextmanager
+def _single_threaded() -> Iterator[None]:
+    """Run BLAS and the block kernels on one thread each inside the block,
+    and restore the BLAS's thread count on the way out, also on a raise.
+    Needs a BLAS the probe found (_blas_threads() is not None)."""
+    global _single
+    get, set_ = _blas_api()
+    saved = get()
+    set_(1)
+    _single = True
+    try:
+        yield
+    finally:
+        _single = False
+        set_(saved)
+
+
 def _block_workers(starts: range) -> int:
     """Threads that share the blocks of `starts`: min(_WORKERS, blocks),
-    one at least."""
+    one at least; one inside _single_threaded or while BLAS runs threads
+    of its own."""
+    if _single or (_blas_threads() or 1) > 1:
+        return 1
     return max(1, min(_WORKERS, len(starts)))
 
 
@@ -98,6 +180,110 @@ def _run_blocks(work: Callable[[int, Iterable[int]], None], starts: range, worke
         work(0, blocks(0))
         for future in others:
             future.result()
+
+
+def _processes(n_jobs: int) -> int:
+    """Processes that share n_jobs independent jobs: min(_WORKERS, n_jobs)
+    where forking them is safe, else 1. Safe means the `fork` start
+    method exists, this process runs one Python thread (a fork copies no
+    other thread, whatever lock it holds), and the BLAS's threads can be
+    set, so that each process runs BLAS on one."""
+    import multiprocessing  # here, not at import: only a sweep forks
+
+    if (
+        "fork" not in multiprocessing.get_all_start_methods()
+        or threading.active_count() != 1
+        or _blas_threads() is None
+    ):
+        return 1
+    return max(1, min(_WORKERS, n_jobs))
+
+
+def _run_jobs(run: Callable[[int], object], n_jobs: int, processes: int) -> list:
+    """[run(0), ..., run(n_jobs - 1)], computed on `processes` processes:
+    this one and processes - 1 forked children (`_processes` says when
+    forking is safe). run(i) returns a picklable outcome or raises.
+
+    Process k takes job k first, then the lowest job that no process has
+    taken (one shared counter), as _run_blocks does for threads, with BLAS
+    and the block kernels on one thread each. A job that raises stops
+    every process from taking more, and the first failing job in job order
+    raises here with its own type and traceback: a child sends back only
+    the outcomes it has, never an exception, and a job with no outcome (it
+    raised in a child, or the child died) runs again in this process.
+    Every child is joined before this returns or raises.
+    """
+    if processes == 1:
+        take, stop, single = itertools.count(1).__next__, lambda: None, nullcontext()
+    else:
+        import multiprocessing
+
+        ctx = multiprocessing.get_context("fork")
+        taken = ctx.Value("q", processes)  # jobs 0 .. processes - 1 are dealt
+
+        def take() -> int:
+            with taken.get_lock():
+                i = taken.value
+                taken.value = i + 1
+            return i
+
+        def stop() -> None:
+            with taken.get_lock():
+                taken.value = n_jobs
+
+        single = _single_threaded()
+
+    def work(first: int) -> tuple[dict, int | None, Exception | None]:
+        """Outcomes by job, and the job that raised with its exception."""
+        outcomes: dict = {}
+        i = first
+        while i < n_jobs:
+            try:
+                outcomes[i] = run(i)
+            except Exception as exc:  # raised again below, in job order
+                stop()
+                return outcomes, i, exc
+            i = take()
+        return outcomes, None, None
+
+    children, pipes = [], []
+    with single:
+        try:
+            for k in range(1, processes):
+                receiver, sender = ctx.Pipe(duplex=False)
+                child = ctx.Process(target=_child, args=(work, k, sender))
+                child.start()
+                sender.close()
+                children.append(child)
+                pipes.append(receiver)
+            outcomes, failed, error = work(0)
+            for pipe in pipes:
+                try:
+                    outcomes.update(pipe.recv())
+                except EOFError:  # the child died; its jobs run again below
+                    pass
+        except BaseException:
+            stop()
+            for child in children:
+                child.terminate()
+            raise
+        finally:
+            for child in children:
+                child.join()
+            for pipe in pipes:
+                pipe.close()
+    results = []
+    for i in range(n_jobs):
+        if i == failed:
+            raise error
+        results.append(outcomes[i] if i in outcomes else run(i))
+    return results
+
+
+def _child(work: Callable, first: int, sender) -> None:
+    """A forked child's share of _run_jobs: send its outcomes and exit."""
+    outcomes, _, _ = work(first)
+    sender.send(outcomes)
 
 
 def _all_finite(a: np.ndarray) -> bool:

@@ -1,7 +1,27 @@
 import numpy as np
 import pytest
 
+from fewcache import numerics
 from fewcache.dataset import SynthSpec, synth_generate
+
+
+@pytest.fixture(scope="session", autouse=True)
+def blas_on_one_thread():
+    """Run BLAS on one thread, as the benchmark does. The block kernels use
+    threads only while BLAS runs one (numerics._block_workers), and the
+    tests that set numerics._WORKERS mean that many threads. Tests that
+    need another BLAS thread count set it and restore this one."""
+    api = numerics._blas_api()
+    if not api:
+        yield
+        return
+    get, set_ = api
+    saved = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(saved)
 
 
 @pytest.fixture

@@ -1,10 +1,12 @@
 import csv
 import json
+import multiprocessing
+import threading
 
 import numpy as np
 import pytest
 
-from fewcache import cli, harness
+from fewcache import cli, harness, numerics
 from fewcache.codec import from_doc, to_doc
 from fewcache.dataset import SynthSpec, save_dataset, synth_generate, write_embeddings
 from fewcache.harness import (
@@ -221,3 +223,88 @@ class TestToyEncoderPrior:
         assert (a.mode, a.tau, a.classes) == (b.mode, b.tau, b.classes)
         for name in ("base_tokens", "encoder_matrix", "prompt_tokens"):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
+
+needs_blas = pytest.mark.skipif(
+    numerics._blas_threads() is None, reason="no BLAS whose threads can be set"
+)
+
+RESULT_FILES = ("record.json", "report.csv", "report.json", "plot_annotation_ratio.csv")
+
+
+def result_files(record, out) -> dict:
+    write_run_record(record, out)
+    emit_report(record, out)
+    return {name: (out / name).read_bytes() for name in RESULT_FILES}
+
+
+def extras_bytes(record) -> dict:
+    return {key: [{k: v.tobytes() for k, v in run.items()} for run in runs]
+            for key, runs in record.extras.items()}
+
+
+@needs_blas
+class TestParallelSweep:
+    # Two cells of two runs each; bag shot 100 fails both of its runs.
+    CONFIG = dict(bag_shots=(2, 100))
+
+    def test_same_bytes_on_any_process_count(self, tmp_path, monkeypatch):
+        files, extras = {}, {}
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(numerics, "_WORKERS", workers)
+            record = run_experiment(tiny_config(**self.CONFIG), keep_predictions=True)
+            assert record.processes == workers
+            assert len(record.cell(100).failures) == 2
+            files[workers] = result_files(record, tmp_path / str(workers))
+            extras[workers] = extras_bytes(record)
+            meta = json.loads((tmp_path / str(workers) / "metadata.json").read_text())
+            assert meta["processes"] == workers
+            assert meta["blas_threads"] == numerics._blas_threads()
+        assert files[2] == files[1]
+        assert files[3] == files[1]
+        assert extras[2] == extras[1]
+        assert extras[3] == extras[1]
+
+    @pytest.mark.parametrize("fallback", ["no-blas", "second-thread"])
+    def test_serial_fallback_same_bytes(self, fallback, tmp_path, monkeypatch):
+        monkeypatch.setattr(numerics, "_WORKERS", 2)
+        parallel = run_experiment(tiny_config(**self.CONFIG))
+        assert parallel.processes == 2
+        if fallback == "no-blas":
+            monkeypatch.setattr(numerics, "_blas_api", lambda: ())
+            serial = run_experiment(tiny_config(**self.CONFIG))
+            assert serial.blas_threads is None
+        else:
+            release = threading.Event()
+            thread = threading.Thread(target=release.wait)
+            thread.start()
+            try:
+                serial = run_experiment(tiny_config(**self.CONFIG))
+            finally:
+                release.set()
+                thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert serial.processes == 1
+        assert result_files(serial, tmp_path / "serial") == result_files(
+            parallel, tmp_path / "parallel"
+        )
+
+    def test_blas_threads_restored_and_children_joined(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_WORKERS", 2)
+        get, set_ = numerics._blas_api()
+        saved = get()
+        try:
+            set_(3)
+            assert run_experiment(tiny_config()).processes == 2
+            assert get() == 3
+
+            def broken_train(*args):
+                raise RuntimeError("bug in a kernel")
+
+            monkeypatch.setattr(harness, "train", broken_train)
+            with pytest.raises(RuntimeError, match="bug in a kernel"):
+                run_experiment(tiny_config())
+            assert get() == 3
+            assert multiprocessing.active_children() == []
+        finally:
+            set_(saved)

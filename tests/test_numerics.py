@@ -1,5 +1,8 @@
 import math
+import multiprocessing
+import os
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from fewcache import numerics
 from fewcache.errors import (
     DegenerateRowError,
     NonFiniteInputError,
@@ -14,7 +18,10 @@ from fewcache.errors import (
 )
 from fewcache.numerics import (
     AdamState,
+    _block_workers,
     _run_blocks,
+    _run_jobs,
+    _single_threaded,
     adam_step,
     finite_difference_check,
     l2_normalize_rows,
@@ -242,3 +249,83 @@ class TestRunBlocks:
         assert sorted(s for got in taken.values() for s in got) == list(starts)
         # Thread i takes block i first.
         assert [taken[i][0] for i in range(workers)] == list(starts[:workers])
+
+
+needs_blas = pytest.mark.skipif(
+    numerics._blas_threads() is None, reason="no BLAS whose threads can be set"
+)
+
+
+class TestBlasThreads:
+    @needs_blas
+    def test_block_threads_only_while_blas_runs_one(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_WORKERS", 2)
+        get, set_ = numerics._blas_api()
+        saved = get()
+        try:
+            set_(1)
+            assert _block_workers(range(0, 10)) == 2
+            set_(2)
+            assert _block_workers(range(0, 10)) == 1
+        finally:
+            set_(saved)
+
+    def test_unknown_blas_keeps_block_threads(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_WORKERS", 2)
+        monkeypatch.setattr(numerics, "_blas_api", lambda: ())
+        assert numerics._blas_threads() is None
+        assert _block_workers(range(0, 10)) == 2
+
+    @needs_blas
+    def test_single_threaded_pins_and_restores(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_WORKERS", 2)
+        get, set_ = numerics._blas_api()
+        saved = get()
+        try:
+            set_(3)
+            with _single_threaded():
+                assert get() == 1
+                assert _block_workers(range(0, 10)) == 1
+            assert get() == 3
+            with pytest.raises(KeyError), _single_threaded():
+                raise KeyError("a failing caller")
+            assert get() == 3
+            set_(1)
+            assert _block_workers(range(0, 10)) == 2
+        finally:
+            set_(saved)
+
+
+@needs_blas
+class TestRunJobs:
+    @pytest.mark.parametrize("processes", [1, 2, 3])
+    def test_outcomes_in_job_order(self, processes):
+        assert _run_jobs(lambda i: (i, [i] * i), 7, processes) == [(i, [i] * i) for i in range(7)]
+        assert multiprocessing.active_children() == []
+
+    def test_first_failing_job_in_job_order_raises(self):
+        # Job 1 is a child's first job and fails late, so this process
+        # has already failed a later job when the child stops.
+        def run(i):
+            if i == 1:
+                time.sleep(0.2)
+            if i >= 1:
+                raise KeyError(i)
+            return i
+
+        for processes in (1, 2, 3):
+            with pytest.raises(KeyError) as raised:
+                _run_jobs(run, 6, processes)
+            assert raised.value.args == (1,)
+            assert multiprocessing.active_children() == []
+
+    def test_jobs_of_a_child_that_dies_run_here(self):
+        parent = os.getpid()
+
+        def run(i):
+            if os.getpid() != parent:
+                os._exit(3)
+            return i * i
+
+        assert _run_jobs(run, 6, 3) == [i * i for i in range(6)]
+        assert multiprocessing.active_children() == []
