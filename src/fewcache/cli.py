@@ -10,7 +10,8 @@ Subcommands wire the library into reproducible file-based workflows:
     gradcheck  run every finite-difference gradient suite
     report     re-emit report files from an existing run record
 
-Every subcommand accepts --seed, --config <json>, --out <dir>. fewcache.codec
+Every subcommand accepts --seed (train, eval and report have nothing to
+seed), --config <json>, --out <dir>. fewcache.codec
 decodes each config into its subcommand's dataclass: an unknown or missing
 key, a value of the wrong JSON type, or a value the class rejects (such as an
 unknown prior mode or pooling operator) is a usage error, caught before any
@@ -33,7 +34,7 @@ from .cache_branch import DEFAULT_BETA, build_cache, retrieve
 from .codec import existing, from_doc, read_json, to_doc
 from .dataset import SynthSpec, load_manifest, save_dataset, synth_generate
 from .encoders import read_prompt_features
-from .errors import FewcacheError, UsageError
+from .errors import DimensionConflictError, FewcacheError, UsageError
 from .fusion_eval import GRID_POINTS, POOL_OPERATORS, alpha_table_to_csv, fuse, pick_alpha, score
 from .gradchecks import run_all_suites
 from .harness import (
@@ -158,14 +159,13 @@ def cmd_sample(args) -> int:
 def cmd_train(args) -> int:
     """Train both branches on a split and write a checkpoint."""
     job = from_doc(TrainJob, _load_config(args.config))
-    train_cfg = job.train if args.seed is None else replace(job.train, seed=args.seed)
     existing(job.prompt, "prompt file")
     dataset = load_manifest(existing(job.dataset, "dataset"))
     split = load_split(existing(job.split, "split file"), dataset)
     cache = build_cache(split, dataset.store, dataset.classes, beta=job.cache_beta)
     prompts = read_prompt_features(job.prompt, dataset.dim, dataset.num_classes)
     prior = build_prior(job, prompts, dataset.classes)
-    cache, prior, state = train(cache, prior, split, dataset.store, train_cfg)
+    cache, prior, state = train(cache, prior, split, dataset.store, job.train)
     out = _out_dir(args)
     snapshot(cache, prior, out / "checkpoint")
     history_to_csv(state, out / "loss_history.csv")
@@ -173,15 +173,23 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _check_classes(checkpoint: list[str], data: list[str], what: str) -> None:
+    """A checkpoint scores only the classes it was trained on, in its order."""
+    if checkpoint != data:
+        raise DimensionConflictError(f"checkpoint classes {checkpoint} but {what} classes {data}")
+
+
 def cmd_eval(args) -> int:
     """Evaluate a checkpoint on a dataset, optionally tuning alpha."""
     job = from_doc(EvalJob, _load_config(args.config))
     dataset = load_manifest(existing(job.dataset, "dataset"))
     cache, prior = restore(existing(job.checkpoint, "checkpoint"))
+    _check_classes(cache.classes, dataset.classes, "dataset")
 
     alpha, table, flags = job.alpha, None, {}
     if alpha is None and job.tune is not None:
         tune_ds = load_manifest(existing(job.tune.dataset, "tune dataset"))
+        _check_classes(cache.classes, tune_ds.classes, "tune dataset")
         tune_split = load_split(existing(job.tune.split, "tune split"), tune_ds)
         q = tune_ds.store.rows[tune_split.labeled_rows]
         alpha, table, flags = pick_alpha(

@@ -135,4 +135,5 @@ class UnknownSourceKindError(FewcacheError):
 
 
 class DimensionConflictError(FewcacheError):
-    """Instance and text embeddings in one experiment disagree on dim."""
+    """Two inputs of one run disagree: instance and text embeddings on dim
+    or class count, or a checkpoint and a dataset on their classes."""

@@ -194,7 +194,6 @@ def run_single(
 
     train_cfg = replace(
         cfg.train,
-        seed=seed,
         lr_keys=0.0 if cfg.freeze_keys else cfg.train.lr_keys,
         lr_value_logits=0.0 if cfg.freeze_value_logits else cfg.train.lr_value_logits,
     )
@@ -319,7 +318,8 @@ def write_run_record(record: RunRecord, out_dir) -> Path:
         "blas_threads": record.blas_threads,
         "created_unix": time.time(),
         "host": platform.node(),
-        "platform": platform.platform(),
+        # platform.platform() would fork `uname -p`; these read os.uname().
+        "platform": f"{platform.system()}-{platform.release()}-{platform.machine()}",
     }
     with open(out / "metadata.json", "w") as f:
         json.dump(metadata, f, indent=2, sort_keys=True)

@@ -1,10 +1,10 @@
 """Joint optimization of both branches plus model checkpointing.
 
-Each step draws a minibatch of labeled instances, computes the retrieval
-loss and the prior loss on it, and applies one Adam update per parameter
-group (cache keys, unfrozen value logits, prompt parameters), each with
-its own learning rate. Keys are re-normalized after every update so
-retrieval stays a cosine comparison.
+Each step computes the retrieval loss and the prior loss on all the
+labeled instances (few-shot, so no minibatch draw), in row order, and
+applies one Adam update per parameter group (cache keys, unfrozen value
+logits, prompt parameters), each with its own learning rate. Keys are
+re-normalized after every update so retrieval stays a cosine comparison.
 
 The two losses touch disjoint parameter groups, so joint optimization is
 two independent descents run in lockstep; their sum is what the history
@@ -16,11 +16,10 @@ logits must be finite and match in width, and the prompt parameters
 must encode to finite, nonzero text features. Every step then runs the
 unchecked cores behind the public kernels (`_cache_loss_and_grads`,
 `_prior_loss_and_grads`, `_l2_normalize_rows`, `_softmax_rows`) and the
-in-place `adam_step`, with the same IEEE operations and RNG draws as the
-public kernels, so results are bit-identical to a loop over those. A key
-row that an update drives to zero still raises DegenerateRowError at
-that step; the trained parameters are checked for finiteness once, on
-exit.
+in-place `adam_step`, with the same IEEE operations as the public
+kernels, so results are bit-identical to a loop over those. A key row
+that an update drives to zero still raises DegenerateRowError at that
+step; the trained parameters are checked for finiteness once, on exit.
 """
 
 from __future__ import annotations
@@ -67,19 +66,13 @@ class TrainConfig:
     lr_keys: float = 1e-3
     lr_value_logits: float = 1e-2
     lr_prompt: float = 1e-3
-    batch_size: Optional[int] = None  # resolved to min(4096, labeled count)
     steps: int = 2000
-    seed: int = 0
-    cache_loss_weight: float = 1.0
-    prompt_loss_weight: float = 1.0
 
     def __post_init__(self):
         if min(self.lr_keys, self.lr_value_logits, self.lr_prompt) < 0.0:
             raise ValueError("learning rates must be >= 0")
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
 
 
 @dataclass
@@ -100,9 +93,8 @@ def train(
     """Run cfg.steps of joint optimization; inputs are never mutated.
 
     Queries are the original (frozen-encoder) features of the labeled
-    rows; cache keys drift away from them as training proceeds. Batches
-    are drawn with replacement only when the labeled pool is smaller
-    than the batch size.
+    rows; cache keys drift away from them as training proceeds. Every
+    step sees all of them, in row order.
     """
     if split.labeled_rows.size == 0:
         raise ValueError("cannot train without labeled instances")
@@ -120,10 +112,7 @@ def train(
         )
     values = cache.value_distributions()
     encode_prompts(prior)
-    labels = split.labeled_classes.copy()
-    n = queries.shape[0]
-    batch = cfg.batch_size if cfg.batch_size is not None else min(4096, n)
-    rng = np.random.default_rng(cfg.seed)
+    labels = split.labeled_classes
 
     # The learnable value rows are optimized as one compact block; frozen
     # rows keep their stored distribution in `values` throughout.
@@ -135,25 +124,21 @@ def train(
     )
 
     for step in range(cfg.steps):
-        idx = rng.choice(n, size=batch, replace=batch > n)
-        qb, yb = queries[idx], labels[idx]
-
         cache_loss, g_keys, g_free = _cache_loss_and_grads(
-            keys, values, cache.beta, qb, yb, free
+            keys, values, cache.beta, queries, labels, free
         )
-        prompt_loss, g_prompt = _prior_loss_and_grads(prior, _raw_text(prior), qb, yb)
+        prompt_loss, g_prompt = _prior_loss_and_grads(prior, _raw_text(prior), queries, labels)
 
         if cfg.lr_keys > 0.0:
-            adam_step(keys, cfg.cache_loss_weight * g_keys, adam_keys, cfg.lr_keys)
+            adam_step(keys, g_keys, adam_keys, cfg.lr_keys)
             _l2_normalize_rows(keys, out=keys)
         if cfg.lr_value_logits > 0.0:
-            adam_step(free_logits, cfg.cache_loss_weight * g_free, adam_values, cfg.lr_value_logits)
+            adam_step(free_logits, g_free, adam_values, cfg.lr_value_logits)
             values[free] = _softmax_rows(free_logits.copy())
         if cfg.lr_prompt > 0.0:
-            adam_step(prompt, cfg.prompt_loss_weight * g_prompt, adam_prompt, cfg.lr_prompt)
+            adam_step(prompt, g_prompt, adam_prompt, cfg.lr_prompt)
 
-        total = cfg.cache_loss_weight * cache_loss + cfg.prompt_loss_weight * prompt_loss
-        state.history.append((step, cache_loss, prompt_loss, total))
+        state.history.append((step, cache_loss, prompt_loss, cache_loss + prompt_loss))
 
     cache.keys = keys
     cache.value_logits[free] = free_logits

@@ -22,7 +22,7 @@ from fewcache.dataset import (
     write_embeddings,
 )
 from fewcache.numerics import l2_normalize_rows
-from fewcache.sampler import FewShotSpec, load_split, save_split
+from fewcache.sampler import FewShotSpec, load_split, sample_split, save_split
 
 
 def write_json(path, doc):
@@ -126,6 +126,21 @@ class TestPipeline:
         assert main(["eval", "--config", tuned_cfg, "--out", str(tuned_dir)]) == 0
         sweep_lines = (tuned_dir / "alpha_sweep.csv").read_text().strip().splitlines()
         assert len(sweep_lines) == 102
+
+    def test_train_ignores_seed(self, pipeline_dirs):
+        tmp = pipeline_dirs["tmp"]
+        train_cfg = write_json(
+            tmp / "train.json",
+            {"dataset": str(pipeline_dirs["manifest"]), "split": str(pipeline_dirs["split"]),
+             "prompt": str(pipeline_dirs["prompts"]), "train": {"steps": 20}},
+        )
+        written = {}
+        for seed in ("0", "7"):
+            out = tmp / f"run_{seed}"
+            assert main(["train", "--seed", seed, "--config", train_cfg, "--out", str(out)]) == 0
+            files = sorted((out / "checkpoint").glob("*.femb")) + [out / "loss_history.csv"]
+            written[seed] = {path.relative_to(out): path.read_bytes() for path in files}
+        assert written["7"] == written["0"]
 
     def test_eval_bytes_independent_of_worker_count(self, trained, monkeypatch):
         tmp = trained["tmp"]
@@ -244,6 +259,16 @@ class TestSweepAndReport:
         out2 = tmp_path / "report_out"
         assert main(["report", "--config", report_cfg, "--out", str(out2)]) == 0
         assert (out2 / "report.csv").read_bytes() == (out / "report.csv").read_bytes()
+
+        # record.json keeps its config as written, so a record whose train
+        # block names keys TrainConfig no longer has still reports.
+        record = json.loads((out / "record.json").read_text())
+        record["config"]["train"].update(batch_size=None, seed=0, cache_loss_weight=1.0,
+                                         prompt_loss_weight=1.0)
+        write_json(out / "record.json", record)
+        out3 = tmp_path / "old_keys_report"
+        assert main(["report", "--config", report_cfg, "--out", str(out3)]) == 0
+        assert (out3 / "report.csv").read_bytes() == (out / "report.csv").read_bytes()
 
 
 class TestGradcheckCommand:
@@ -392,8 +417,8 @@ class TestErrors:
                          id="unknown-prompt-mode"),
             pytest.param("prototype", 5, "TrainConfig must be a JSON object",
                          id="train-not-an-object"),
-            pytest.param("prototype", {"steps": 5, "batch_size": 0},
-                         "batch_size must be >= 1", id="zero-batch-size"),
+            pytest.param("prototype", {"steps": 5, "batch_size": 8},
+                         "unknown key(s) 'batch_size'", id="removed-batch-size-key"),
         ],
     )
     def test_malformed_train_config_exits_2(self, pipeline_dirs, capsys, prompt_mode, train,
@@ -482,6 +507,37 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: CorruptCheckpointError")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("role", ["dataset", "tune"])
+    @pytest.mark.parametrize(
+        "spec, classes",
+        [
+            pytest.param({"num_classes": 3}, ["class_0", "class_1", "class_2"],
+                         id="class-count"),
+            pytest.param({}, ["normal", "tumor"], id="class-names"),
+        ],
+    )
+    def test_eval_class_mismatch_exits_1(self, trained, capsys, role, spec, classes):
+        # The checkpoint holds classes ['class_0', 'class_1']; the eval
+        # dataset or the tune dataset holds other ones.
+        tmp = trained["tmp"]
+        other = synth_generate(SynthSpec(**{**SPEC_DOC, **spec}))
+        other.classes = classes
+        other_manifest = save_dataset(other, tmp / "other")
+        save_split(sample_split(other, FewShotSpec(bag_shot=2, instance_shot=3)),
+                   tmp / "other_split.json")
+        doc = {"dataset": str(trained["manifest"]), "checkpoint": str(trained["checkpoint"])}
+        if role == "dataset":
+            doc.update(dataset=str(other_manifest), alpha=0.5)
+        else:
+            doc["tune"] = {"dataset": str(other_manifest), "split": str(tmp / "other_split.json")}
+        eval_cfg = write_json(tmp / "eval.json", doc)
+        capsys.readouterr()
+        assert main(["eval", "--config", eval_cfg, "--out", str(tmp / "eval")]) == 1
+        err = capsys.readouterr().err
+        assert assert_one_domain_line(err) == "DimensionConflictError"
+        assert "['class_0', 'class_1']" in err and str(classes) in err
+        assert not (tmp / "eval").exists()
 
     def test_domain_error_exits_1(self, tmp_path, capsys):
         # valid config, but sampling asks for more bags than exist

@@ -41,13 +41,13 @@ VALUES = [
     pytest.param(SynthSpec(num_classes=3, dim=8, noise_sigma=0.4, seed=7), id="SynthSpec"),
     pytest.param(FewShotSpec(bag_shot=2, instance_shot=4, coreset_cap=50, per_bag=True),
                  id="FewShotSpec"),
-    pytest.param(TrainConfig(steps=10, batch_size=16, lr_prompt=0.0), id="TrainConfig"),
+    pytest.param(TrainConfig(steps=10, lr_prompt=0.0), id="TrainConfig"),
     pytest.param(TrainJob(dataset="m.json", split="s.json", prompt="p.femb",
                           prior_mode=TOY_ENCODER, prior_tau=0.05, toy_seed=3), id="TrainJob"),
     pytest.param(
         ExperimentConfig(
             source={"kind": "synthetic", "spec": {"dim": 8}}, bag_shots=(1, 4),
-            instance_shots=(2,), train=TrainConfig(steps=5, seed=2),
+            instance_shots=(2,), train=TrainConfig(steps=5),
             pooling="topk_mean", freeze_keys=True,
         ),
         id="ExperimentConfig",
@@ -95,7 +95,8 @@ def test_run_record_in_memory_fields_not_written():
          "CellResult must be a JSON object"),
         (SynthSpec, {"dim": 1}, "SynthSpec: dim must be >= num_classes"),
         (TrainConfig, {"steps": "5"}, "TrainConfig.steps must be int, got str"),
-        (TrainConfig, {"batch_size": 8.0}, "TrainConfig.batch_size must be int, got float"),
+        (TrainConfig, {"cache_loss_weight": 1.0},
+         r"TrainConfig: unknown key\(s\) 'cache_loss_weight'"),
         (FewShotSpec, {"bag_shot": True, "instance_shot": 1},
          "FewShotSpec.bag_shot must be int, got bool"),
         (ExperimentConfig, {"source": {}, "bag_shots": ["2"]},
@@ -106,7 +107,6 @@ def test_run_record_in_memory_fields_not_written():
          "TrainJob.prompt must be str, got int"),
         (AUCResult, {"per_class": [0.5, "x"], "macro": None},
          "AUCResult.per_class must be float, got str"),
-        (TrainConfig, {"batch_size": 0}, "TrainConfig: batch_size must be >= 1"),
     ],
 )
 def test_malformed_docs_raise_usage_error(cls, doc, match):

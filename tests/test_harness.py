@@ -1,6 +1,8 @@
 import csv
 import json
 import multiprocessing
+import platform
+import subprocess
 import threading
 
 import numpy as np
@@ -122,6 +124,18 @@ class TestSerialization:
         meta_doc = json.loads((tmp_path / "metadata.json").read_text())
         assert "wall_clock_seconds" not in json.dumps(record_doc)
         assert "wall_clock_seconds" in meta_doc
+
+    def test_metadata_starts_no_subprocess(self, tiny_record, tmp_path, monkeypatch):
+        # A fresh platform.platform() runs `uname -p` in a child process.
+        def no_child(*args, **kwargs):
+            raise AssertionError("metadata started a subprocess")
+
+        monkeypatch.setattr(platform, "_uname_cache", None)
+        monkeypatch.setattr(platform, "_platform_cache", {})
+        monkeypatch.setattr(subprocess, "Popen", no_child)
+        write_run_record(tiny_record, tmp_path)
+        meta_doc = json.loads((tmp_path / "metadata.json").read_text())
+        assert meta_doc["platform"].startswith(f"{platform.system()}-")
 
     def test_deterministic_result_files(self, tmp_path):
         cfg_doc = to_doc(tiny_config())

@@ -65,13 +65,13 @@ class TestTrain:
     def test_separable_loss_drops(self, separable_setup):
         ds, split = separable_setup
         cache, prior = _models(ds, split)
-        _, _, state = train(cache, prior, split, ds.store, TrainConfig(steps=500, seed=0))
+        _, _, state = train(cache, prior, split, ds.store, TrainConfig(steps=500))
         assert state.history[-1][3] < 0.05
 
     def test_smoothed_loss_halves(self, separable_setup):
         ds, split = separable_setup
         cache, prior = _models(ds, split)
-        _, _, state = train(cache, prior, split, ds.store, TrainConfig(steps=500, seed=0))
+        _, _, state = train(cache, prior, split, ds.store, TrainConfig(steps=500))
         totals = [h[3] for h in state.history]
         first = float(np.mean(totals[:100]))
         last = float(np.mean(totals[-100:]))
@@ -88,7 +88,7 @@ class TestTrain:
 
     def test_deterministic(self, separable_setup):
         ds, split = separable_setup
-        cfg = TrainConfig(steps=50, seed=3)
+        cfg = TrainConfig(steps=50)
         a = train(*_models(ds, split), split, ds.store, cfg)
         b = train(*_models(ds, split), split, ds.store, cfg)
         assert a[2].history == b[2].history
@@ -100,14 +100,14 @@ class TestTrain:
         cache, prior = _models(ds, split)
         keys_before = cache.keys.copy()
         prompt_before = prior.class_features.copy()
-        train(cache, prior, split, ds.store, TrainConfig(steps=20, seed=0))
+        train(cache, prior, split, ds.store, TrainConfig(steps=20))
         assert np.array_equal(cache.keys, keys_before)
         assert np.array_equal(prior.class_features, prompt_before)
 
     def test_zero_lr_group_isolation(self, separable_setup):
         ds, split = separable_setup
         cache, prior = _models(ds, split)
-        cfg = TrainConfig(steps=30, seed=0, lr_keys=0.0, lr_prompt=0.0)
+        cfg = TrainConfig(steps=30, lr_keys=0.0, lr_prompt=0.0)
         cache2, prior2, _ = train(cache, prior, split, ds.store, cfg)
         assert np.array_equal(cache2.keys, cache.keys)
         assert np.array_equal(prior2.class_features, prior.class_features)
@@ -117,7 +117,7 @@ class TestTrain:
         ds, split = separable_setup
         cache, prior = _models(ds, split)
         frozen_before = cache.value_logits[cache.frozen_mask].copy()
-        cache2, _, _ = train(cache, prior, split, ds.store, TrainConfig(steps=100, seed=1))
+        cache2, _, _ = train(cache, prior, split, ds.store, TrainConfig(steps=100))
         assert np.array_equal(cache2.value_logits[cache2.frozen_mask], frozen_before)
 
     def test_toy_frozen_parts_bit_identical(self, separable_setup, rng):
@@ -127,7 +127,7 @@ class TestTrain:
                                   num_learnable=4, tau=0.5, seed=2)
         base_before = prior.base_tokens.copy()
         enc_before = prior.encoder_matrix.copy()
-        _, prior2, _ = train(cache, prior, split, ds.store, TrainConfig(steps=50, seed=0))
+        _, prior2, _ = train(cache, prior, split, ds.store, TrainConfig(steps=50))
         assert np.array_equal(prior2.base_tokens, base_before)
         assert np.array_equal(prior2.encoder_matrix, enc_before)
         assert not np.array_equal(prior2.prompt_tokens, prior.prompt_tokens)
@@ -135,7 +135,7 @@ class TestTrain:
     def test_keys_stay_unit_norm(self, separable_setup):
         ds, split = separable_setup
         cache, prior = _models(ds, split)
-        cache2, _, _ = train(cache, prior, split, ds.store, TrainConfig(steps=50, seed=0))
+        cache2, _, _ = train(cache, prior, split, ds.store, TrainConfig(steps=50))
         np.testing.assert_allclose(np.linalg.norm(cache2.keys, axis=1), 1.0, atol=1e-9)
 
     def test_no_labeled_instances_rejected(self, separable_setup):
@@ -149,16 +149,10 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(cache, prior, empty, ds.store, TrainConfig(steps=10))
 
-    @pytest.mark.parametrize("batch_size", [0, -1])
-    def test_batch_size_below_one_rejected(self, batch_size):
-        # A zero batch would record NaN losses and change no parameter.
-        with pytest.raises(ValueError, match="batch_size must be >= 1"):
-            TrainConfig(steps=3, batch_size=batch_size)
-
     def test_history_csv(self, separable_setup, tmp_path):
         ds, split = separable_setup
         cache, prior = _models(ds, split)
-        _, _, state = train(cache, prior, split, ds.store, TrainConfig(steps=10, seed=0))
+        _, _, state = train(cache, prior, split, ds.store, TrainConfig(steps=10))
         path = history_to_csv(state, tmp_path / "loss.csv")
         with open(path) as f:
             rows = list(csv.reader(f))
@@ -173,28 +167,20 @@ def _reference_train(cache, prior, split, store, cfg):
     cache, prior, history = cache.copy(), prior.copy(), []
     queries = store.rows[split.labeled_rows].copy()
     labels = split.labeled_classes.copy()
-    n = queries.shape[0]
-    batch = cfg.batch_size if cfg.batch_size is not None else min(4096, n)
-    rng = np.random.default_rng(cfg.seed)
     adam_keys = AdamState.zeros_like(cache.keys)
     adam_values = AdamState.zeros_like(cache.value_logits)
     adam_prompt = AdamState.zeros_like(prior.learnable())
     for step in range(cfg.steps):
-        idx = rng.choice(n, size=batch, replace=batch > n)
-        qb, yb = queries[idx], labels[idx]
-        cache_loss, g_keys, g_values = cache_loss_and_grads(cache, qb, yb)
-        prompt_loss, g_prompt = prior_loss_and_grads(prior, qb, yb)
+        cache_loss, g_keys, g_values = cache_loss_and_grads(cache, queries, labels)
+        prompt_loss, g_prompt = prior_loss_and_grads(prior, queries, labels)
         if cfg.lr_keys > 0.0:
-            adam_step(cache.keys, cfg.cache_loss_weight * g_keys, adam_keys, cfg.lr_keys)
+            adam_step(cache.keys, g_keys, adam_keys, cfg.lr_keys)
             cache.keys = l2_normalize_rows(cache.keys)
         if cfg.lr_value_logits > 0.0:
-            adam_step(cache.value_logits, cfg.cache_loss_weight * g_values, adam_values,
-                      cfg.lr_value_logits)
+            adam_step(cache.value_logits, g_values, adam_values, cfg.lr_value_logits)
         if cfg.lr_prompt > 0.0:
-            adam_step(prior.learnable(), cfg.prompt_loss_weight * g_prompt, adam_prompt,
-                      cfg.lr_prompt)
-        total = cfg.cache_loss_weight * cache_loss + cfg.prompt_loss_weight * prompt_loss
-        history.append((step, cache_loss, prompt_loss, total))
+            adam_step(prior.learnable(), g_prompt, adam_prompt, cfg.lr_prompt)
+        history.append((step, cache_loss, prompt_loss, cache_loss + prompt_loss))
     return cache, prior, history
 
 
@@ -202,8 +188,7 @@ def _reference_train(cache, prior, split, store, cfg):
 def _training_problems(draw):
     """A random cache (any frozen mask, value rows frozen on the simplex),
     a prior of either mode, labeled store rows and a TrainConfig with each
-    learning rate possibly 0, batches below and above the labeled count
-    and loss weights other than 1."""
+    learning rate possibly 0."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     d = draw(st.integers(1, 12))
     classes = [f"c{i}" for i in range(draw(st.integers(2, 4)))]
@@ -239,12 +224,9 @@ def _training_problems(draw):
         unlabeled_rows=np.empty(0, dtype=np.int64), seed=0,
     )
     rate = st.sampled_from([0.0, 1e-3, 1e-2, 0.1])
-    weight = st.sampled_from([1.0, 0.0, 0.5, 2.5])
     cfg = TrainConfig(
         lr_keys=draw(rate), lr_value_logits=draw(rate), lr_prompt=draw(rate),
-        batch_size=draw(st.one_of(st.none(), st.integers(1, 2 * n_lab + 2))),
-        steps=draw(st.integers(1, 12)), seed=draw(st.integers(0, 1000)),
-        cache_loss_weight=draw(weight), prompt_loss_weight=draw(weight),
+        steps=draw(st.integers(1, 12)),
     )
     return cache, prior, split, store, cfg
 
@@ -279,19 +261,21 @@ class TestValidateOnce:
             train(*_models(ds, split), split, store, TrainConfig(steps=5))
 
     def test_key_row_driven_to_zero_raises(self):
-        # d = 1 and loss weight 2**60: the scaled gradient dwarfs Adam's eps,
-        # so the first update moves key row 1 by exactly lr, from 0.4 to 0.
+        # d = 1: Adam's first update moves key row 1 by lr times its unit-lr
+        # step (just under 1, because of eps), so lr = 0.4 over that step
+        # moves the row from 0.4 to exactly 0.
         store = EmbeddingStore.from_array([[1.0]])
         split = FewShotSplit([], np.array([0]), np.array([0]), np.empty(0, dtype=np.int64), 0)
         prior = prior_from_features([[1.0], [-1.0]], ["a", "b"])
         cache = CacheModel(keys=np.array([[1.0], [0.4]]), value_logits=np.eye(2),
                            frozen_mask=np.ones(2, dtype=bool), beta=1.0, classes=["a", "b"])
-        cfg = TrainConfig(steps=3, lr_keys=0.4, lr_value_logits=0.0, lr_prompt=0.0,
-                          cache_loss_weight=2.0**60)
         _, g_keys, _ = cache_loss_and_grads(cache, store.rows, [0])
+        unit_step = np.zeros_like(cache.keys)
+        adam_step(unit_step, g_keys, AdamState.zeros_like(unit_step), 1.0)
+        cfg = TrainConfig(steps=3, lr_keys=0.4 / -unit_step[1, 0], lr_value_logits=0.0,
+                          lr_prompt=0.0)
         new_keys = cache.keys.copy()
-        adam_step(new_keys, cfg.cache_loss_weight * g_keys, AdamState.zeros_like(new_keys),
-                  cfg.lr_keys)
+        adam_step(new_keys, g_keys, AdamState.zeros_like(new_keys), cfg.lr_keys)
         assert new_keys[1, 0] == 0.0
         for run in (train, _reference_train):
             with pytest.raises(DegenerateRowError) as exc:
@@ -318,7 +302,7 @@ class TestCheckpoints:
         ds, split = separable_setup
         cache, prior = _models(ds, split)
         cache, prior, _ = train(cache, prior, split, ds.store,
-                                TrainConfig(steps=steps, seed=0))
+                                TrainConfig(steps=steps))
         return ds, cache, prior
 
     def test_round_trip_bit_exact_predictions(self, separable_setup, tmp_path):
