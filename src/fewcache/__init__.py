@@ -22,6 +22,7 @@ from .dataset import (
     SynthSpec,
     load_manifest,
     read_embeddings,
+    read_layout,
     save_dataset,
     synth_generate,
     write_embeddings,
@@ -33,6 +34,7 @@ from .fusion_eval import (
     alpha_grid,
     bag_pool,
     binary_auc,
+    evaluate,
     fuse,
     instance_auc,
     sweep_alpha,
@@ -100,6 +102,7 @@ __all__ = [
     "cache_loss_and_grads",
     "emit_report",
     "encode_prompts",
+    "evaluate",
     "finite_difference_check",
     "from_doc",
     "fuse",
@@ -112,6 +115,7 @@ __all__ = [
     "prior_predict",
     "prior_toy_encoder",
     "read_embeddings",
+    "read_layout",
     "resolve_source",
     "restore",
     "retrieve",

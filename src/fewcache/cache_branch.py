@@ -23,16 +23,20 @@ runs threads of its own), each taking the next free block, and each
 thread reuses one (rows, n_cache) buffer. It holds its (m, N) output,
 one block per thread and the (n_cache, N) value rows, so its memory
 grows with m only by the output; `attention` is the opt-in full
-(m, n_cache) matrix.
+(m, n_cache) matrix. Its core, `_retrieve_store`, runs the same pass
+over a dataset's store; over a FembStore each thread reads its block of
+query rows from the bag files into a buffer of its own, so the queries
+are never held whole (`fusion_eval.evaluate`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .dataset import EmbeddingStore
+from .dataset import EmbeddingStore, FembStore
 from .errors import NonFiniteInputError, ShapeMismatchError
 from .numerics import (
     PROB_CLAMP,
@@ -121,9 +125,22 @@ def build_cache(
 
 def _query_matrix(model: CacheModel, queries, name: str = "queries") -> np.ndarray:
     q = as_matrix(queries, name)
-    if q.shape[1] != model.dim:
-        raise ShapeMismatchError(f"query dim {q.shape[1]} != key dim {model.dim}")
+    _check_key_dim(model, q.shape[1])
     return q
+
+
+def _check_key_dim(model: CacheModel, dim: int) -> None:
+    if dim != model.dim:
+        raise ShapeMismatchError(f"query dim {dim} != key dim {model.dim}")
+
+
+def _scoring_parts(model: CacheModel) -> tuple[np.ndarray, np.ndarray]:
+    """(keys, value rows) that `_attention` blocks score against, checked:
+    raises NonFiniteInputError on a non-finite key, beta or value logit."""
+    keys = as_matrix(model.keys, "cache keys")
+    if not np.isfinite(model.beta):
+        raise NonFiniteInputError(f"cache beta {model.beta} is not finite")
+    return keys, model.value_distributions()
 
 
 def attention(model: CacheModel, queries) -> np.ndarray:
@@ -156,18 +173,30 @@ def retrieve(model: CacheModel, queries) -> np.ndarray:
     the result is the same bytes on any number of CPUs and equals
     attention(model, queries) @ model.value_distributions().
     """
-    q = _query_matrix(model, queries)
-    keys = as_matrix(model.keys, "cache keys")
-    if not np.isfinite(model.beta):
-        raise NonFiniteInputError(f"cache beta {model.beta} is not finite")
-    values = model.value_distributions()
-    m = q.shape[0]
+    return _retrieve_store(model, EmbeddingStore.from_array(_query_matrix(model, queries)))
+
+
+def _retrieve_store(
+    model: CacheModel,
+    store: EmbeddingStore | FembStore,
+    also: Callable[[np.ndarray, int, int], None] | None = None,
+) -> np.ndarray:
+    """Core of retrieve over every row of `store`, whose width the caller
+    has checked; `also(q, start, stop)` then gets each block's query rows
+    on the thread that scored them. A FembStore reads each block into a
+    per-thread buffer, so the rows are never held whole."""
+    keys, values = _scoring_parts(model)
+    m = store.n
     starts = _row_blocks(m, model.n_cache)
     workers = _block_workers(starts)
+    rows = min(starts.step, m)
     probs = np.empty((m, model.num_classes), dtype=REAL)
-    # Every thread's scores buffer is allocated here, so the threads
-    # allocate no more than row vectors.
-    scores = np.empty((workers, min(starts.step, m), model.n_cache), dtype=REAL)
+    # Every thread's buffers are allocated here, so a thread allocates no
+    # more than row vectors, or one block's temporaries as it reads a
+    # FembStore block.
+    scores = np.empty((workers, rows, model.n_cache), dtype=REAL)
+    queries = (None if isinstance(store, EmbeddingStore)
+               else np.empty((workers, rows, store.d), dtype=REAL))
 
     def score_blocks(i: int, blocks) -> None:
         # Finite inputs can still overflow the scores (keys far from unit
@@ -176,8 +205,11 @@ def retrieve(model: CacheModel, queries) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
             for start in blocks:
                 stop = min(start + starts.step, m)
-                attn = _attention(q[start:stop], keys, model.beta, out=scores[i, : stop - start])
+                q = store._read(start, stop, None if queries is None else queries[i])
+                attn = _attention(q, keys, model.beta, out=scores[i, : stop - start])
                 np.matmul(attn, values, out=probs[start:stop])
+                if also is not None:
+                    also(q, start, stop)
 
     _run_blocks(score_blocks, starts, workers)
     if not _all_finite(probs):

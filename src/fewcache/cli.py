@@ -30,12 +30,14 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
-from .cache_branch import DEFAULT_BETA, build_cache, retrieve
+import numpy as np
+
+from .cache_branch import DEFAULT_BETA, build_cache
 from .codec import existing, from_doc, read_json, to_doc
-from .dataset import SynthSpec, load_manifest, save_dataset, synth_generate
+from .dataset import SynthSpec, load_manifest, read_layout, save_dataset, synth_generate
 from .encoders import read_prompt_features
 from .errors import DimensionConflictError, FewcacheError, UsageError
-from .fusion_eval import GRID_POINTS, POOL_OPERATORS, alpha_table_to_csv, fuse, pick_alpha, score
+from .fusion_eval import GRID_POINTS, POOL_OPERATORS, alpha_table_to_csv, evaluate
 from .gradchecks import run_all_suites
 from .harness import (
     REPORT_FORMATS,
@@ -45,7 +47,7 @@ from .harness import (
     run_experiment,
     write_run_record,
 )
-from .prior_branch import PriorSpec, build_prior, prior_predict
+from .prior_branch import PriorSpec, build_prior
 from .sampler import FewShotSpec, load_split, sample_split, save_split
 from .trainer import TrainConfig, history_to_csv, restore, snapshot, train
 
@@ -179,51 +181,48 @@ def _check_classes(checkpoint: list[str], data: list[str], what: str) -> None:
         raise DimensionConflictError(f"checkpoint classes {checkpoint} but {what} classes {data}")
 
 
+def _tune_rows(tune: TuneSet, classes: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The labeled rows of a tune split and their classes; only those rows
+    are read from the tune dataset's files."""
+    dataset = read_layout(existing(tune.dataset, "tune dataset"))
+    _check_classes(classes, dataset.classes, "tune dataset")
+    split = load_split(existing(tune.split, "tune split"), dataset)
+    return dataset.store.take(split.labeled_rows), split.labeled_classes
+
+
 def cmd_eval(args) -> int:
     """Evaluate a checkpoint on a dataset, optionally tuning alpha."""
     job = from_doc(EvalJob, _load_config(args.config))
-    dataset = load_manifest(existing(job.dataset, "dataset"))
+    dataset = read_layout(existing(job.dataset, "dataset"))
     cache, prior = restore(existing(job.checkpoint, "checkpoint"))
     _check_classes(cache.classes, dataset.classes, "dataset")
 
-    alpha, table, flags = job.alpha, None, {}
-    if alpha is None and job.tune is not None:
-        tune_ds = load_manifest(existing(job.tune.dataset, "tune dataset"))
-        _check_classes(cache.classes, tune_ds.classes, "tune dataset")
-        tune_split = load_split(existing(job.tune.split, "tune split"), tune_ds)
-        q = tune_ds.store.rows[tune_split.labeled_rows]
-        alpha, table, flags = pick_alpha(
-            retrieve(cache, q), prior_predict(prior, q), tune_split.labeled_classes,
-            job.grid_points,
-        )
-    out = _out_dir(args)
-    if table is not None:
-        alpha_table_to_csv(table, out / "alpha_sweep.csv")
-    alpha = 0.5 if alpha is None else float(alpha)
-    queries = dataset.store.rows
-    fused = fuse(retrieve(cache, queries), prior_predict(prior, queries), alpha)
-    instance, bag = score(fused, dataset, job.pooling)
-    if instance is None:
-        flags["instance_labels_missing"] = True
+    tune = None
+    if job.alpha is None and job.tune is not None:
+        tune = _tune_rows(job.tune, cache.classes)
+    result = evaluate(cache, prior, dataset, job.pooling, job.alpha, tune, job.grid_points)
 
-    result: dict = {
-        "alpha": alpha,
+    doc: dict = {
+        "alpha": result.alpha,
         "n_instances": dataset.num_instances,
-        "instance_auc": to_doc(instance),
+        "instance_auc": to_doc(result.fused[0]),
         "pooling": job.pooling,
         "n_bags": len(dataset.bags),
-        "bag_auc": to_doc(bag),
+        "bag_auc": to_doc(result.fused[1]),
     }
-    if flags:
-        result["flags"] = flags
+    if result.flags:
+        doc["flags"] = result.flags
+    out = _out_dir(args)
+    if result.alpha_table is not None:
+        alpha_table_to_csv(result.alpha_table, out / "alpha_sweep.csv")
     path = out / "eval.json"
     with open(path, "w") as f:
-        json.dump(result, f, indent=2, sort_keys=True)
+        json.dump(doc, f, indent=2, sort_keys=True)
     with open(out / "eval.csv", "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["metric", "value"])
-        for key in sorted(result):
-            writer.writerow([key, json.dumps(result[key])])
+        for key in sorted(doc):
+            writer.writerow([key, json.dumps(doc[key])])
     print(path)
     return 0
 

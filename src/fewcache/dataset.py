@@ -12,6 +12,13 @@ bag at a time into the store and normalizes and checks the rows in place,
 one row block (numerics._BLOCK_ELEMENTS) at a time. So a load holds the
 store, plus one bag as read and widened, plus one block.
 
+`read_layout` runs the same checks on the manifest, the headers and the
+labels, but allocates no store: its dataset's `FembStore` reads rows on
+demand, a block at a time, opening one bag file at a time. A block read
+normalizes and checks its rows as `load_manifest` does (the same bits:
+every row is normalized on its own), so a pass over the blocks holds the
+bags and labels plus one block per reader, whatever the row count.
+
 File formats, each with the error a bad file raises. The CLI prints it
 as one stderr line and exits 1; usage errors (bad flag, missing file
 named in a config, malformed config) exit 2. Each JSON format is a
@@ -41,6 +48,7 @@ DimensionConflictError.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import os
@@ -55,6 +63,7 @@ import numpy as np
 from .codec import OMIT_NONE, from_doc, read_json, to_doc
 from .errors import (
     BadMagicError,
+    DegenerateRowError,
     DimensionMismatchError,
     FembError,
     LabelRangeError,
@@ -85,6 +94,77 @@ class EmbeddingStore:
         a = np.asarray(rows, dtype=REAL)
         return cls(n=a.shape[0], d=a.shape[1], rows=a)
 
+    def _read(self, start: int, stop: int, out: np.ndarray | None) -> np.ndarray:
+        """Rows [start, stop): a view of the store; `out` is not used."""
+        return self.rows[start:stop]
+
+    def take(self, rows: np.ndarray) -> np.ndarray:
+        """A copy of the given rows, in order."""
+        return self.rows[rows]
+
+
+@dataclass
+class FembStore:
+    """The rows of a manifest's bag files, read on demand (`read_layout`).
+
+    `files[i]` holds rows [ends[i - 1], ends[i]) (from 0 for i = 0); its
+    header was checked against the manifest when the layout was read.
+    """
+
+    n: int
+    d: int
+    files: list[Path]
+    ends: list[int]
+
+    def _read(self, start: int, stop: int, out: np.ndarray) -> np.ndarray:
+        """Rows [start, stop) into out[: stop - start], normalized and checked
+        as `load_manifest` does; returns that view. Opens the bag files the
+        rows lie in one at a time, and allocates at most one bag chunk in
+        the file's width. Raises NonFiniteValueError naming the file of a
+        NaN or infinite value, DegenerateRowError naming a zero row by its
+        row in the store."""
+        block = out[: stop - start]
+        row = start
+        i = bisect.bisect_right(self.ends, start)
+        while row < stop:
+            first = self.ends[i - 1] if i else 0
+            chunk = block[row - start : min(stop, self.ends[i]) - start]
+            with _femb_header(self.files[i]) as (f, dtype, _, _):
+                f.seek((row - first) * self.d * dtype.itemsize, os.SEEK_CUR)
+                if dtype == chunk.dtype:
+                    f.readinto(chunk)
+                else:
+                    raw = np.empty(chunk.shape, dtype=dtype)
+                    f.readinto(raw)
+                    chunk[...] = raw
+            if not _all_finite(chunk):
+                raise NonFiniteValueError(f"{self.files[i]}: payload contains NaN or infinity")
+            row += chunk.shape[0]
+            i += 1
+        try:
+            _l2_normalize_rows(block, out=block)
+        except DegenerateRowError as exc:
+            raise DegenerateRowError(start + exc.row) from None
+        _check_unit_norm(block)
+        return block
+
+    def take(self, rows: np.ndarray) -> np.ndarray:
+        """The given rows, in order, read and checked one at a time."""
+        out = np.empty((len(rows), self.d), dtype=REAL)
+        for i, row in enumerate(rows):
+            self._read(int(row), int(row) + 1, out[i:])
+        return out
+
+
+def _check_unit_norm(rows: np.ndarray) -> None:
+    """Raise DimensionMismatchError unless every row has unit norm;
+    checked one row block at a time."""
+    starts = _row_blocks(rows.shape[0], rows.shape[1])
+    for start in starts:
+        norms = np.linalg.norm(rows[start : start + starts.step], axis=1)
+        if np.abs(norms - 1.0).max() > 1e-9:
+            raise DimensionMismatchError("store rows are not unit-norm")
+
 
 @dataclass
 class Bag:
@@ -107,7 +187,7 @@ class Dataset:
     dim: int
     classes: list[str]
     bags: list[Bag]
-    store: EmbeddingStore
+    store: EmbeddingStore | FembStore
 
     @property
     def num_classes(self) -> int:
@@ -118,7 +198,8 @@ class Dataset:
         return self.store.n
 
     def validate(self) -> None:
-        """Check structural invariants; raises a ManifestError subclass."""
+        """Check structural invariants; raises a ManifestError subclass.
+        A FembStore's rows are checked as they are read."""
         if len(self.classes) < 2:
             raise LabelRangeError(f"dataset {self.name!r} needs >= 2 classes")
         if self.store.d != self.dim:
@@ -149,12 +230,8 @@ class Dataset:
                     raise LabelRangeError(
                         f"bag {bag.id!r} instance label out of range [0, {self.num_classes})"
                     )
-        rows = self.store.rows
-        starts = _row_blocks(rows.shape[0], rows.shape[1])
-        for start in starts:
-            norms = np.linalg.norm(rows[start : start + starts.step], axis=1)
-            if np.abs(norms - 1.0).max() > 1e-9:
-                raise DimensionMismatchError("store rows are not unit-norm")
+        if isinstance(self.store, EmbeddingStore):
+            _check_unit_norm(self.store.rows)
 
     def instance_labels_vector(self) -> np.ndarray:
         """Per-instance labels over the whole store; -1 where unknown."""
@@ -250,15 +327,13 @@ class ManifestDoc:
     bags: list[BagEntry]
 
 
-def load_manifest(path) -> Dataset:
-    """Load and fully validate a dataset manifest; rows are L2-normalized."""
-    path = Path(path)
+def _read_manifest(path: Path) -> ManifestDoc:
+    """Decode a manifest and check every bag file's header against it."""
     if not path.exists():
         raise MissingFileError(f"manifest not found: {path}")
     doc = from_doc(ManifestDoc, read_json(path, ManifestFormatError), ManifestFormatError)
-    base = path.parent
     for entry in doc.bags:
-        with _femb_header(base / entry.embeddings) as (_, _, n, d):
+        with _femb_header(path.parent / entry.embeddings) as (_, _, n, d):
             if d != doc.dim:
                 raise DimensionMismatchError(
                     f"bag {entry.id!r}: embedding dim {d} != manifest dim {doc.dim}"
@@ -267,17 +342,29 @@ def load_manifest(path) -> Dataset:
                 raise DimensionMismatchError(
                     f"bag {entry.id!r}: file holds {n} rows, manifest declares {entry.n}"
                 )
+    return doc
+
+
+def _instance_labels(entry: BagEntry, base: Path) -> Optional[np.ndarray]:
+    if not entry.instance_labels:
+        return None
+    lpath = base / entry.instance_labels
+    if not lpath.exists():
+        raise MissingFileError(f"bag {entry.id!r}: label file not found: {lpath}")
+    raw = from_doc(list[int], read_json(lpath, ManifestFormatError), ManifestFormatError)
+    return np.asarray(raw, dtype=np.int64)
+
+
+def load_manifest(path) -> Dataset:
+    """Load and fully validate a dataset manifest; rows are L2-normalized."""
+    path = Path(path)
+    doc = _read_manifest(path)
+    base = path.parent
     rows = np.empty((sum(entry.n for entry in doc.bags), doc.dim), dtype=REAL)
     bags: list[Bag] = []
     cursor = 0
     for entry in doc.bags:
-        inst_labels = None
-        if entry.instance_labels:
-            lpath = base / entry.instance_labels
-            if not lpath.exists():
-                raise MissingFileError(f"bag {entry.id!r}: label file not found: {lpath}")
-            raw = from_doc(list[int], read_json(lpath, ManifestFormatError), ManifestFormatError)
-            inst_labels = np.asarray(raw, dtype=np.int64)
+        inst_labels = _instance_labels(entry, base)
         rows[cursor : cursor + entry.n] = read_embeddings(base / entry.embeddings).rows
         bags.append(Bag(entry.id, entry.label, cursor, cursor + entry.n, inst_labels))
         cursor += entry.n
@@ -289,6 +376,30 @@ def load_manifest(path) -> Dataset:
         classes=doc.classes,
         bags=bags,
         store=EmbeddingStore.from_array(rows),
+    )
+    ds.validate()
+    return ds
+
+
+def read_layout(path) -> Dataset:
+    """A manifest's bags and labels, checked as `load_manifest` checks them,
+    every header before any label; its FembStore reads the rows on demand."""
+    path = Path(path)
+    doc = _read_manifest(path)
+    bags: list[Bag] = []
+    cursor = 0
+    for entry in doc.bags:
+        bags.append(Bag(entry.id, entry.label, cursor, cursor + entry.n,
+                        _instance_labels(entry, path.parent)))
+        cursor += entry.n
+    store = FembStore(cursor, doc.dim, [path.parent / entry.embeddings for entry in doc.bags],
+                      [bag.end for bag in bags])
+    ds = Dataset(
+        name=path.stem if doc.name is None else doc.name,
+        dim=doc.dim,
+        classes=doc.classes,
+        bags=bags,
+        store=store,
     )
     ds.validate()
     return ds

@@ -5,7 +5,9 @@ identical to P(score+ > score-) + 0.5 * P(score+ = score-) over all
 positive/negative pairs, computed in O(n log n). Classes with no
 positives or no negatives get an explicit undefined flag (None), never a
 silent 0.5, and are excluded from macro means. `sweep` and `eval` both
-tune the fusion weight with `pick_alpha` and score with `score`.
+score a test set with `evaluate`: it tunes the fusion weight with
+`pick_alpha`, scores the test rows with both branches in one blocked pass,
+and scores the fused probabilities with `score`.
 """
 
 from __future__ import annotations
@@ -18,10 +20,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .cache_branch import CacheModel, _check_key_dim, _retrieve_store, retrieve
 from .codec import OMIT_NONE
 from .dataset import Bag, Dataset
-from .errors import EmptyBagError, ShapeMismatchError, UndefinedMetricError
-from .numerics import REAL
+from .errors import EmptyBagError, NonFiniteInputError, ShapeMismatchError, UndefinedMetricError
+from .numerics import REAL, _all_finite
+from .prior_branch import PriorModel, _check_text_dim, _prior_probs, encode_prompts, prior_predict
 
 GRID_POINTS = 101
 
@@ -195,6 +199,84 @@ def score(
     instance = instance_auc(probs, truth, dataset.num_classes) if labeled else None
     pooled = bag_pool(probs, dataset.bags, pooling)
     return instance, instance_auc(pooled, dataset.bag_labels(), dataset.num_classes)
+
+
+# (instance AUC, bag AUC) as `score` returns them.
+Scores = tuple[Optional[AUCResult], AUCResult]
+
+
+@dataclass
+class Evaluation:
+    """What `evaluate` found: the fusion weight, its tuning table and flags,
+    the AUCs of the fused scores and, when asked, of each branch alone, and
+    the tuning rows' (cache, prior) probabilities when alpha was tuned."""
+
+    alpha: float
+    alpha_table: Optional[list[tuple[float, float]]]
+    flags: dict
+    fused: Scores
+    cache: Optional[Scores] = None
+    prior: Optional[Scores] = None
+    tune_probs: Optional[tuple[np.ndarray, np.ndarray]] = None
+
+
+def evaluate(
+    cache: CacheModel,
+    prior: PriorModel,
+    test: Dataset,
+    pooling: str,
+    alpha: Optional[float] = None,
+    tune: Optional[tuple[np.ndarray, np.ndarray]] = None,
+    grid_points: int = GRID_POINTS,
+    branches: bool = False,
+) -> Evaluation:
+    """Score `test` with the fusion of both branches, pooled by `pooling`.
+
+    A given alpha wins; otherwise `pick_alpha` tunes it on `tune`, the
+    (rows, labels) of a labeled set held in memory; with neither, alpha
+    is 0.5. The test rows are scored in one blocked pass (`_branch_probs`),
+    so an evaluation holds the two (m, N) outputs, not the m x d rows,
+    when `test` reads its rows from its files (`read_layout`). Both
+    models' widths are checked against the test set's before any row is
+    read. `branches` also scores each branch alone.
+    """
+    _check_key_dim(cache, test.dim)
+    _check_text_dim(prior, test.dim)
+    table, flags, tune_probs = None, {}, None
+    if alpha is None and tune is not None:
+        rows, labels = tune
+        tune_probs = (retrieve(cache, rows), prior_predict(prior, rows))
+        alpha, table, flags = pick_alpha(*tune_probs, labels, grid_points)
+    alpha = 0.5 if alpha is None else float(alpha)
+    cache_probs, prior_probs = _branch_probs(cache, prior, test)
+    fused = score(fuse(cache_probs, prior_probs, alpha), test, pooling)
+    if fused[0] is None:
+        flags["instance_labels_missing"] = True
+    result = Evaluation(alpha, table, flags, fused, tune_probs=tune_probs)
+    if branches:
+        result.cache = score(cache_probs, test, pooling)
+        result.prior = score(prior_probs, test, pooling)
+    return result
+
+
+def _branch_probs(
+    cache: CacheModel, prior: PriorModel, test: Dataset
+) -> tuple[np.ndarray, np.ndarray]:
+    """(cache, prior) class probabilities of every test row, in retrieve's
+    blocked pass: each thread reads a block from the test store, scores it
+    with both branches, and writes that block's rows of both outputs. The
+    cache rows are retrieve's bytes; the prior's one GEMM per block can
+    differ from prior_predict's over all rows in the last bit."""
+    text = encode_prompts(prior)
+    prior_probs = np.empty((test.num_instances, prior.num_classes), dtype=REAL)
+
+    def prior_block(q: np.ndarray, start: int, stop: int) -> None:
+        _prior_probs(q, text, prior.tau, out=prior_probs[start:stop])
+
+    cache_probs = _retrieve_store(cache, test.store, prior_block)
+    if not _all_finite(prior_probs):
+        raise NonFiniteInputError("prior logits contain NaN or infinity")
+    return cache_probs, prior_probs
 
 
 @dataclass

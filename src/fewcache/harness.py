@@ -33,12 +33,12 @@ from typing import Optional
 import numpy as np
 
 from . import numerics
-from .cache_branch import DEFAULT_BETA, build_cache, retrieve
+from .cache_branch import DEFAULT_BETA, build_cache
 from .codec import SKIP, from_doc, read_json, to_doc
 from .encoders import EmbeddingSource, resolve_source
 from .errors import FewcacheError, UsageError
-from .fusion_eval import POOL_OPERATORS, EvalReport, fuse, pick_alpha, score
-from .prior_branch import PriorSpec, build_prior, prior_predict
+from .fusion_eval import POOL_OPERATORS, EvalReport, evaluate
+from .prior_branch import PriorSpec, build_prior
 from .sampler import FewShotSpec, sample_split
 from .trainer import TrainConfig, train
 
@@ -199,19 +199,10 @@ def run_single(
     )
     cache, prior, _state = train(cache, prior, split, train_ds.store, train_cfg)
 
-    tune_q = train_ds.store.rows[split.labeled_rows]
-    tune_cache = retrieve(cache, tune_q)
-    tune_prior_probs = prior_predict(prior, tune_q)
-    alpha, alpha_table, tune_flags = pick_alpha(
-        tune_cache, tune_prior_probs, split.labeled_classes, cfg.grid_points
-    )
-
-    test_q = test_ds.store.rows
-    cache_probs = retrieve(cache, test_q)
-    prior_probs = prior_predict(prior, test_q)
-    (fused_instance, fused_bag), (cache_instance, cache_bag), (prior_instance, prior_bag) = (
-        score(probs, test_ds, cfg.pooling)
-        for probs in (fuse(cache_probs, prior_probs, alpha), cache_probs, prior_probs)
+    result = evaluate(
+        cache, prior, test_ds, cfg.pooling,
+        tune=(train_ds.store.take(split.labeled_rows), split.labeled_classes),
+        grid_points=cfg.grid_points, branches=True,
     )
 
     labeled_count = split.n_labeled
@@ -220,27 +211,27 @@ def run_single(
         seed=seed,
         bag_shot=bag_shot,
         instance_shot=instance_shot,
-        alpha=alpha,
+        alpha=result.alpha,
         pooling=cfg.pooling,
         n_instances=test_ds.num_instances,
         n_bags=len(test_ds.bags),
-        instance_auc=fused_instance,
-        bag_auc=fused_bag,
-        cache_instance_auc=cache_instance,
-        prior_instance_auc=prior_instance,
-        cache_bag_auc=cache_bag,
-        prior_bag_auc=prior_bag,
+        instance_auc=result.fused[0],
+        bag_auc=result.fused[1],
+        cache_instance_auc=result.cache[0],
+        prior_instance_auc=result.prior[0],
+        cache_bag_auc=result.cache[1],
+        prior_bag_auc=result.prior[1],
         labeled_count=labeled_count,
         annotation_ratio=labeled_count / total,
         annotation_ratio_percent=100.0 * labeled_count / total,
-        flags={**split.flags, **tune_flags},
-        alpha_table=alpha_table,
+        flags={**split.flags, **result.flags},
+        alpha_table=result.alpha_table,
     )
     extras = None
     if keep_predictions:
         extras = {
-            "tune_cache_probs": tune_cache,
-            "tune_prior_probs": tune_prior_probs,
+            "tune_cache_probs": result.tune_probs[0],
+            "tune_prior_probs": result.tune_probs[1],
             "tune_labels": split.labeled_classes.copy(),
         }
     return report, extras

@@ -198,10 +198,25 @@ def encode_prompts(model: PriorModel) -> np.ndarray:
 def prior_predict(model: PriorModel, queries) -> np.ndarray:
     """Class probabilities: softmax over cosine/tau, rows on the simplex."""
     q = as_matrix(queries, "queries")
-    if q.shape[1] != model.dim:
-        raise ShapeMismatchError(f"query dim {q.shape[1]} != text feature dim {model.dim}")
+    _check_text_dim(model, q.shape[1])
     text = encode_prompts(model)
     return softmax_rows((q @ text.T) / model.tau)
+
+
+def _check_text_dim(model: PriorModel, dim: int) -> None:
+    if dim != model.dim:
+        raise ShapeMismatchError(f"query dim {dim} != text feature dim {model.dim}")
+
+
+def _prior_probs(
+    q: np.ndarray, text: np.ndarray, tau: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Trusted core of prior_predict given the unit text features
+    (`encode_prompts`): the same IEEE operations, into `out` (default: a
+    new array); non-finite logits give NaN rows instead of raising."""
+    logits = np.matmul(q, text.T, out=out)
+    logits /= tau
+    return _softmax_rows(logits)
 
 
 def prior_loss_and_grads(
@@ -220,8 +235,7 @@ def prior_loss_and_grads(
     y = np.asarray(labels, dtype=np.int64).reshape(-1)
     if q.shape[0] != y.size:
         raise ShapeMismatchError(f"{q.shape[0]} queries vs {y.size} labels")
-    if q.shape[1] != model.dim:
-        raise ShapeMismatchError(f"query dim {q.shape[1]} != text feature dim {model.dim}")
+    _check_text_dim(model, q.shape[1])
     raw = as_matrix(_raw_text(model), "class text features")
     return _prior_loss_and_grads(model, raw, q, y)
 
@@ -234,7 +248,7 @@ def _prior_loss_and_grads(
     m = q.shape[0]
     rows = np.arange(m)
     text = _l2_normalize_rows(raw)
-    probs = _softmax_rows((q @ text.T) / model.tau)
+    probs = _prior_probs(q, text, model.tau)
     picked = probs[rows, y]
     loss = _mean_nll(picked)
 

@@ -2,6 +2,7 @@ import io
 import json
 import re
 import shutil
+import struct
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fewcache import errors, numerics
+from fewcache import cli, errors, numerics
 from fewcache.cli import main
 from fewcache.dataset import (
     SynthSpec,
@@ -23,6 +24,7 @@ from fewcache.dataset import (
 )
 from fewcache.numerics import l2_normalize_rows
 from fewcache.sampler import FewShotSpec, load_split, sample_split, save_split
+from fewcache.trainer import restore
 
 
 def write_json(path, doc):
@@ -143,21 +145,29 @@ class TestPipeline:
         assert written["7"] == written["0"]
 
     def test_eval_bytes_independent_of_worker_count(self, trained, monkeypatch):
+        # The eval set is read block by block from its bag files; blocks of
+        # 7 rows straddle its 20-row bags. The bytes match at 1, 2 and 3
+        # workers, and match an eval of the same set loaded in memory.
         tmp = trained["tmp"]
         eval_cfg = write_json(
             tmp / "eval.json",
             {"dataset": str(trained["manifest"]), "checkpoint": str(trained["checkpoint"]),
-             "alpha": 0.5},
+             "tune": {"dataset": str(trained["manifest"]), "split": str(trained["split"])},
+             "pooling": "topk_mean"},
         )
-        # Blocks of a few rows, so that two workers share many blocks.
-        monkeypatch.setattr(numerics, "_BLOCK_ELEMENTS", 256)
+        cache, _ = restore(trained["checkpoint"])
+        monkeypatch.setattr(numerics, "_BLOCK_ELEMENTS", 7 * cache.n_cache)
+        names = ("eval.json", "eval.csv", "alpha_sweep.csv")
         written = {}
-        for workers in (1, 2):
-            monkeypatch.setattr(numerics, "_WORKERS", workers)
+        for workers in (1, 2, 3, "in-memory"):
+            if workers == "in-memory":
+                monkeypatch.setattr(cli, "read_layout", load_manifest)
+            else:
+                monkeypatch.setattr(numerics, "_WORKERS", workers)
             out = tmp / f"eval_{workers}"
             assert main(["eval", "--config", eval_cfg, "--out", str(out)]) == 0
-            written[workers] = (out / "eval.json").read_bytes()
-        assert written[2] == written[1]
+            written[workers] = [(out / name).read_bytes() for name in names]
+        assert written[1] == written[2] == written[3] == written["in-memory"]
 
     def test_eval_single_label_bags_flags_undefined(self, tmp_path, rng):
         # all test bags share one label: bag AUC must be flagged, exit 0
@@ -537,6 +547,41 @@ class TestErrors:
         err = capsys.readouterr().err
         assert assert_one_domain_line(err) == "DimensionConflictError"
         assert "['class_0', 'class_1']" in err and str(classes) in err
+        assert not (tmp / "eval").exists()
+
+    def test_eval_checkpoint_dim_mismatch_exits_1(self, trained, capsys):
+        # The checkpoint was trained on d=8 rows; the eval set holds d=16.
+        tmp = trained["tmp"]
+        wide = save_dataset(synth_generate(SynthSpec(**{**SPEC_DOC, "dim": 16})), tmp / "wide")
+        eval_cfg = write_json(
+            tmp / "eval.json",
+            {"dataset": str(wide), "checkpoint": str(trained["checkpoint"]), "alpha": 0.5},
+        )
+        capsys.readouterr()
+        assert main(["eval", "--config", eval_cfg, "--out", str(tmp / "eval")]) == 1
+        err = capsys.readouterr().err
+        assert assert_one_domain_line(err) == "ShapeMismatchError"
+        assert "query dim 16 != key dim 8" in err
+        assert not (tmp / "eval").exists()
+
+    def test_eval_nan_in_last_bag_exits_1(self, trained, capsys):
+        tmp = trained["tmp"]
+        data = tmp / "nan"
+        shutil.copytree(trained["manifest"].parent, data)
+        last = json.loads((data / "manifest.json").read_text())["bags"][-1]["embeddings"]
+        femb = data / last
+        blob = femb.read_bytes()
+        femb.write_bytes(blob[:-4] + struct.pack("<f", np.nan))
+        eval_cfg = write_json(
+            tmp / "eval.json",
+            {"dataset": str(data / "manifest.json"), "checkpoint": str(trained["checkpoint"]),
+             "alpha": 0.5},
+        )
+        capsys.readouterr()
+        assert main(["eval", "--config", eval_cfg, "--out", str(tmp / "eval")]) == 1
+        err = capsys.readouterr().err
+        assert assert_one_domain_line(err) == "NonFiniteValueError"
+        assert last in err
         assert not (tmp / "eval").exists()
 
     def test_domain_error_exits_1(self, tmp_path, capsys):

@@ -14,6 +14,7 @@ from fewcache.dataset import (
     class_prototypes,
     load_manifest,
     read_embeddings,
+    read_layout,
     save_dataset,
     synth_generate,
     write_embeddings,
@@ -280,6 +281,111 @@ class TestStreamedLoad:
             load_manifest(path)
         with pytest.raises(error):
             read_embeddings(femb)
+
+
+def _read_all(ds) -> np.ndarray:
+    """Every row of a read_layout dataset, read block by block as an
+    evaluation reads them (numerics._row_blocks over the store's width)."""
+    out = np.empty((ds.num_instances, ds.dim))
+    starts = numerics._row_blocks(ds.num_instances, ds.dim)
+    buf = np.empty((starts.step, ds.dim))
+    for start in starts:
+        stop = min(start + starts.step, ds.num_instances)
+        out[start:stop] = ds.store._read(start, stop, buf)
+    return out
+
+
+class TestLayout:
+    """read_layout checks what load_manifest checks but holds no rows; its
+    store reads them block by block, across bag files, as the same bits."""
+
+    @pytest.mark.parametrize(
+        "version, scale",
+        [(1, 1.0), (2, 1.0), (2, 2.0**-500), (2, 2.0**600)],
+        ids=["v1", "v2", "v2-tiny", "v2-huge"],
+    )
+    def test_blocks_match_load_manifest(self, tmp_path, rng, version, scale):
+        bags = [scale * rng.normal(size=(n, 6)) for n in (7, 1, 12, 5)]
+        path = _write_bags(tmp_path, bags, version=version)
+        loaded = load_manifest(path)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(numerics, "_BLOCK_ELEMENTS", 4 * 6)  # blocks of 4 rows cross the bags
+            layout = read_layout(path)
+            rows = _read_all(layout)
+        assert rows.tobytes() == loaded.store.rows.tobytes()
+        assert [(b.start, b.end) for b in layout.bags] == [(b.start, b.end) for b in loaded.bags]
+        assert layout.num_instances == loaded.num_instances == 25
+        picked = np.array([24, 0, 7, 7, 19])
+        assert layout.store.take(picked).tobytes() == loaded.store.take(picked).tobytes()
+
+    def test_labels_and_layout_match_load_manifest(self, tmp_path, rng):
+        path = _write_manifest_fixture(tmp_path, rng)
+        layout, loaded = read_layout(path), load_manifest(path)
+        assert (layout.name, layout.dim, layout.classes) == (
+            loaded.name, loaded.dim, loaded.classes)
+        assert np.array_equal(layout.instance_labels_vector(), loaded.instance_labels_vector())
+        assert np.array_equal(layout.bag_labels(), loaded.bag_labels())
+
+    @pytest.mark.parametrize(
+        "corrupt, error",
+        [
+            pytest.param(lambda b: b[:-4], TruncatedPayloadError, id="truncated"),
+            pytest.param(lambda b: b + b"\x00\x00", FembError, id="trailing-bytes"),
+            pytest.param(lambda b: b"NOPE" + b[4:], BadMagicError, id="bad-magic"),
+            pytest.param(lambda b: b[:4] + struct.pack("<I", 9) + b[8:],
+                         UnsupportedVersionError, id="unknown-version"),
+            pytest.param(lambda b: b[:10], TruncatedPayloadError, id="short-header"),
+            pytest.param(lambda b: b[:8] + struct.pack("<QQ", 4, 3) + b[24:],
+                         DimensionMismatchError, id="other-dim"),
+        ],
+    )
+    def test_bad_header_in_last_bag_fails_the_layout(self, tmp_path, rng, corrupt, error):
+        path = _write_bags(tmp_path, [rng.normal(size=(3, 4)) for _ in range(3)])
+        femb = tmp_path / "bag2.femb"
+        femb.write_bytes(corrupt(femb.read_bytes()))
+        with pytest.raises(error):
+            load_manifest(path)
+        with pytest.raises(error):
+            read_layout(path)
+
+    def test_label_errors_fail_the_layout(self, tmp_path, rng):
+        path = _write_manifest_fixture(tmp_path, rng)
+        with open(tmp_path / "bag1.labels.json", "w") as f:
+            json.dump([0, 0, 2, 0], f)
+        with pytest.raises(LabelRangeError, match="bag1"):
+            read_layout(path)
+        (tmp_path / "bag1.labels.json").unlink()
+        with pytest.raises(MissingFileError, match="bag1"):
+            read_layout(path)
+
+    def test_nan_in_last_bag_fails_its_block(self, tmp_path, rng):
+        bags = [rng.normal(size=(4, 3)) for _ in range(3)]
+        bags[2][3, 1] = np.nan
+        layout = read_layout(_write_bags(tmp_path, bags))
+        buf = np.empty((12, 3))
+        layout.store._read(0, 8, buf)  # the first two bags read fine
+        with pytest.raises(NonFiniteValueError, match="bag2.femb"):
+            layout.store._read(6, 12, buf)
+
+    def test_zero_row_names_store_row(self, tmp_path, rng):
+        bags = [rng.normal(size=(n, 3)) for n in (4, 4, 5)]
+        bags[2][3] = 0.0
+        layout = read_layout(_write_bags(tmp_path, bags))
+        with pytest.raises(DegenerateRowError) as exc:
+            layout.store._read(6, 13, np.empty((7, 3)))
+        assert exc.value.row == 11
+
+    def test_layout_reads_no_rows(self, tmp_path, rng):
+        # 8 bags of 512 x 64 float32 rows: a 2 MiB float64 store.
+        path = _write_bags(tmp_path, [rng.normal(size=(512, 64)) for _ in range(8)])
+        tracemalloc.start()
+        try:
+            layout = read_layout(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert layout.num_instances == 4096
+        assert peak < 64 * 1024
 
 
 class TestSynthGenerate:

@@ -6,22 +6,41 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fewcache import numerics
+from fewcache.cache_branch import CacheModel, retrieve
 from fewcache.codec import from_doc, to_doc
-from fewcache.dataset import Bag
-from fewcache.errors import EmptyBagError, ShapeMismatchError, UndefinedMetricError
+from fewcache.dataset import (
+    Bag,
+    FembStore,
+    SynthSpec,
+    load_manifest,
+    read_layout,
+    save_dataset,
+    synth_generate,
+)
+from fewcache.errors import (
+    EmptyBagError,
+    NonFiniteInputError,
+    ShapeMismatchError,
+    UndefinedMetricError,
+)
 from fewcache.fusion_eval import (
     AUCResult,
+    _branch_probs,
     alpha_grid,
     alpha_table_to_csv,
     bag_pool,
     _midranks,
     binary_auc,
+    evaluate,
     fuse,
     instance_auc,
     pick_alpha,
     score,
     sweep_alpha,
 )
+from fewcache.numerics import l2_normalize_rows
+from fewcache.prior_branch import prior_from_features, prior_predict
 
 
 def pairwise_auc(scores, positives):
@@ -312,3 +331,112 @@ class TestCsvExports:
         assert len(lines) == 102
         a, m = lines[1].split(",")
         assert (float(a), float(m)) == table[0]
+
+
+def _eval_inputs(tmp_path, rng, n_cache=40):
+    """A saved 8-dim synthetic test set (6 bags of 20 rows) and a cache and
+    prior that score it; the cache keys are test rows, so the scores are
+    informative."""
+    manifest = save_dataset(
+        synth_generate(SynthSpec(dim=8, bags_per_class=3, instances_per_bag=20,
+                                 noise_sigma=0.4, seed=2)),
+        tmp_path / "test",
+    )
+    ds = load_manifest(manifest)
+    rows = rng.choice(ds.num_instances, n_cache, replace=False)
+    cache = CacheModel(
+        keys=ds.store.rows[rows].copy(),
+        value_logits=np.eye(2)[ds.instance_labels_vector()[rows]],
+        frozen_mask=np.ones(n_cache, dtype=bool),
+        beta=10.0,
+        classes=ds.classes,
+    )
+    prior = prior_from_features(np.eye(2, 8) + 0.5 * rng.normal(size=(2, 8)), ds.classes)
+    tune = (ds.store.rows[rows[:10]], ds.instance_labels_vector()[rows[:10]])
+    return manifest, cache, prior, tune
+
+
+class TestEvaluate:
+    # 3 rows of 40 attention entries: blocks straddle the 20-row bags.
+    BLOCK = 3 * 40
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_streamed_equals_in_memory(self, tmp_path, rng, monkeypatch, workers):
+        manifest, cache, prior, tune = _eval_inputs(tmp_path, rng)
+        monkeypatch.setattr(numerics, "_BLOCK_ELEMENTS", self.BLOCK)
+        monkeypatch.setattr(numerics, "_WORKERS", workers)
+        streamed, loaded = read_layout(manifest), load_manifest(manifest)
+        for probs, want in zip(_branch_probs(cache, prior, streamed),
+                               _branch_probs(cache, prior, loaded)):
+            assert probs.tobytes() == want.tobytes()
+        got = evaluate(cache, prior, streamed, "topk_mean", tune=tune, grid_points=11,
+                       branches=True)
+        want = evaluate(cache, prior, loaded, "topk_mean", tune=tune, grid_points=11,
+                        branches=True)
+        for field_ in ("alpha", "alpha_table", "flags", "fused", "cache", "prior"):
+            assert getattr(got, field_) == getattr(want, field_), field_
+
+    def test_branches_are_retrieve_and_blockwise_prior(self, tmp_path, rng, monkeypatch):
+        manifest, cache, prior, _ = _eval_inputs(tmp_path, rng)
+        monkeypatch.setattr(numerics, "_BLOCK_ELEMENTS", self.BLOCK)
+        ds = load_manifest(manifest)
+        cache_probs, prior_probs = _branch_probs(cache, prior, read_layout(manifest))
+        q = ds.store.rows
+        assert cache_probs.tobytes() == retrieve(cache, q).tobytes()
+        for start in range(0, ds.num_instances, 3):
+            block = slice(start, start + 3)
+            assert prior_probs[block].tobytes() == prior_predict(prior, q[block]).tobytes()
+
+    def test_alpha_given_tuned_or_half(self, tmp_path, rng):
+        manifest, cache, prior, tune = _eval_inputs(tmp_path, rng)
+        ds = read_layout(manifest)
+        q, labels = tune
+        alpha, table, flags = pick_alpha(retrieve(cache, q), prior_predict(prior, q), labels, 11)
+        tuned = evaluate(cache, prior, ds, "mean", tune=tune, grid_points=11)
+        assert (tuned.alpha, tuned.alpha_table, tuned.flags) == (alpha, table, flags)
+        assert tuned.cache is None and tuned.prior is None
+        assert [p.tobytes() for p in tuned.tune_probs] == [
+            retrieve(cache, q).tobytes(), prior_predict(prior, q).tobytes()]
+        given = evaluate(cache, prior, ds, "mean", alpha=0.25, tune=tune)
+        assert (given.alpha, given.alpha_table, given.tune_probs) == (0.25, None, None)
+        assert evaluate(cache, prior, ds, "mean").alpha == 0.5
+
+    def test_fused_scores_match_score(self, tmp_path, rng):
+        manifest, cache, prior, _ = _eval_inputs(tmp_path, rng)
+        ds = load_manifest(manifest)
+        cache_probs, prior_probs = _branch_probs(cache, prior, ds)
+        result = evaluate(cache, prior, ds, "max", alpha=0.3, branches=True)
+        assert result.fused == score(fuse(cache_probs, prior_probs, 0.3), ds, "max")
+        assert result.cache == score(cache_probs, ds, "max")
+        assert result.prior == score(prior_probs, ds, "max")
+        assert result.flags == {}
+
+    @pytest.mark.parametrize("branch", ["cache", "prior"])
+    def test_dim_mismatch_raises_before_any_block_is_read(self, tmp_path, rng, monkeypatch,
+                                                          branch):
+        manifest, cache, prior, tune = _eval_inputs(tmp_path, rng)
+        if branch == "cache":
+            cache.keys = l2_normalize_rows(rng.normal(size=(cache.n_cache, 16)))
+        else:
+            prior = prior_from_features(rng.normal(size=(2, 16)), prior.classes)
+
+        def no_reads(*args):
+            raise AssertionError("a block was read")
+
+        monkeypatch.setattr(FembStore, "_read", no_reads)
+        with pytest.raises(ShapeMismatchError, match="!= (key|text feature) dim 16"):
+            evaluate(cache, prior, read_layout(manifest), "mean", tune=tune)
+
+    def test_overflowing_attention_raises(self, tmp_path, rng):
+        manifest, cache, prior, _ = _eval_inputs(tmp_path, rng)
+        # Finite keys and beta whose product overflows: a NaN softmax row.
+        cache.keys = cache.keys * 1e200
+        cache.beta = 1e200
+        with pytest.raises(NonFiniteInputError, match="attention"):
+            evaluate(cache, prior, read_layout(manifest), "mean")
+
+    def test_overflowing_prior_raises(self, tmp_path, rng):
+        manifest, cache, prior, _ = _eval_inputs(tmp_path, rng)
+        prior.tau = 1e-320  # cosine / tau overflows
+        with pytest.raises(NonFiniteInputError, match="prior"):
+            evaluate(cache, prior, read_layout(manifest), "mean")

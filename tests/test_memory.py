@@ -14,8 +14,12 @@ import pytest
 
 from fewcache import numerics
 from fewcache.cache_branch import CacheModel, retrieve
+from fewcache.cli import main
 from fewcache.dataset import load_manifest, write_embeddings
 from fewcache.numerics import l2_normalize_rows
+from fewcache.prior_branch import prior_from_features
+from fewcache.sampler import FewShotSplit, save_split
+from fewcache.trainer import snapshot
 
 BLOCK_ELEMENTS = 1 << 14
 BLOCK_BYTES = BLOCK_ELEMENTS * 8
@@ -103,3 +107,67 @@ def test_retrieve_holds_output_plus_one_block_per_worker(rng, monkeypatch):
         output = m * model.num_classes * 8
         peak = _peak(retrieve, model, q)
         assert peak <= output + 2 * BLOCK_BYTES + values + SLACK + PER_THREAD, m
+
+
+def _labeled_manifest(directory, n_bags, n, dim, rng):
+    """_manifest with an instance-label file per bag."""
+    path = _manifest(directory, n_bags, n, dim, rng)
+    doc = json.loads(path.read_text())
+    for i, entry in enumerate(doc["bags"]):
+        labels = directory / f"b{i}.labels.json"
+        labels.write_text(json.dumps([int(x) for x in rng.integers(0, 2, n)]))
+        entry["instance_labels"] = labels.name
+    path.write_text(json.dumps(doc))
+    return path
+
+
+# Bytes per test row that an eval holds at its peak: three (m, N = 2)
+# outputs (cache, prior, fused) and twelve (m,) vectors, namely the bags'
+# labels, the label vector `score` builds and the midrank sort's work
+# arrays (`fusion_eval._midranks`). Rows of the d = 64 test set below
+# take 512 bytes each; an eval that holds them cannot pass.
+EVAL_DIM, EVAL_CACHE = 64, 512
+ROW_BYTES = 3 * 2 * 8 + 12 * 8
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_streamed_eval_holds_outputs_labels_and_one_block_per_worker(
+        tmp_path, rng, monkeypatch, workers):
+    monkeypatch.setattr(numerics, "_WORKERS", workers)
+    cache = _retrieve_model(rng)
+    cache.keys = l2_normalize_rows(rng.normal(size=(EVAL_CACHE, EVAL_DIM)))
+    prior = prior_from_features(rng.normal(size=(2, EVAL_DIM)), cache.classes)
+    snapshot(cache, prior, tmp_path / "checkpoint")
+    # The checkpoint's keys and value rows, as restored.
+    model = EVAL_CACHE * (EVAL_DIM + 2 * 2) * 8
+    # Each worker's block: its scores, its query rows, and a float32 bag
+    # chunk or the squares of its rows while they are normalized.
+    rows = BLOCK_ELEMENTS // EVAL_CACHE
+    block = BLOCK_BYTES + rows * EVAL_DIM * (8 + 8)
+    assert ROW_BYTES < EVAL_DIM * 8
+    peaks = {}
+    for m in (4096, 16384):
+        directory = tmp_path / str(m)
+        directory.mkdir()
+        manifest = _labeled_manifest(directory, m // 512, 512, EVAL_DIM, rng)
+        # Alpha is tuned on 32 labeled rows of the same set: tuning reads
+        # those rows, not the whole set.
+        labeled = np.arange(0, m, m // 32)
+        save_split(FewShotSplit(selected_bags=[], labeled_rows=labeled,
+                                labeled_classes=np.arange(32) % 2,
+                                unlabeled_rows=np.empty(0, dtype=np.int64), seed=0),
+                   directory / "split.json")
+        config = directory / "config.json"
+        config.write_text(json.dumps({"dataset": str(manifest),
+                                      "checkpoint": str(tmp_path / "checkpoint"),
+                                      "tune": {"dataset": str(manifest),
+                                               "split": str(directory / "split.json")}}))
+        argv = ["eval", "--config", str(config), "--out", str(directory / "out")]
+        if not peaks:
+            assert main(argv) == 0  # the first tuning imports numpy.ma, once per process
+        peaks[m] = _peak(main, argv)
+        assert (directory / "out" / "alpha_sweep.csv").exists()
+        bound = m * ROW_BYTES + workers * block + model + SLACK + (workers - 1) * PER_THREAD
+        assert peaks[m] <= bound, (m, peaks[m], bound)
+    # Only the outputs and the labels grow with the row count.
+    assert peaks[16384] - peaks[4096] <= (16384 - 4096) * ROW_BYTES
