@@ -10,7 +10,8 @@ Memory contract: `load_manifest` checks every FEMB header against the
 manifest before it allocates the float64 store, once. It then copies one
 bag at a time into the store and normalizes and checks the rows in place,
 one row block (numerics._BLOCK_ELEMENTS) at a time. So a load holds the
-store, plus one bag as read and widened, plus one block.
+store, plus one bag as read and widened, plus one block. `synth_generate`
+keeps the same rule for the bags it draws.
 
 `read_layout` runs the same checks on the manifest, the headers and the
 labels, but allocates no store: its dataset's `FembStore` reads rows on
@@ -74,7 +75,7 @@ from .errors import (
     TruncatedPayloadError,
     UnsupportedVersionError,
 )
-from .numerics import REAL, _all_finite, _l2_normalize_rows, _row_blocks, l2_normalize_rows
+from .numerics import REAL, _all_finite, _l2_normalize_rows, _row_blocks, as_matrix
 
 FEMB_MAGIC = b"FEMB"
 _FEMB_HEADER = struct.Struct("<4sIQQ")
@@ -258,7 +259,7 @@ def write_embeddings(path, rows: np.ndarray, version: int = 1) -> Path:
     path = Path(path)
     with open(path, "wb") as f:
         f.write(_FEMB_HEADER.pack(FEMB_MAGIC, version, a.shape[0], a.shape[1]))
-        f.write(a.tobytes())
+        f.write(a)  # the contiguous array's own buffer, not a bytes copy
     return path
 
 
@@ -454,6 +455,8 @@ class SynthSpec:
             raise ValueError("dim must be >= num_classes")
         if self.num_classes < 2 or self.bags_per_class < 1 or self.instances_per_bag < 1:
             raise ValueError("num_classes >= 2, bags_per_class >= 1, instances_per_bag >= 1")
+        if not self.noise_sigma >= 0.0:
+            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
 
 
 def class_prototypes(num_classes: int, dim: int) -> np.ndarray:
@@ -464,40 +467,43 @@ def class_prototypes(num_classes: int, dim: int) -> np.ndarray:
 
 
 def synth_generate(spec: SynthSpec) -> Dataset:
-    """Deterministic synthetic dataset; a pure function of the spec."""
+    """Deterministic synthetic dataset; a pure function of the spec.
+
+    Memory contract: the float64 store is allocated once, and each bag is
+    drawn (one `standard_normal` per bag, in bag order), checked finite
+    and normalized into its own slice of it, one row block at a time. So
+    a generation holds the store and the instance labels, plus one bag's
+    rows, plus one block. A noise that overflows raises
+    NonFiniteInputError.
+    """
     rng = np.random.default_rng(spec.seed)
     protos = class_prototypes(spec.num_classes, spec.dim)
-    n_pos = math.ceil(spec.positive_fraction * spec.instances_per_bag)
-    chunks: list[np.ndarray] = []
+    n, n_pos = spec.instances_per_bag, math.ceil(spec.positive_fraction * spec.instances_per_bag)
+    rows = np.empty((spec.num_classes * spec.bags_per_class * n, spec.dim), dtype=REAL)
+    x = np.empty((n, spec.dim), dtype=REAL)  # one bag's rows before normalizing
     bags: list[Bag] = []
-    cursor = 0
     for c in range(spec.num_classes):
         for b in range(spec.bags_per_class):
-            labels = np.zeros(spec.instances_per_bag, dtype=np.int64)
+            start = len(bags) * n
+            out = rows[start : start + n]
+            labels = np.zeros(n, dtype=np.int64)
             labels[:n_pos] = c
-            x = protos[labels]
+            np.take(protos, labels, axis=0, out=x, mode="clip")  # "raise" buffers a copy
             if spec.noise_sigma > 0.0:
-                x = x + spec.noise_sigma * rng.standard_normal(
-                    (spec.instances_per_bag, spec.dim)
-                )
-            x = l2_normalize_rows(x)
-            chunks.append(x)
-            bags.append(
-                Bag(
-                    id=f"c{c}_b{b}",
-                    label=c,
-                    start=cursor,
-                    end=cursor + spec.instances_per_bag,
-                    instance_labels=labels,
-                )
-            )
-            cursor += spec.instances_per_bag
+                # The noise is drawn into the bag's slice of the store,
+                # which the normalized rows overwrite below.
+                noise = rng.standard_normal(out=out)
+                with np.errstate(over="ignore"):  # as_matrix rejects the inf
+                    noise *= spec.noise_sigma
+                x += noise
+            _l2_normalize_rows(as_matrix(x, "normalize input"), out=out)
+            bags.append(Bag(f"c{c}_b{b}", c, start, start + n, labels))
     ds = Dataset(
         name=f"synth_n{spec.num_classes}_d{spec.dim}_s{spec.seed}",
         dim=spec.dim,
         classes=[f"class_{c}" for c in range(spec.num_classes)],
         bags=bags,
-        store=EmbeddingStore.from_array(np.concatenate(chunks, axis=0)),
+        store=EmbeddingStore.from_array(rows),
     )
     ds.validate()
     return ds

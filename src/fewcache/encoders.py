@@ -6,6 +6,12 @@ resolved source bundles the train/test datasets and the per-class
 prompt features, all checked to share one embedding dimension, plus
 provenance (checksums) so identical configs provably yield identical
 data.
+
+Memory contract: a synthetic source generates each store in place
+(dataset.synth_generate), so resolving it holds its train and test
+stores and prompts, plus one bag's temporaries, plus one row block. Its
+checksum feeds the config JSON, the train rows and the prompts to one
+sha256 object, which hashes the arrays in place, without a byte copy.
 """
 
 from __future__ import annotations
@@ -56,11 +62,16 @@ def synthetic_prompt_features(
     seed: int = 0,
 ) -> np.ndarray:
     """Informative but imperfect prompt features: class prototypes plus
-    Gaussian noise, unit-normalized."""
+    Gaussian noise, unit-normalized. Raises ValueError for a negative
+    sigma, and NonFiniteInputError when the noise overflows."""
+    if not sigma >= 0.0:
+        raise ValueError(f"prompt sigma must be >= 0, got {sigma}")
     rng = np.random.default_rng(seed)
     protos = class_prototypes(num_classes, dim)
     if sigma > 0.0:
-        protos = protos + sigma * rng.standard_normal(protos.shape)
+        with np.errstate(over="ignore"):  # l2_normalize_rows rejects the inf
+            noise = sigma * rng.standard_normal(protos.shape)
+        protos = protos + noise
     return l2_normalize_rows(protos)
 
 
@@ -73,6 +84,10 @@ class SyntheticSource:
     test_bags_per_class: int = 0
     prompt_sigma: float = DEFAULT_PROMPT_SIGMA
     prompt_seed: Optional[int] = None  # defaults to spec.seed
+
+    def __post_init__(self):
+        if not self.prompt_sigma >= 0.0:
+            raise ValueError(f"prompt_sigma must be >= 0, got {self.prompt_sigma}")
 
 
 @dataclass
@@ -133,14 +148,14 @@ def resolve_source(config: dict) -> EmbeddingSource:
             sigma=src.prompt_sigma,
             seed=spec.seed if src.prompt_seed is None else src.prompt_seed,
         )
+        # sha256(config JSON + train rows + prompts), the arrays hashed in place.
+        checksum = hashlib.sha256(json.dumps(config, sort_keys=True).encode())
+        checksum.update(train.store.rows)
+        checksum.update(prompts)
         provenance = {
             "encoder": "synthetic-prototypes",
             "spec": to_doc(spec),
-            "checksum": hashlib.sha256(
-                json.dumps(config, sort_keys=True).encode()
-                + train.store.rows.tobytes()
-                + prompts.tobytes()
-            ).hexdigest(),
+            "checksum": checksum.hexdigest(),
         }
         return EmbeddingSource(train, test, prompts, provenance)
 

@@ -315,6 +315,11 @@ MALFORMED_SWEEP_CONFIGS = [
     pytest.param({**SWEEP_DOC, "train": {"steps": 5, "lr_keys": float("nan")}}, id="nan-lr"),
     pytest.param({**SWEEP_DOC, "prior_tau": float("inf")}, id="infinite-prior-tau"),
     pytest.param({**SWEEP_DOC, "cache_beta": float("nan")}, id="nan-cache-beta"),
+    pytest.param({**SWEEP_DOC, "source": {**SWEEP_DOC["source"],
+                                          "spec": {**SPEC_DOC, "noise_sigma": -0.6}}},
+                 id="negative-noise-sigma"),
+    pytest.param({**SWEEP_DOC, "source": {**SWEEP_DOC["source"], "prompt_sigma": -0.45}},
+                 id="negative-prompt-sigma"),
 ]
 
 # "@manifest", "@split", "@checkpoint", "@prompts" and "@record" stand for
@@ -410,6 +415,8 @@ class TestErrors:
                          id="flat-spec-unknown-key"),
             pytest.param({"spec": SPEC_DOC, "nmae": "x"}, "unknown key(s) 'nmae'",
                          id="stray-key-beside-spec"),
+            pytest.param({**SPEC_DOC, "noise_sigma": -0.6}, "noise_sigma must be >= 0",
+                         id="negative-noise-sigma"),
         ],
     )
     def test_malformed_synth_config_exits_2(self, tmp_path, capsys, doc, message):
@@ -419,6 +426,21 @@ class TestErrors:
         assert_one_usage_line(err)
         assert message in err
         assert not (tmp_path / "data").exists()
+
+    @pytest.mark.parametrize("command, source", [
+        ("synth", {"spec": {**SPEC_DOC, "noise_sigma": 1e308}}),
+        ("sweep", {**SWEEP_DOC, "source": {**SWEEP_DOC["source"],
+                                           "spec": {**SPEC_DOC, "noise_sigma": 1e308}}}),
+        ("sweep", {**SWEEP_DOC, "source": {**SWEEP_DOC["source"], "prompt_sigma": 1e308}}),
+    ], ids=["synth-noise", "sweep-noise", "sweep-prompt-noise"])
+    def test_overflowing_noise_exits_1_with_one_line(self, tmp_path, capsys, command, source):
+        cfg = write_json(tmp_path / "config.json", source)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: NonFiniteInputError: normalize input contains NaN or infinity\n")
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "prompt_mode, train, message",

@@ -1,4 +1,5 @@
 import json
+import math
 import struct
 import tracemalloc
 
@@ -26,6 +27,7 @@ from fewcache.errors import (
     FembError,
     LabelRangeError,
     MissingFileError,
+    NonFiniteInputError,
     NonFiniteValueError,
     OverlappingRangesError,
     TruncatedPayloadError,
@@ -51,6 +53,17 @@ class TestFembFormat:
         rows = rng.normal(size=(4, 6))
         store = read_embeddings(write_embeddings(tmp_path / "a.femb", rows, version=2))
         assert np.array_equal(store.rows, rows)
+
+    @pytest.mark.parametrize("version, dtype", [(1, "<f4"), (2, "<f8")])
+    @pytest.mark.parametrize("layout", ["contiguous", "strided", "fortran"])
+    def test_file_bytes(self, tmp_path, rng, version, dtype, layout):
+        rows = rng.normal(size=(5, 6))
+        rows = {"contiguous": rows, "strided": rows[::2, 1::2],
+                "fortran": np.asfortranarray(rows)}[layout]
+        path = write_embeddings(tmp_path / "a.femb", rows, version=version)
+        n, d = rows.shape
+        expected = struct.pack("<4sIQQ", b"FEMB", version, n, d) + rows.astype(dtype).tobytes()
+        assert path.read_bytes() == expected
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.femb"
@@ -388,7 +401,62 @@ class TestLayout:
         assert peak < 64 * 1024
 
 
+def reference_synth(spec: SynthSpec) -> tuple[np.ndarray, list[Bag]]:
+    """The generator as one chunk per bag joined by np.concatenate: the
+    store bytes and bags `synth_generate` must reproduce."""
+    rng = np.random.default_rng(spec.seed)
+    protos = class_prototypes(spec.num_classes, spec.dim)
+    n_pos = math.ceil(spec.positive_fraction * spec.instances_per_bag)
+    chunks, bags, cursor = [], [], 0
+    for c in range(spec.num_classes):
+        for b in range(spec.bags_per_class):
+            labels = np.zeros(spec.instances_per_bag, dtype=np.int64)
+            labels[:n_pos] = c
+            x = protos[labels]
+            if spec.noise_sigma > 0.0:
+                x = x + spec.noise_sigma * rng.standard_normal((spec.instances_per_bag, spec.dim))
+            chunks.append(l2_normalize_rows(x))
+            bags.append(Bag(f"c{c}_b{b}", c, cursor, cursor + spec.instances_per_bag, labels))
+            cursor += spec.instances_per_bag
+    return np.concatenate(chunks, axis=0), bags
+
+
+# Zero noise, noise below 1e-300, noise whose squares overflow (rows take
+# the rescaled normalize path), one-row bags and four classes.
+ORACLE_SPECS = [
+    pytest.param(dict(noise_sigma=0.0), id="noiseless"),
+    pytest.param(dict(noise_sigma=1e-300), id="tiny-noise"),
+    pytest.param(dict(noise_sigma=1e160), id="overflowing-squares"),
+    pytest.param(dict(instances_per_bag=1, bags_per_class=5), id="one-row-bags"),
+    pytest.param(dict(num_classes=4, dim=16, noise_sigma=0.6, seed=3), id="four-classes"),
+]
+
+
 class TestSynthGenerate:
+    @pytest.mark.parametrize("overrides", ORACLE_SPECS)
+    def test_matches_per_bag_reference(self, overrides):
+        spec = SynthSpec(**{"dim": 8, "bags_per_class": 3, "instances_per_bag": 20,
+                            "noise_sigma": 0.3, "seed": 9, **overrides})
+        rows, bags = reference_synth(spec)
+        ds = synth_generate(spec)
+        assert ds.store.rows.tobytes() == rows.tobytes()
+        assert [(b.id, b.label, b.start, b.end) for b in ds.bags] == [
+            (b.id, b.label, b.start, b.end) for b in bags]
+        for got, want in zip(ds.bags, bags):
+            assert got.instance_labels.tobytes() == want.instance_labels.tobytes()
+
+    def test_overflowing_squares_take_rescaled_path(self):
+        spec = SynthSpec(dim=8, bags_per_class=1, instances_per_bag=4, noise_sigma=1e160)
+        noisy = 1e160 * np.random.default_rng(spec.seed).standard_normal((4, 8))
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.add.reduce(noisy * noisy, axis=1)).all()
+        np.testing.assert_allclose(np.linalg.norm(synth_generate(spec).store.rows, axis=1), 1.0)
+
+    def test_overflowing_noise_raises(self):
+        # No RuntimeWarning on the way: the suite turns one into an error.
+        with pytest.raises(NonFiniteInputError, match="normalize input contains NaN or infinity"):
+            synth_generate(SynthSpec(noise_sigma=1e308))
+
     def test_zero_noise_hits_prototypes(self):
         spec = SynthSpec(
             num_classes=3, dim=5, bags_per_class=2, instances_per_bag=4,
@@ -440,3 +508,5 @@ class TestSynthGenerate:
             SynthSpec(positive_fraction=0.0)
         with pytest.raises(ValueError):
             SynthSpec(num_classes=4, dim=2)
+        with pytest.raises(ValueError, match="noise_sigma must be >= 0"):
+            SynthSpec(noise_sigma=-0.6)

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -6,7 +9,12 @@ from fewcache.encoders import (
     resolve_source,
     synthetic_prompt_features,
 )
-from fewcache.errors import DimensionConflictError, UnknownSourceKindError, UsageError
+from fewcache.errors import (
+    DimensionConflictError,
+    NonFiniteInputError,
+    UnknownSourceKindError,
+    UsageError,
+)
 
 SYNTH_CONFIG = {
     "kind": "synthetic",
@@ -44,6 +52,15 @@ class TestSyntheticSource:
         b = resolve_source(dict(SYNTH_CONFIG))
         assert a.provenance["checksum"] == b.provenance["checksum"]
 
+    def test_checksum_hashes_config_train_rows_and_prompts(self):
+        src = resolve_source(SYNTH_CONFIG)
+        expected = hashlib.sha256(
+            json.dumps(SYNTH_CONFIG, sort_keys=True).encode()
+            + src.train_dataset.store.rows.tobytes()
+            + src.prompt_features.tobytes()
+        ).hexdigest()
+        assert src.provenance["checksum"] == expected
+
     def test_missing_or_malformed_spec_is_usage_error(self):
         with pytest.raises(UsageError, match=r"SyntheticSource: missing key\(s\) 'spec'"):
             resolve_source({"kind": "synthetic"})
@@ -55,7 +72,11 @@ class TestSyntheticSource:
         ({"prompt_sigm": 0.3}, r"SyntheticSource: unknown key\(s\) 'prompt_sigm'"),
         ({"test_bags_per_class": 2.5}, "SyntheticSource.test_bags_per_class must be int"),
         ({"prompt_seed": "1"}, "SyntheticSource.prompt_seed must be int"),
-    ], ids=["key-typo", "float-bag-count", "string-seed"])
+        ({"prompt_sigma": -0.45}, "SyntheticSource: prompt_sigma must be >= 0"),
+        ({"spec": {**SYNTH_CONFIG["spec"], "noise_sigma": -0.6}},
+         "SynthSpec: noise_sigma must be >= 0"),
+    ], ids=["key-typo", "float-bag-count", "string-seed", "negative-prompt-sigma",
+            "negative-noise-sigma"])
     def test_malformed_block_is_usage_error(self, edit, message):
         with pytest.raises(UsageError, match=message):
             resolve_source({**SYNTH_CONFIG, **edit})
@@ -63,6 +84,14 @@ class TestSyntheticSource:
     def test_prompt_sigma_zero_gives_prototypes(self):
         feats = synthetic_prompt_features(2, 8, sigma=0.0, seed=0)
         assert np.array_equal(feats, np.eye(2, 8))
+
+    def test_negative_prompt_sigma_rejected(self):
+        with pytest.raises(ValueError, match="prompt sigma must be >= 0"):
+            synthetic_prompt_features(2, 8, sigma=-0.45, seed=0)
+
+    def test_overflowing_prompt_noise_raises(self):
+        with pytest.raises(NonFiniteInputError):
+            synthetic_prompt_features(2, 8, sigma=1e308, seed=0)
 
 
 class TestFileSource:

@@ -1,6 +1,7 @@
 import csv
 import json
 import multiprocessing
+import os
 import platform
 import subprocess
 import threading
@@ -302,6 +303,26 @@ class TestParallelSweep:
         assert result_files(serial, tmp_path / "serial") == result_files(
             parallel, tmp_path / "parallel"
         )
+
+    def test_one_level_of_parallelism(self, tmp_path, monkeypatch):
+        # Small blocks give retrieve many blocks to share among threads.
+        monkeypatch.setattr(numerics, "_WORKERS", 2)
+        monkeypatch.setattr(numerics, "_BLOCK_ELEMENTS", 1 << 8)
+        log = tmp_path / "threads.log"
+        start = threading.Thread.start
+
+        def logged_start(thread):
+            with open(log, "a") as f:  # forked children append here too
+                f.write(f"{os.getpid()} {thread.name}\n")
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", logged_start)
+        assert run_experiment(tiny_config()).processes == 2
+        assert not log.exists(), log.read_text()
+        # The same sweep on one process shares retrieve's blocks among threads.
+        monkeypatch.setattr(numerics, "_processes", lambda n_jobs: 1)
+        assert run_experiment(tiny_config()).processes == 1
+        assert log.read_text().count(f"{os.getpid()} ") >= 1
 
     def test_blas_threads_restored_and_children_joined(self, monkeypatch):
         monkeypatch.setattr(numerics, "_WORKERS", 2)

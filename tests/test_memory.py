@@ -1,4 +1,5 @@
-"""Peak memory of the slide-scale eval path, measured with tracemalloc.
+"""Peak memory of loading, generating and evaluating data at slide scale,
+measured with tracemalloc.
 
 numpy reports its array allocations to tracemalloc, so a peak here is the
 largest total of live arrays (plus small Python objects) during one call.
@@ -16,6 +17,7 @@ from fewcache import numerics
 from fewcache.cache_branch import CacheModel, retrieve
 from fewcache.cli import main
 from fewcache.dataset import load_manifest, write_embeddings
+from fewcache.encoders import resolve_source
 from fewcache.numerics import l2_normalize_rows
 from fewcache.prior_branch import prior_from_features
 from fewcache.sampler import FewShotSplit, save_split
@@ -71,6 +73,30 @@ def test_load_manifest_holds_store_plus_one_bag_and_blocks(tmp_path, rng):
         assert peaks[n_bags] <= store + bag + 2 * BLOCK_BYTES + SLACK, n_bags
     # More, smaller bags over the same store never cost more.
     assert peaks[64] <= peaks[16] <= peaks[4]
+
+
+def _synthetic_source(bags_per_class, n, dim):
+    spec = {"num_classes": 2, "dim": dim, "bags_per_class": bags_per_class,
+            "instances_per_bag": n, "noise_sigma": 0.6, "seed": 0}
+    return {"kind": "synthetic", "spec": spec, "test_bags_per_class": 4}
+
+
+def test_synthetic_source_holds_its_stores_plus_one_bag_and_block():
+    n, dim = 512, 64
+    # A store's rows and instance labels, per class and bag.
+    bag_store = n * (dim + 1) * 8
+    resolve_source(_synthetic_source(1, 1, 2))  # the first draw imports numpy.random
+    peaks = {}
+    for bags_per_class in (8, 16):
+        peaks[bags_per_class] = _peak(resolve_source, _synthetic_source(bags_per_class, n, dim))
+        stores = 2 * (bags_per_class + 4) * bag_store
+        # One bag's rows (prototypes plus noise) before they are normalized.
+        bag = n * dim * 8
+        bound = stores + bag + BLOCK_BYTES + SLACK
+        assert peaks[bags_per_class] <= bound, (bags_per_class, peaks[bags_per_class], bound)
+    # Only the train store and its Bag objects grow with the bag count: no
+    # copy of the store is made.
+    assert peaks[16] - peaks[8] <= 2 * 8 * (bag_store + 512)
 
 
 def _retrieve_model(rng):
