@@ -6,19 +6,18 @@ per-instance labels. All rows are L2-normalized at load time: every
 consumer compares features by cosine/dot product, so the contract is
 centralized here.
 
-Memory contract: `load_manifest` checks every FEMB header against the
-manifest before it allocates the float64 store, once. It then copies one
-bag at a time into the store and normalizes and checks the rows in place,
-one row block (numerics._BLOCK_ELEMENTS) at a time. So a load holds the
-store, plus one bag as read and widened, plus one block. `synth_generate`
-keeps the same rule for the bags it draws.
-
-`read_layout` runs the same checks on the manifest, the headers and the
-labels, but allocates no store: its dataset's `FembStore` reads rows on
-demand, a block at a time, opening one bag file at a time. A block read
-normalizes and checks its rows as `load_manifest` does (the same bits:
-every row is normalized on its own), so a pass over the blocks holds the
-bags and labels plus one block per reader, whatever the row count.
+Memory contract: `read_layout` checks every FEMB header against the
+manifest, then the labels, and allocates no rows: its dataset's
+`FembStore` reads rows on demand, opening one bag file at a time, and
+normalizes and checks them in place one row block
+(numerics._BLOCK_ELEMENTS) at a time. Every row is normalized on its own,
+so the blocks do not change a bit. `load_manifest` allocates the float64
+store once and fills it through that FembStore one bag at a time. So a
+load holds the store, plus one bag in its file's width (none for a
+float64 file, read straight into the store), plus one block; a pass over
+a layout's blocks holds the bags and labels plus one block per reader,
+whatever the row count. `synth_generate` keeps the same rule for the bags
+it draws.
 
 File formats, each with the error a bad file raises. The CLI prints it
 as one stderr line and exits 1; usage errors (bad flag, missing file
@@ -118,12 +117,12 @@ class FembStore:
     ends: list[int]
 
     def _read(self, start: int, stop: int, out: np.ndarray) -> np.ndarray:
-        """Rows [start, stop) into out[: stop - start], normalized and checked
-        as `load_manifest` does; returns that view. Opens the bag files the
-        rows lie in one at a time, and allocates at most one bag chunk in
-        the file's width. Raises NonFiniteValueError naming the file of a
-        NaN or infinite value, DegenerateRowError naming a zero row by its
-        row in the store."""
+        """Rows [start, stop) into out[: stop - start], each normalized on
+        its own and checked to unit norm; returns that view. Opens the bag
+        files the rows lie in one at a time, and allocates at most one bag
+        chunk in the file's width. Raises NonFiniteValueError naming the
+        file of a NaN or infinite value, DegenerateRowError naming a zero
+        row by its row in the store."""
         block = out[: stop - start]
         row = start
         i = bisect.bisect_right(self.ends, start)
@@ -328,13 +327,30 @@ class ManifestDoc:
     bags: list[BagEntry]
 
 
-def _read_manifest(path: Path) -> ManifestDoc:
-    """Decode a manifest and check every bag file's header against it."""
+def load_manifest(path) -> Dataset:
+    """Load and fully validate a dataset manifest; rows are L2-normalized.
+
+    Checked as `read_layout` checks it; its FembStore then reads each bag
+    into one float64 store, normalized and checked."""
+    ds = read_layout(path)
+    rows = np.empty((ds.num_instances, ds.dim), dtype=REAL)
+    for bag in ds.bags:
+        ds.store._read(bag.start, bag.end, rows[bag.start :])
+    ds.store = EmbeddingStore.from_array(rows)
+    return ds
+
+
+def read_layout(path) -> Dataset:
+    """A manifest's bags and labels, checked in this order: every bag
+    file's header against the manifest, then every label file, then
+    `Dataset.validate`. Its FembStore reads the rows on demand."""
+    path = Path(path)
     if not path.exists():
         raise MissingFileError(f"manifest not found: {path}")
     doc = from_doc(ManifestDoc, read_json(path, ManifestFormatError), ManifestFormatError)
-    for entry in doc.bags:
-        with _femb_header(path.parent / entry.embeddings) as (_, _, n, d):
+    files = [path.parent / entry.embeddings for entry in doc.bags]
+    for entry, file in zip(doc.bags, files):
+        with _femb_header(file) as (_, _, n, d):
             if d != doc.dim:
                 raise DimensionMismatchError(
                     f"bag {entry.id!r}: embedding dim {d} != manifest dim {doc.dim}"
@@ -343,64 +359,24 @@ def _read_manifest(path: Path) -> ManifestDoc:
                 raise DimensionMismatchError(
                     f"bag {entry.id!r}: file holds {n} rows, manifest declares {entry.n}"
                 )
-    return doc
-
-
-def _instance_labels(entry: BagEntry, base: Path) -> Optional[np.ndarray]:
-    if not entry.instance_labels:
-        return None
-    lpath = base / entry.instance_labels
-    if not lpath.exists():
-        raise MissingFileError(f"bag {entry.id!r}: label file not found: {lpath}")
-    raw = from_doc(list[int], read_json(lpath, ManifestFormatError), ManifestFormatError)
-    return np.asarray(raw, dtype=np.int64)
-
-
-def load_manifest(path) -> Dataset:
-    """Load and fully validate a dataset manifest; rows are L2-normalized."""
-    path = Path(path)
-    doc = _read_manifest(path)
-    base = path.parent
-    rows = np.empty((sum(entry.n for entry in doc.bags), doc.dim), dtype=REAL)
     bags: list[Bag] = []
     cursor = 0
     for entry in doc.bags:
-        inst_labels = _instance_labels(entry, base)
-        rows[cursor : cursor + entry.n] = read_embeddings(base / entry.embeddings).rows
-        bags.append(Bag(entry.id, entry.label, cursor, cursor + entry.n, inst_labels))
+        labels = None
+        if entry.instance_labels:
+            lpath = path.parent / entry.instance_labels
+            if not lpath.exists():
+                raise MissingFileError(f"bag {entry.id!r}: label file not found: {lpath}")
+            raw = from_doc(list[int], read_json(lpath, ManifestFormatError), ManifestFormatError)
+            labels = np.asarray(raw, dtype=np.int64)
+        bags.append(Bag(entry.id, entry.label, cursor, cursor + entry.n, labels))
         cursor += entry.n
-    if rows.size:
-        _l2_normalize_rows(rows, out=rows)
     ds = Dataset(
         name=path.stem if doc.name is None else doc.name,
         dim=doc.dim,
         classes=doc.classes,
         bags=bags,
-        store=EmbeddingStore.from_array(rows),
-    )
-    ds.validate()
-    return ds
-
-
-def read_layout(path) -> Dataset:
-    """A manifest's bags and labels, checked as `load_manifest` checks them,
-    every header before any label; its FembStore reads the rows on demand."""
-    path = Path(path)
-    doc = _read_manifest(path)
-    bags: list[Bag] = []
-    cursor = 0
-    for entry in doc.bags:
-        bags.append(Bag(entry.id, entry.label, cursor, cursor + entry.n,
-                        _instance_labels(entry, path.parent)))
-        cursor += entry.n
-    store = FembStore(cursor, doc.dim, [path.parent / entry.embeddings for entry in doc.bags],
-                      [bag.end for bag in bags])
-    ds = Dataset(
-        name=path.stem if doc.name is None else doc.name,
-        dim=doc.dim,
-        classes=doc.classes,
-        bags=bags,
-        store=store,
+        store=FembStore(cursor, doc.dim, files, [bag.end for bag in bags]),
     )
     ds.validate()
     return ds

@@ -137,7 +137,9 @@ def save_split(split: FewShotSplit, path) -> Path:
 
 
 def load_split(path, dataset: Optional[Dataset] = None) -> FewShotSplit:
-    """Read a split.json; with `dataset`, reject rows or classes it lacks."""
+    """Read a split.json; reject a row listed twice (in `labeled`, in
+    `unlabeled_core`, or in both) and, with `dataset`, rows or classes it
+    lacks."""
     doc = from_doc(SplitDoc, read_json(path, SplitError), SplitError)
     split = FewShotSplit(
         selected_bags=doc.selected_bags,
@@ -147,8 +149,11 @@ def load_split(path, dataset: Optional[Dataset] = None) -> FewShotSplit:
         seed=doc.seed,
         flags=doc.flags,
     )
+    rows = np.concatenate([split.labeled_rows, split.unlabeled_rows])
+    unique, counts = np.unique(rows, return_counts=True)
+    if (counts > 1).any():
+        raise SplitError(f"{path}: row {unique[counts > 1][0]} is listed more than once")
     if dataset is not None:
-        rows = np.concatenate([split.labeled_rows, split.unlabeled_rows])
         classes = split.labeled_classes
         if ((rows < 0) | (rows >= dataset.num_instances)).any() or (
                 (classes < 0) | (classes >= dataset.num_classes)).any():

@@ -606,6 +606,39 @@ class TestErrors:
         assert last in err
         assert not (tmp / "eval").exists()
 
+    def test_label_error_before_nan_from_every_command(self, trained, rng, capsys):
+        # Bag 0 holds a NaN and bag 1's instance labels hold a 7. Every
+        # command checks all the labels before it reads a row, so each
+        # reports the label.
+        tmp = trained["tmp"]
+        data = tmp / "two_faults"
+        data.mkdir()
+        bags = []
+        for i in range(2):
+            rows = rng.normal(size=(4, 8)).astype(np.float32)
+            if i == 0:
+                rows[1, 2] = np.nan
+            write_embeddings(data / f"b{i}.femb", rows)
+            write_json(data / f"b{i}.labels.json", [0, 0, 7 if i else 1, 0])
+            bags.append({"id": f"b{i}", "label": i, "embeddings": f"b{i}.femb", "n": 4,
+                         "instance_labels": f"b{i}.labels.json"})
+        manifest = write_json(data / "manifest.json",
+                              {"dim": 8, "classes": ["neg", "pos"], "bags": bags})
+        configs = {
+            "sample": {"dataset": manifest, "bag_shot": 1, "instance_shot": 1},
+            "train": {"dataset": manifest, "split": str(trained["split"]),
+                      "prompt": str(trained["prompts"]), "train": {"steps": 5}},
+            "eval": {"dataset": manifest, "checkpoint": str(trained["checkpoint"]),
+                     "alpha": 0.5},
+        }
+        for command, doc in configs.items():
+            cfg = write_json(tmp / f"two_faults_{command}.json", doc)
+            capsys.readouterr()
+            assert main([command, "--config", cfg, "--out", str(tmp / command)]) == 1
+            assert capsys.readouterr().err == (
+                "error: LabelRangeError: bag 'b1' instance label out of range [0, 2)\n"), command
+            assert not (tmp / command).exists()
+
     def test_domain_error_exits_1(self, tmp_path, capsys):
         # valid config, but sampling asks for more bags than exist
         data_dir = tmp_path / "d"
@@ -804,6 +837,9 @@ class TestFileFormats:
                          id="tune-split-row-past-store"),
             pytest.param("split", put("labeled", value=[[0, 5]]), "SplitError",
                          id="split-class-out-of-range"),
+            pytest.param("split", lambda doc, text: json.dumps(
+                             {**doc, "labeled": [[3, 0], [3, 1]], "unlabeled_core": [3, 4]}),
+                         "SplitError", id="split-row-listed-twice"),
             pytest.param("checkpoint", drop("prior", "tau"), "CorruptCheckpointError",
                          id="checkpoint-without-prior-tau"),
             pytest.param("checkpoint", drop("cache"), "CorruptCheckpointError",

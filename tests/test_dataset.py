@@ -326,6 +326,13 @@ class TestLayout:
             layout = read_layout(path)
             rows = _read_all(layout)
         assert rows.tobytes() == loaded.store.rows.tobytes()
+        # load_manifest reads through the same FembStore, so also compare
+        # with the whole store read at once and normalized as one block.
+        files = [tmp_path / f"bag{i}.femb" for i in range(len(bags))]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(numerics, "_BLOCK_ELEMENTS", 1 << 30)
+            expected = l2_normalize_rows(np.concatenate([read_embeddings(f).rows for f in files]))
+        assert rows.tobytes() == expected.tobytes()
         assert [(b.start, b.end) for b in layout.bags] == [(b.start, b.end) for b in loaded.bags]
         assert layout.num_instances == loaded.num_instances == 25
         picked = np.array([24, 0, 7, 7, 19])

@@ -68,8 +68,8 @@ def test_load_manifest_holds_store_plus_one_bag_and_blocks(tmp_path, rng):
         path = _manifest(directory, n_bags, n, dim, rng)
         peaks[n_bags] = _peak(load_manifest, path)
         store = total * dim * 8
-        # One bag as read (float32 payload) and widened to float64.
-        bag = n * dim * (4 + 8)
+        # One bag as read (float32 payload); it is widened into the store.
+        bag = n * dim * 4
         assert peaks[n_bags] <= store + bag + 2 * BLOCK_BYTES + SLACK, n_bags
     # More, smaller bags over the same store never cost more.
     assert peaks[64] <= peaks[16] <= peaks[4]

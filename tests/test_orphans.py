@@ -1,6 +1,7 @@
-"""No public function that nothing calls: every module-level public
-function in the package is used somewhere in `src/` besides the
-`__init__.py` re-exports."""
+"""No function that nothing calls: every module-level function in the
+package, public or `_`-prefixed, is used somewhere in `src/` besides the
+`__init__.py` re-exports. A private helper left behind when two code
+paths are folded into one fails here too."""
 
 import ast
 from pathlib import Path
@@ -11,17 +12,16 @@ ALLOWED = {"cache_branch.attention"}
 
 
 def orphans(modules: dict[str, str]) -> set[str]:
-    """`module.function` for each module-level public function of the
-    sources in `modules` (name -> text) whose name no other expression
-    of them loads, as a bare name or an attribute; `__init__` is skipped."""
+    """`module.function` for each module-level function of the sources in
+    `modules` (name -> text) whose name no other expression of them loads,
+    as a bare name or an attribute; `__init__` is skipped."""
     defined, used = set(), set()
     for name, text in modules.items():
         if name == "__init__":
             continue
         tree = ast.parse(text, filename=f"{name}.py")
         defined.update(
-            (name, node.name) for node in tree.body
-            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+            (name, node.name) for node in tree.body if isinstance(node, ast.FunctionDef)
         )
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
@@ -33,13 +33,14 @@ def orphans(modules: dict[str, str]) -> set[str]:
 
 def test_every_public_function_is_called():
     found = orphans({path.stem: path.read_text() for path in SOURCES})
-    assert found == ALLOWED, f"uncalled public functions: {sorted(found - ALLOWED)}"
+    assert found == ALLOWED, f"uncalled functions: {sorted(found - ALLOWED)}"
 
 
 def test_planted_orphan_detected():
     modules = {
         "__init__": "from .a import orphan, used\n",
-        "a": "def used():\n    pass\n\ndef orphan():\n    pass\n\ndef _private():\n    pass\n",
+        "a": "def used():\n    pass\n\ndef orphan():\n    pass\n\ndef _private():\n    pass\n"
+             "\ndef _helper():\n    pass\n\nused(_helper())\n",
         "b": "from . import a\nfrom .a import used\n\ndef run():\n    a.used()\n\nrun()\n",
     }
-    assert orphans(modules) == {"a.orphan"}
+    assert orphans(modules) == {"a.orphan", "a._private"}

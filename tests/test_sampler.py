@@ -1,4 +1,6 @@
 import itertools
+import json
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fewcache.dataset import SynthSpec, synth_generate
-from fewcache.errors import InsufficientBagsError
+from fewcache.errors import InsufficientBagsError, SplitError
 from fewcache.sampler import (
     FewShotSpec,
     FewShotSplit,
@@ -352,6 +354,19 @@ class TestSampleSplit:
         assert np.array_equal(loaded.unlabeled_rows, split.unlabeled_rows)
         assert loaded.flags == split.flags
         assert isinstance(loaded, FewShotSplit)
+
+    @pytest.mark.parametrize(
+        "labeled, core",
+        [([[3, 0], [3, 1]], [3, 4]), ([[3, 0], [3, 1]], [4]), ([[1, 0]], [3, 4, 3]),
+         ([[1, 0], [3, 1]], [4, 3])],
+        ids=["labeled-and-core", "within-labeled", "within-core", "across"],
+    )
+    def test_row_listed_twice_rejected(self, tmp_path, labeled, core):
+        path = tmp_path / "split.json"
+        path.write_text(json.dumps({"version": 1, "selected_bags": [], "labeled": labeled,
+                                    "unlabeled_core": core, "seed": 0, "flags": {}}))
+        with pytest.raises(SplitError, match=re.escape(f"{path}: row 3 ")):
+            load_split(path)
 
     def test_per_bag_mode(self):
         ds = synth_generate(
