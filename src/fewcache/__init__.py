@@ -68,7 +68,7 @@ from .sampler import (
     sample_split,
     select_core_set,
 )
-from .trainer import TrainConfig, TrainState, restore, snapshot, train
+from .trainer import TrainConfig, restore, snapshot, train_cache, train_prior
 
 __version__ = "0.1.0"
 
@@ -91,7 +91,6 @@ __all__ = [
     "RunRecord",
     "SynthSpec",
     "TrainConfig",
-    "TrainState",
     "adam_step",
     "alpha_grid",
     "attention",
@@ -130,6 +129,7 @@ __all__ = [
     "sweep_alpha",
     "synth_generate",
     "to_doc",
-    "train",
+    "train_cache",
+    "train_prior",
     "write_embeddings",
 ]

@@ -36,7 +36,7 @@ from .cache_branch import DEFAULT_BETA, build_cache
 from .codec import existing, from_doc, read_json, to_doc
 from .dataset import SynthSpec, load_manifest, read_layout, save_dataset, synth_generate
 from .encoders import read_prompt_features
-from .errors import DimensionConflictError, FewcacheError, UsageError
+from .errors import DimensionConflictError, FewcacheError, SplitError, UsageError
 from .fusion_eval import GRID_POINTS, POOL_OPERATORS, alpha_table_to_csv, evaluate
 from .gradchecks import run_all_suites
 from .harness import (
@@ -49,7 +49,7 @@ from .harness import (
 )
 from .prior_branch import PriorSpec, build_prior
 from .sampler import FewShotSpec, load_split, sample_split, save_split
-from .trainer import TrainConfig, history_to_csv, restore, snapshot, train
+from .trainer import TrainConfig, history_to_csv, restore, snapshot, train_cache, train_prior
 
 
 @dataclass
@@ -164,13 +164,16 @@ def cmd_train(args) -> int:
     existing(job.prompt, "prompt file")
     dataset = load_manifest(existing(job.dataset, "dataset"))
     split = load_split(existing(job.split, "split file"), dataset)
+    if split.n_labeled == 0:
+        raise SplitError(f"{job.split}: no labeled rows to train on")
     cache = build_cache(split, dataset.store, dataset.classes, beta=job.cache_beta)
     prompts = read_prompt_features(job.prompt, dataset.dim, dataset.num_classes)
     prior = build_prior(job, prompts, dataset.classes)
-    cache, prior, state = train(cache, prior, split, dataset.store, job.train)
+    cache, cache_losses = train_cache(cache, split, dataset.store, job.train)
+    prior, prompt_losses = train_prior(prior, split, dataset.store, job.train)
     out = _out_dir(args)
     snapshot(cache, prior, out / "checkpoint")
-    history_to_csv(state, out / "loss_history.csv")
+    history_to_csv(cache_losses, prompt_losses, out / "loss_history.csv")
     print(out / "checkpoint")
     return 0
 

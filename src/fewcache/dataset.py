@@ -55,6 +55,7 @@ import os
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import groupby
 from pathlib import Path
 from typing import BinaryIO, Iterator, Optional
 
@@ -117,42 +118,42 @@ class FembStore:
     ends: list[int]
 
     def _read(self, start: int, stop: int, out: np.ndarray) -> np.ndarray:
-        """Rows [start, stop) into out[: stop - start], each normalized on
-        its own and checked to unit norm; returns that view. Opens the bag
-        files the rows lie in one at a time, and allocates at most one bag
-        chunk in the file's width. Raises NonFiniteValueError naming the
-        file of a NaN or infinite value, DegenerateRowError naming a zero
-        row by its row in the store."""
-        block = out[: stop - start]
-        row = start
-        i = bisect.bisect_right(self.ends, start)
-        while row < stop:
-            first = self.ends[i - 1] if i else 0
-            chunk = block[row - start : min(stop, self.ends[i]) - start]
-            with _femb_header(self.files[i]) as (f, dtype, _, _):
-                f.seek((row - first) * self.d * dtype.itemsize, os.SEEK_CUR)
-                if dtype == chunk.dtype:
-                    f.readinto(chunk)
-                else:
-                    raw = np.empty(chunk.shape, dtype=dtype)
-                    f.readinto(raw)
-                    chunk[...] = raw
-            if not _all_finite(chunk):
-                raise NonFiniteValueError(f"{self.files[i]}: payload contains NaN or infinity")
-            row += chunk.shape[0]
-            i += 1
-        try:
-            _l2_normalize_rows(block, out=block)
-        except DegenerateRowError as exc:
-            raise DegenerateRowError(start + exc.row) from None
-        _check_unit_norm(block)
-        return block
+        """Rows [start, stop) into out[: stop - start]; returns that view."""
+        lo, hi = bisect.bisect_right(self.ends, start), bisect.bisect_left(self.ends, stop)
+        cuts = [0, *(end - start for end in self.ends[lo:hi]), stop - start]
+        runs = zip(range(lo, hi + 1), cuts, cuts[1:])
+        return self._gather(range(start, stop), out[: stop - start], runs)
 
     def take(self, rows: np.ndarray) -> np.ndarray:
-        """The given rows, in order, read and checked one at a time."""
-        out = np.empty((len(rows), self.d), dtype=REAL)
-        for i, row in enumerate(rows):
-            self._read(int(row), int(row) + 1, out[i:])
+        """The given rows, in order."""
+        bags = np.searchsorted(self.ends, rows, side="right").tolist()
+        runs = sorted(zip(bags, range(len(rows)), range(1, len(rows) + 1)))
+        return self._gather(rows, np.empty((len(rows), self.d), dtype=REAL), runs)
+
+    def _gather(self, rows, out: np.ndarray, runs) -> np.ndarray:
+        """`rows` into `out`, each normalized on its own and checked to unit
+        norm; returns `out`. `runs` are (bag file, start, stop) slices of
+        `out`, grouped by file, whose rows lie consecutive in that file: each
+        file is opened once and each run read with one call. Raises
+        NonFiniteValueError naming the file of a NaN or infinity,
+        DegenerateRowError naming a zero row's store row."""
+        for i, runs_in_file in groupby(runs, key=lambda run: run[0]):
+            path, first = self.files[i], self.ends[i - 1] if i else 0
+            with _femb_header(path) as (f, dtype, _, _):
+                payload = f.tell()
+                for _, a, b in runs_in_file:
+                    chunk = out[a:b]
+                    raw = chunk if dtype == chunk.dtype else np.empty(chunk.shape, dtype=dtype)
+                    f.seek(payload + (int(rows[a]) - first) * raw.itemsize * self.d)
+                    f.readinto(raw)
+                    chunk[...] = raw  # skipped by numpy when raw is chunk
+                    if not _all_finite(chunk):
+                        raise NonFiniteValueError(f"{path}: payload contains NaN or infinity")
+        try:
+            _l2_normalize_rows(out, out=out)
+        except DegenerateRowError as exc:
+            raise DegenerateRowError(int(rows[exc.row])) from None
+        _check_unit_norm(out)
         return out
 
 

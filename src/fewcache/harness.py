@@ -1,7 +1,7 @@
 """Reproducible experiment runner.
 
 One experiment = a grid of (bag shot, instance shot) cells, each repeated
-over several seeds: sample a split, build both branches, train jointly,
+over several seeds: sample a split, build both branches, train each,
 pick the fusion weight on the labeled instances, evaluate on the held-out
 test set. Cell failures are recorded without aborting sibling cells.
 
@@ -40,7 +40,7 @@ from .errors import FewcacheError, UsageError
 from .fusion_eval import POOL_OPERATORS, EvalReport, evaluate
 from .prior_branch import PriorSpec, build_prior
 from .sampler import FewShotSpec, sample_split
-from .trainer import TrainConfig, train
+from .trainer import TrainConfig, train_cache, train_prior
 
 DEFAULT_BAG_SHOTS = (1, 2, 4, 8, 16)
 DEFAULT_INSTANCE_SHOTS = (16,)
@@ -197,7 +197,8 @@ def run_single(
         lr_keys=0.0 if cfg.freeze_keys else cfg.train.lr_keys,
         lr_value_logits=0.0 if cfg.freeze_value_logits else cfg.train.lr_value_logits,
     )
-    cache, prior, _state = train(cache, prior, split, train_ds.store, train_cfg)
+    cache, _ = train_cache(cache, split, train_ds.store, train_cfg)
+    prior, _ = train_prior(prior, split, train_ds.store, train_cfg)
 
     result = evaluate(
         cache, prior, test_ds, cfg.pooling,

@@ -1,17 +1,14 @@
-"""Joint optimization of both branches plus model checkpointing.
+"""The two training descents, one per branch, plus model checkpointing.
 
-Each step computes the retrieval loss and the prior loss on all the
-labeled instances (few-shot, so no minibatch draw), in row order, and
-applies one Adam update per parameter group (cache keys, unfrozen value
-logits, prompt parameters), each with its own learning rate. Keys are
-re-normalized after every update so retrieval stays a cosine comparison.
+Each step computes a branch's loss on all the labeled instances (few-shot,
+so no minibatch draw), in row order, and applies one Adam update per
+parameter group, each with its own learning rate: `train_cache` updates
+the cache keys and the unfrozen value logits, `train_prior` the prompt
+parameters. Keys are re-normalized after every update so retrieval stays
+a cosine comparison. A group with learning rate zero is left
+bit-identical, projection included.
 
-The two losses touch disjoint parameter groups, so joint optimization is
-two independent descents run in lockstep; their sum is what the history
-records. A group with learning rate zero is left bit-identical,
-projection included.
-
-`train` validates once, on entry: the labeled queries, keys and value
+Each descent validates once, on entry: the labeled queries, keys and value
 logits must be finite and match in width, and the prompt parameters
 must encode to finite, nonzero text features. Every step then runs the
 unchecked cores behind the public kernels (`_cache_loss_and_grads`,
@@ -32,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cache_branch import CacheModel, _cache_loss_and_grads
+from .cache_branch import CacheModel, _cache_loss_and_grads, _check_key_dim
 from .codec import OMIT_NONE, from_doc, read_json, to_doc
 from .dataset import EmbeddingStore, read_embeddings, write_embeddings
 from .errors import (
@@ -40,7 +37,6 @@ from .errors import (
     CorruptCheckpointError,
     FembError,
     NonFiniteInputError,
-    ShapeMismatchError,
 )
 from .numerics import AdamState, _l2_normalize_rows, _softmax_rows, adam_step, as_matrix
 from .prior_branch import (
@@ -48,6 +44,7 @@ from .prior_branch import (
     PROTOTYPE,
     TOY_ENCODER,
     PriorModel,
+    _check_text_dim,
     _prior_loss_and_grads,
     _raw_text,
     encode_prompts,
@@ -75,88 +72,85 @@ class TrainConfig:
             raise ValueError("steps must be >= 0")
 
 
-@dataclass
-class TrainState:
-    """Step counter and the loss trajectory."""
-
-    step: int = 0
-    history: list[tuple[int, float, float, float]] = field(default_factory=list)
-
-
-def train(
-    cache: CacheModel,
-    prior: PriorModel,
-    split: FewShotSplit,
-    store: EmbeddingStore,
-    cfg: TrainConfig,
-) -> tuple[CacheModel, PriorModel, TrainState]:
-    """Run cfg.steps of joint optimization; inputs are never mutated.
-
-    Queries are the original (frozen-encoder) features of the labeled
-    rows; cache keys drift away from them as training proceeds. Every
-    step sees all of them, in row order.
-    """
+def _labeled(split: FewShotSplit, store: EmbeddingStore) -> tuple[np.ndarray, np.ndarray]:
+    """The labeled rows, checked finite, and their classes: the queries and
+    labels of a descent. Cache keys drift away from these features."""
     if split.labeled_rows.size == 0:
         raise ValueError("cannot train without labeled instances")
+    return as_matrix(store.rows[split.labeled_rows], "labeled queries"), split.labeled_classes
+
+
+def train_cache(
+    cache: CacheModel, split: FewShotSplit, store: EmbeddingStore, cfg: TrainConfig
+) -> tuple[CacheModel, list[float]]:
+    """Run cfg.steps Adam steps on the cache keys and the unfrozen value
+    logits; the input is never mutated. Returns the trained copy and the
+    cache loss of each step."""
     cache = cache.copy()
-    prior = prior.copy()
-    state = TrainState()
-    if cfg.steps == 0:
-        return cache, prior, state
-
-    queries = as_matrix(store.rows[split.labeled_rows], "labeled queries")
+    queries, labels = _labeled(split, store)
+    _check_key_dim(cache, queries.shape[1])
     keys = as_matrix(cache.keys, "cache keys")
-    if not queries.shape[1] == cache.dim == prior.dim:
-        raise ShapeMismatchError(
-            f"query dim {queries.shape[1]}, key dim {cache.dim}, text feature dim {prior.dim}"
-        )
     values = cache.value_distributions()
-    encode_prompts(prior)
-    labels = split.labeled_classes
-
     # The learnable value rows are optimized as one compact block; frozen
     # rows keep their stored distribution in `values` throughout.
     free = np.flatnonzero(~cache.frozen_mask)
     free_logits = cache.value_logits[free]
-    prompt = prior.learnable()
-    adam_keys, adam_values, adam_prompt = (
-        AdamState.zeros_like(p) for p in (keys, free_logits, prompt)
-    )
+    adam_keys, adam_values = AdamState.zeros_like(keys), AdamState.zeros_like(free_logits)
 
-    for step in range(cfg.steps):
-        cache_loss, g_keys, g_free = _cache_loss_and_grads(
+    losses = []
+    for _ in range(cfg.steps):
+        loss, g_keys, g_free = _cache_loss_and_grads(
             keys, values, cache.beta, queries, labels, free
         )
-        prompt_loss, g_prompt = _prior_loss_and_grads(prior, _raw_text(prior), queries, labels)
-
         if cfg.lr_keys > 0.0:
             adam_step(keys, g_keys, adam_keys, cfg.lr_keys)
             _l2_normalize_rows(keys, out=keys)
         if cfg.lr_value_logits > 0.0:
             adam_step(free_logits, g_free, adam_values, cfg.lr_value_logits)
             values[free] = _softmax_rows(free_logits.copy())
-        if cfg.lr_prompt > 0.0:
-            adam_step(prompt, g_prompt, adam_prompt, cfg.lr_prompt)
-
-        state.history.append((step, cache_loss, prompt_loss, cache_loss + prompt_loss))
+        losses.append(loss)
 
     cache.keys = keys
     cache.value_logits[free] = free_logits
-    for name, param in (("cache keys", keys), ("value logits", free_logits), ("prompt", prompt)):
+    for name, param in (("cache keys", keys), ("value logits", free_logits)):
         if not np.isfinite(param).all():
             raise NonFiniteInputError(f"trained {name} contain NaN or infinity")
-    state.step = cfg.steps
-    return cache, prior, state
+    return cache, losses
 
 
-def history_to_csv(state: TrainState, path) -> Path:
-    """Write the loss trajectory as (step, cache_loss, text_loss, total)."""
+def train_prior(
+    prior: PriorModel, split: FewShotSplit, store: EmbeddingStore, cfg: TrainConfig
+) -> tuple[PriorModel, list[float]]:
+    """Run cfg.steps Adam steps on the prior's learnable parameters; the
+    input is never mutated. Returns the trained copy and the prompt loss of
+    each step."""
+    prior = prior.copy()
+    queries, labels = _labeled(split, store)
+    _check_text_dim(prior, queries.shape[1])
+    encode_prompts(prior)
+    prompt = prior.learnable()
+    adam_prompt = AdamState.zeros_like(prompt)
+
+    losses = []
+    for _ in range(cfg.steps):
+        loss, g_prompt = _prior_loss_and_grads(prior, _raw_text(prior), queries, labels)
+        if cfg.lr_prompt > 0.0:
+            adam_step(prompt, g_prompt, adam_prompt, cfg.lr_prompt)
+        losses.append(loss)
+
+    if not np.isfinite(prompt).all():
+        raise NonFiniteInputError("trained prompt contain NaN or infinity")
+    return prior, losses
+
+
+def history_to_csv(cache_losses: list[float], prompt_losses: list[float], path) -> Path:
+    """Write the loss trajectories as (step, cache_loss, text_loss, total)."""
     path = Path(path)
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["step", "cache_loss", "text_loss", "total"])
-        for row in state.history:
-            writer.writerow([row[0], repr(row[1]), repr(row[2]), repr(row[3])])
+        for step, (c, t) in enumerate(zip(cache_losses, prompt_losses, strict=True)):
+            writer.writerow([step, repr(c), repr(t), repr(c + t)])
     return path
 
 

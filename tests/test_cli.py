@@ -840,6 +840,11 @@ class TestFileFormats:
             pytest.param("split", lambda doc, text: json.dumps(
                              {**doc, "labeled": [[3, 0], [3, 1]], "unlabeled_core": [3, 4]}),
                          "SplitError", id="split-row-listed-twice"),
+            pytest.param("split", put("labeled", value=[]), "SplitError",
+                         id="split-without-labeled-rows"),
+            pytest.param("split", lambda doc, text: json.dumps(
+                             {**doc, "labeled": [], "unlabeled_core": []}),
+                         "SplitError", id="split-without-rows"),
             pytest.param("checkpoint", drop("prior", "tau"), "CorruptCheckpointError",
                          id="checkpoint-without-prior-tau"),
             pytest.param("checkpoint", drop("cache"), "CorruptCheckpointError",

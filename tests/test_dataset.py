@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fewcache import numerics
+from fewcache import dataset, numerics
 from fewcache.dataset import (
     Bag,
     Dataset,
@@ -338,6 +338,23 @@ class TestLayout:
         picked = np.array([24, 0, 7, 7, 19])
         assert layout.store.take(picked).tobytes() == loaded.store.take(picked).tobytes()
 
+    def test_take_opens_each_bag_once(self, tmp_path, rng, monkeypatch):
+        bags = [rng.normal(size=(n, 6)) for n in (7, 1, 12, 5)]
+        path = _write_bags(tmp_path, bags, version=2)
+        layout = read_layout(path)
+        picked = rng.permutation([24, 0, 19, 3, 3, 20, 8, 24, 11])  # bags 0, 2 and 3
+        expected = load_manifest(path).store.take(picked)
+        opened = []
+
+        def counting_header(femb):
+            opened.append(femb.name)
+            return header(femb)
+
+        header = dataset._femb_header
+        monkeypatch.setattr(dataset, "_femb_header", counting_header)
+        assert layout.store.take(picked).tobytes() == expected.tobytes()
+        assert sorted(opened) == ["bag0.femb", "bag2.femb", "bag3.femb"]
+
     def test_labels_and_layout_match_load_manifest(self, tmp_path, rng):
         path = _write_manifest_fixture(tmp_path, rng)
         layout, loaded = read_layout(path), load_manifest(path)
@@ -386,6 +403,8 @@ class TestLayout:
         layout.store._read(0, 8, buf)  # the first two bags read fine
         with pytest.raises(NonFiniteValueError, match="bag2.femb"):
             layout.store._read(6, 12, buf)
+        with pytest.raises(NonFiniteValueError, match="bag2.femb"):
+            layout.store.take(np.array([11, 0]))
 
     def test_zero_row_names_store_row(self, tmp_path, rng):
         bags = [rng.normal(size=(n, 3)) for n in (4, 4, 5)]
@@ -393,6 +412,9 @@ class TestLayout:
         layout = read_layout(_write_bags(tmp_path, bags))
         with pytest.raises(DegenerateRowError) as exc:
             layout.store._read(6, 13, np.empty((7, 3)))
+        assert exc.value.row == 11
+        with pytest.raises(DegenerateRowError) as exc:
+            layout.store.take(np.array([12, 0, 11, 11]))
         assert exc.value.row == 11
 
     def test_layout_reads_no_rows(self, tmp_path, rng):

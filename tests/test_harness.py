@@ -76,7 +76,7 @@ class TestRunExperiment:
         def broken_train(*args):
             raise RuntimeError("bug in a kernel")
 
-        monkeypatch.setattr(harness, "train", broken_train)
+        monkeypatch.setattr(harness, "train_cache", broken_train)
         with pytest.raises(RuntimeError, match="bug in a kernel"):
             run_experiment(tiny_config())
 
@@ -216,14 +216,14 @@ class TestToyEncoderPrior:
             pass
 
         def capture(priors):
-            def fake_train(cache, prior, *args):
+            def fake_train(prior, *args):
                 priors.append(prior)
                 raise Captured
             return fake_train
 
         swept, trained = [], []
-        monkeypatch.setattr(harness, "train", capture(swept))
-        monkeypatch.setattr(cli, "train", capture(trained))
+        monkeypatch.setattr(harness, "train_prior", capture(swept))
+        monkeypatch.setattr(cli, "train_prior", capture(trained))
         source = {"kind": "file", "train_manifest": str(manifest),
                   "prompt_features": str(prompts), "test_manifest": str(manifest)}
         with pytest.raises(Captured):
@@ -336,7 +336,7 @@ class TestParallelSweep:
             def broken_train(*args):
                 raise RuntimeError("bug in a kernel")
 
-            monkeypatch.setattr(harness, "train", broken_train)
+            monkeypatch.setattr(harness, "train_cache", broken_train)
             with pytest.raises(RuntimeError, match="bug in a kernel"):
                 run_experiment(tiny_config())
             assert get() == 3

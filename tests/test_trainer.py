@@ -41,7 +41,8 @@ from fewcache.trainer import (
     history_to_csv,
     restore,
     snapshot,
-    train,
+    train_cache,
+    train_prior,
 )
 
 
@@ -65,14 +66,16 @@ class TestTrain:
     def test_separable_loss_drops(self, separable_setup):
         ds, split = separable_setup
         cache, prior = _models(ds, split)
-        _, _, state = train(cache, prior, split, ds.store, TrainConfig(steps=500))
-        assert state.history[-1][3] < 0.05
+        _, cache_losses = train_cache(cache, split, ds.store, TrainConfig(steps=500))
+        _, prompt_losses = train_prior(prior, split, ds.store, TrainConfig(steps=500))
+        assert cache_losses[-1] + prompt_losses[-1] < 0.05
 
     def test_smoothed_loss_halves(self, separable_setup):
         ds, split = separable_setup
         cache, prior = _models(ds, split)
-        _, _, state = train(cache, prior, split, ds.store, TrainConfig(steps=500))
-        totals = [h[3] for h in state.history]
+        _, cache_losses = train_cache(cache, split, ds.store, TrainConfig(steps=500))
+        _, prompt_losses = train_prior(prior, split, ds.store, TrainConfig(steps=500))
+        totals = [c + p for c, p in zip(cache_losses, prompt_losses)]
         first = float(np.mean(totals[:100]))
         last = float(np.mean(totals[-100:]))
         assert last <= 0.5 * first
@@ -80,27 +83,34 @@ class TestTrain:
     def test_zero_steps_identity(self, separable_setup):
         ds, split = separable_setup
         cache, prior = _models(ds, split)
-        cache2, prior2, state = train(cache, prior, split, ds.store, TrainConfig(steps=0))
+        cache2, cache_losses = train_cache(cache, split, ds.store, TrainConfig(steps=0))
+        prior2, prompt_losses = train_prior(prior, split, ds.store, TrainConfig(steps=0))
         assert np.array_equal(cache2.keys, cache.keys)
         assert np.array_equal(cache2.value_logits, cache.value_logits)
         assert np.array_equal(prior2.class_features, prior.class_features)
-        assert state.history == []
+        assert cache_losses == prompt_losses == []
 
     def test_deterministic(self, separable_setup):
         ds, split = separable_setup
         cfg = TrainConfig(steps=50)
-        a = train(*_models(ds, split), split, ds.store, cfg)
-        b = train(*_models(ds, split), split, ds.store, cfg)
-        assert a[2].history == b[2].history
+
+        def run():
+            cache, prior = _models(ds, split)
+            return (*train_cache(cache, split, ds.store, cfg),
+                    *train_prior(prior, split, ds.store, cfg))
+
+        a, b = run(), run()
+        assert a[1] == b[1] and a[3] == b[3]
         assert np.array_equal(a[0].keys, b[0].keys)
-        assert np.array_equal(a[1].class_features, b[1].class_features)
+        assert np.array_equal(a[2].class_features, b[2].class_features)
 
     def test_inputs_not_mutated(self, separable_setup):
         ds, split = separable_setup
         cache, prior = _models(ds, split)
         keys_before = cache.keys.copy()
         prompt_before = prior.class_features.copy()
-        train(cache, prior, split, ds.store, TrainConfig(steps=20))
+        train_cache(cache, split, ds.store, TrainConfig(steps=20))
+        train_prior(prior, split, ds.store, TrainConfig(steps=20))
         assert np.array_equal(cache.keys, keys_before)
         assert np.array_equal(prior.class_features, prompt_before)
 
@@ -108,34 +118,34 @@ class TestTrain:
         ds, split = separable_setup
         cache, prior = _models(ds, split)
         cfg = TrainConfig(steps=30, lr_keys=0.0, lr_prompt=0.0)
-        cache2, prior2, _ = train(cache, prior, split, ds.store, cfg)
+        cache2, _ = train_cache(cache, split, ds.store, cfg)
+        prior2, _ = train_prior(prior, split, ds.store, cfg)
         assert np.array_equal(cache2.keys, cache.keys)
         assert np.array_equal(prior2.class_features, prior.class_features)
         assert not np.array_equal(cache2.value_logits, cache.value_logits)
 
     def test_frozen_one_hot_rows_bit_identical(self, separable_setup):
         ds, split = separable_setup
-        cache, prior = _models(ds, split)
+        cache, _ = _models(ds, split)
         frozen_before = cache.value_logits[cache.frozen_mask].copy()
-        cache2, _, _ = train(cache, prior, split, ds.store, TrainConfig(steps=100))
+        cache2, _ = train_cache(cache, split, ds.store, TrainConfig(steps=100))
         assert np.array_equal(cache2.value_logits[cache2.frozen_mask], frozen_before)
 
     def test_toy_frozen_parts_bit_identical(self, separable_setup, rng):
         ds, split = separable_setup
-        cache = build_cache(split, ds.store, ds.classes)
         prior = prior_toy_encoder(rng.normal(size=(2, 3, 8)), ds.classes, ds.dim,
                                   num_learnable=4, tau=0.5, seed=2)
         base_before = prior.base_tokens.copy()
         enc_before = prior.encoder_matrix.copy()
-        _, prior2, _ = train(cache, prior, split, ds.store, TrainConfig(steps=50))
+        prior2, _ = train_prior(prior, split, ds.store, TrainConfig(steps=50))
         assert np.array_equal(prior2.base_tokens, base_before)
         assert np.array_equal(prior2.encoder_matrix, enc_before)
         assert not np.array_equal(prior2.prompt_tokens, prior.prompt_tokens)
 
     def test_keys_stay_unit_norm(self, separable_setup):
         ds, split = separable_setup
-        cache, prior = _models(ds, split)
-        cache2, _, _ = train(cache, prior, split, ds.store, TrainConfig(steps=50))
+        cache, _ = _models(ds, split)
+        cache2, _ = train_cache(cache, split, ds.store, TrainConfig(steps=50))
         np.testing.assert_allclose(np.linalg.norm(cache2.keys, axis=1), 1.0, atol=1e-9)
 
     def test_no_labeled_instances_rejected(self, separable_setup):
@@ -147,23 +157,27 @@ class TestTrain:
         )
         cache, prior = _models(ds, split)
         with pytest.raises(ValueError):
-            train(cache, prior, empty, ds.store, TrainConfig(steps=10))
+            train_cache(cache, empty, ds.store, TrainConfig(steps=10))
+        with pytest.raises(ValueError):
+            train_prior(prior, empty, ds.store, TrainConfig(steps=10))
 
     def test_history_csv(self, separable_setup, tmp_path):
         ds, split = separable_setup
         cache, prior = _models(ds, split)
-        _, _, state = train(cache, prior, split, ds.store, TrainConfig(steps=10))
-        path = history_to_csv(state, tmp_path / "loss.csv")
+        _, cache_losses = train_cache(cache, split, ds.store, TrainConfig(steps=10))
+        _, prompt_losses = train_prior(prior, split, ds.store, TrainConfig(steps=10))
+        path = history_to_csv(cache_losses, prompt_losses, tmp_path / "loss.csv")
         with open(path) as f:
             rows = list(csv.reader(f))
         assert rows[0] == ["step", "cache_loss", "text_loss", "total"]
         assert len(rows) == 11
-        assert float(rows[1][3]) == state.history[0][3]
+        assert float(rows[1][3]) == cache_losses[0] + prompt_losses[0]
 
 
 def _reference_train(cache, prior, split, store, cfg):
     """The training loop over the public kernels, on full-size parameter
-    arrays and with checks at every step: the oracle for `train`."""
+    arrays and with checks at every step: the oracle for `train_cache` and
+    `train_prior`."""
     cache, prior, history = cache.copy(), prior.copy(), []
     queries = store.rows[split.labeled_rows].copy()
     labels = split.labeled_classes.copy()
@@ -237,12 +251,14 @@ class TestTrainOracle:
     def test_bit_identical_to_public_kernel_loop(self, problem):
         cache, prior, split, store, cfg = problem
         ref_cache, ref_prior, ref_history = _reference_train(cache, prior, split, store, cfg)
-        got_cache, got_prior, state = train(cache, prior, split, store, cfg)
+        got_cache, cache_losses = train_cache(cache, split, store, cfg)
+        got_prior, prompt_losses = train_prior(prior, split, store, cfg)
+        history = [(s, c, p, c + p) for s, (c, p) in enumerate(zip(cache_losses, prompt_losses))]
         assert got_cache.keys.tobytes() == ref_cache.keys.tobytes()
         assert got_cache.value_logits.tobytes() == ref_cache.value_logits.tobytes()
         assert got_prior.learnable().tobytes() == ref_prior.learnable().tobytes()
-        assert np.array(state.history).tobytes() == np.array(ref_history).tobytes()
-        assert state.step == cfg.steps
+        assert np.array(history).tobytes() == np.array(ref_history).tobytes()
+        assert len(cache_losses) == len(prompt_losses) == cfg.steps
 
 
 class TestValidateOnce:
@@ -257,8 +273,12 @@ class TestValidateOnce:
             raise AssertionError("a training step ran")
 
         monkeypatch.setattr(fewcache.trainer, "_cache_loss_and_grads", no_step)
+        monkeypatch.setattr(fewcache.trainer, "_prior_loss_and_grads", no_step)
+        cache, prior = _models(ds, split)
         with pytest.raises(NonFiniteInputError, match="labeled queries"):
-            train(*_models(ds, split), split, store, TrainConfig(steps=5))
+            train_cache(cache, split, store, TrainConfig(steps=5))
+        with pytest.raises(NonFiniteInputError, match="labeled queries"):
+            train_prior(prior, split, store, TrainConfig(steps=5))
 
     def test_key_row_driven_to_zero_raises(self):
         # d = 1: Adam's first update moves key row 1 by lr times its unit-lr
@@ -277,9 +297,10 @@ class TestValidateOnce:
         new_keys = cache.keys.copy()
         adam_step(new_keys, g_keys, AdamState.zeros_like(new_keys), cfg.lr_keys)
         assert new_keys[1, 0] == 0.0
-        for run in (train, _reference_train):
+        for run in (lambda: train_cache(cache, split, store, cfg),
+                    lambda: _reference_train(cache, prior, split, store, cfg)):
             with pytest.raises(DegenerateRowError) as exc:
-                run(cache, prior, split, store, cfg)
+                run()
             assert exc.value.row == 1
 
     def test_tiny_key_rows_keep_full_precision(self):
@@ -289,10 +310,9 @@ class TestValidateOnce:
         tiny = [[8.18628025e-162, 0.0], [1e-170, 1e-170], [5e-324, 0.0]]
         cache = CacheModel(keys=np.array([[1.0, 0.0], *tiny]), value_logits=np.zeros((4, 2)),
                            frozen_mask=np.zeros(4, dtype=bool), beta=1000.0, classes=["a", "b"])
-        prior = prior_from_features(np.eye(2), ["a", "b"])
         store = EmbeddingStore.from_array([[1.0, 0.0]])
         split = FewShotSplit([], np.array([0]), np.array([0]), np.empty(0, dtype=np.int64), 0)
-        trained, _, _ = train(cache, prior, split, store, TrainConfig(steps=1, lr_keys=0.1))
+        trained, _ = train_cache(cache, split, store, TrainConfig(steps=1, lr_keys=0.1))
         expected = [[1.0, 0.0], [0.5**0.5, 0.5**0.5], [1.0, 0.0]]
         np.testing.assert_allclose(trained.keys[1:], expected, atol=1e-15)
 
@@ -301,8 +321,8 @@ class TestCheckpoints:
     def _trained(self, separable_setup, steps=30):
         ds, split = separable_setup
         cache, prior = _models(ds, split)
-        cache, prior, _ = train(cache, prior, split, ds.store,
-                                TrainConfig(steps=steps))
+        cache, _ = train_cache(cache, split, ds.store, TrainConfig(steps=steps))
+        prior, _ = train_prior(prior, split, ds.store, TrainConfig(steps=steps))
         return ds, cache, prior
 
     def test_round_trip_bit_exact_predictions(self, separable_setup, tmp_path):
