@@ -36,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dataset import EmbeddingStore, FembStore
+from .dataset import EmbeddingStore, Store
 from .errors import NonFiniteInputError, ShapeMismatchError
 from .numerics import (
     PROB_CLAMP,
@@ -93,7 +93,7 @@ class CacheModel:
 
 def build_cache(
     split: FewShotSplit,
-    store: EmbeddingStore,
+    store: Store,
     classes: list[str],
     beta: float = DEFAULT_BETA,
 ) -> CacheModel:
@@ -108,7 +108,7 @@ def build_cache(
         raise ValueError("cannot build a cache from an empty split")
     num_classes = len(classes)
     rows = np.concatenate([split.labeled_rows, split.unlabeled_rows])
-    keys = store.rows[rows].astype(REAL, copy=True)
+    keys = store.take(rows)
     value_logits = np.zeros((n_lab + n_unl, num_classes), dtype=REAL)
     if n_lab:
         value_logits[:n_lab] = np.eye(num_classes, dtype=REAL)[split.labeled_classes]
@@ -178,7 +178,7 @@ def retrieve(model: CacheModel, queries) -> np.ndarray:
 
 def _retrieve_store(
     model: CacheModel,
-    store: EmbeddingStore | FembStore,
+    store: Store,
     also: Callable[[np.ndarray, int, int], None] | None = None,
 ) -> np.ndarray:
     """Core of retrieve over every row of `store`, whose width the caller

@@ -34,7 +34,7 @@ import numpy as np
 
 from .cache_branch import DEFAULT_BETA, build_cache
 from .codec import existing, from_doc, read_json, to_doc
-from .dataset import SynthSpec, load_manifest, read_layout, save_dataset, synth_generate
+from .dataset import SynthSpec, read_layout, save_dataset, synth_generate
 from .encoders import read_prompt_features
 from .errors import DimensionConflictError, FewcacheError, SplitError, UsageError
 from .fusion_eval import GRID_POINTS, POOL_OPERATORS, alpha_table_to_csv, evaluate
@@ -50,6 +50,13 @@ from .harness import (
 from .prior_branch import PriorSpec, build_prior
 from .sampler import FewShotSpec, load_split, sample_split, save_split
 from .trainer import TrainConfig, history_to_csv, restore, snapshot, train_cache, train_prior
+
+
+@dataclass(frozen=True, kw_only=True)
+class SampleJob(FewShotSpec):
+    """`fewcache sample` config: the dataset manifest and FewShotSpec's keys."""
+
+    dataset: str
 
 
 @dataclass
@@ -147,12 +154,11 @@ def cmd_synth(args) -> int:
 
 def cmd_sample(args) -> int:
     """Draw a few-shot split from a dataset manifest."""
-    spec_doc = _load_config(args.config)
-    manifest = spec_doc.pop("dataset", None)
+    doc = _load_config(args.config)
     if args.seed is not None:
-        spec_doc["seed"] = args.seed
-    spec = from_doc(FewShotSpec, spec_doc)
-    split = sample_split(load_manifest(existing(manifest, "dataset")), spec)
+        doc["seed"] = args.seed
+    job = from_doc(SampleJob, doc)
+    split = sample_split(read_layout(existing(job.dataset, "dataset")), job)
     path = save_split(split, _out_dir(args) / "split.json")
     print(path)
     return 0
@@ -162,7 +168,7 @@ def cmd_train(args) -> int:
     """Train both branches on a split and write a checkpoint."""
     job = from_doc(TrainJob, _load_config(args.config))
     existing(job.prompt, "prompt file")
-    dataset = load_manifest(existing(job.dataset, "dataset"))
+    dataset = read_layout(existing(job.dataset, "dataset"))
     split = load_split(existing(job.split, "split file"), dataset)
     if split.n_labeled == 0:
         raise SplitError(f"{job.split}: no labeled rows to train on")

@@ -2,22 +2,25 @@
 
 A dataset is a list of bags (one per slide/source), each owning a
 contiguous row range of a shared embedding store, plus optional
-per-instance labels. All rows are L2-normalized at load time: every
+per-instance labels. All rows are L2-normalized as they are read: every
 consumer compares features by cosine/dot product, so the contract is
 centralized here.
 
-Memory contract: `read_layout` checks every FEMB header against the
-manifest, then the labels, and allocates no rows: its dataset's
-`FembStore` reads rows on demand, opening one bag file at a time, and
-normalizes and checks them in place one row block
-(numerics._BLOCK_ELEMENTS) at a time. Every row is normalized on its own,
-so the blocks do not change a bit. `load_manifest` allocates the float64
-store once and fills it through that FembStore one bag at a time. So a
-load holds the store, plus one bag in its file's width (none for a
-float64 file, read straight into the store), plus one block; a pass over
-a layout's blocks holds the bags and labels plus one block per reader,
-whatever the row count. `synth_generate` keeps the same rule for the bags
-it draws.
+Memory contract: every command opens a manifest with `read_layout`,
+which checks every FEMB header against the manifest, then the labels,
+and allocates no rows. Its dataset's `FembStore` reads rows on demand
+and normalizes and checks them in place: `take` reads the rows a caller
+names, one call per run of rows that lie consecutive in one bag file,
+and `_read` reads one row block (numerics._BLOCK_ELEMENTS) of a blocked
+pass. Every row is normalized on its own, so neither runs nor blocks
+change a bit. So a command holds the bags and labels, the rows it takes
+and one block per reader, never the store, and it sees a NaN only in a
+row it reads; `check_rows` reads every row once, one block at a time.
+`load_manifest`, the in-memory reference, allocates the float64 store
+once and fills it through that FembStore one bag at a time, so it holds
+the store, plus one bag in its file's width (none for a float64 file,
+read straight into the store), plus one block. `synth_generate` keeps
+the same rule for the bags it draws.
 
 File formats, each with the error a bad file raises. The CLI prints it
 as one stderr line and exits 1; usage errors (bad flag, missing file
@@ -125,9 +128,14 @@ class FembStore:
         return self._gather(range(start, stop), out[: stop - start], runs)
 
     def take(self, rows: np.ndarray) -> np.ndarray:
-        """The given rows, in order."""
-        bags = np.searchsorted(self.ends, rows, side="right").tolist()
-        runs = sorted(zip(bags, range(len(rows)), range(1, len(rows) + 1)))
+        """The given rows, in order. Each run of them that also lies
+        consecutive in one bag file is read with one call."""
+        bags = np.searchsorted(self.ends, rows, side="right")
+        first = np.ones(len(rows), dtype=bool)
+        first[1:] = (np.diff(rows) != 1) | (np.diff(bags) != 0)
+        starts = np.flatnonzero(first)
+        stops = np.append(starts[1:], len(rows))
+        runs = sorted(zip(bags[starts].tolist(), starts.tolist(), stops.tolist()))
         return self._gather(rows, np.empty((len(rows), self.d), dtype=REAL), runs)
 
     def _gather(self, rows, out: np.ndarray, runs) -> np.ndarray:
@@ -155,6 +163,10 @@ class FembStore:
             raise DegenerateRowError(int(rows[exc.row])) from None
         _check_unit_norm(out)
         return out
+
+
+# A dataset's rows, held in memory or read from its bag files.
+Store = EmbeddingStore | FembStore
 
 
 def _check_unit_norm(rows: np.ndarray) -> None:
@@ -188,7 +200,7 @@ class Dataset:
     dim: int
     classes: list[str]
     bags: list[Bag]
-    store: EmbeddingStore | FembStore
+    store: Store
 
     @property
     def num_classes(self) -> int:
@@ -329,7 +341,8 @@ class ManifestDoc:
 
 
 def load_manifest(path) -> Dataset:
-    """Load and fully validate a dataset manifest; rows are L2-normalized.
+    """Load and fully validate a dataset manifest into memory; rows are
+    L2-normalized. The reference the layout path is compared against.
 
     Checked as `read_layout` checks it; its FembStore then reads each bag
     into one float64 store, normalized and checked."""
@@ -381,6 +394,15 @@ def read_layout(path) -> Dataset:
     )
     ds.validate()
     return ds
+
+
+def check_rows(store: FembStore) -> None:
+    """Read every row of `store` once, one row block at a time into one
+    buffer, so a NaN, an infinity or a zero row raises now, in row order."""
+    starts = _row_blocks(store.n, store.d)
+    block = np.empty((min(starts.step, store.n), store.d), dtype=REAL)
+    for start in starts:
+        store._read(start, min(start + starts.step, store.n), block)
 
 
 def save_dataset(dataset: Dataset, out_dir) -> Path:

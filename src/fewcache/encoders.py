@@ -12,6 +12,10 @@ Memory contract: a synthetic source generates each store in place
 stores and prompts, plus one bag's temporaries, plus one row block. Its
 checksum feeds the config JSON, the train rows and the prompts to one
 sha256 object, which hashes the arrays in place, without a byte copy.
+A file source holds no store: its train and test sets are layouts
+(dataset.read_layout) whose rows each run reads as it needs them. Every
+row is read once while resolving (dataset.check_rows), one block at a
+time, so a bad row fails the sweep before any run.
 """
 
 from __future__ import annotations
@@ -28,9 +32,10 @@ from .codec import existing, from_doc, read_json, to_doc
 from .dataset import (
     Dataset,
     SynthSpec,
+    check_rows,
     class_prototypes,
-    load_manifest,
     read_embeddings,
+    read_layout,
     synth_generate,
 )
 from .errors import DimensionConflictError, ManifestFormatError, UnknownSourceKindError
@@ -163,8 +168,12 @@ def resolve_source(config: dict) -> EmbeddingSource:
     existing(src.prompt_features, "prompt features")
     if src.test_manifest:
         existing(src.test_manifest, "test manifest")
-    train = load_manifest(src.train_manifest)
-    test = load_manifest(src.test_manifest) if src.test_manifest else None
+    train = read_layout(src.train_manifest)
+    check_rows(train.store)
+    test = None
+    if src.test_manifest:
+        test = read_layout(src.test_manifest)
+        check_rows(test.store)
     if test is not None and test.dim != train.dim:
         raise DimensionConflictError(
             f"train dim {train.dim} != test dim {test.dim}"

@@ -392,7 +392,7 @@ def sample_split(dataset: Dataset, spec: FewShotSpec) -> FewShotSplit:
     rows_global = np.concatenate(
         [np.arange(b.start, b.end) for b in dataset.bags if b.id in selected_set]
     )
-    core_local = select_core_set(dataset.store.rows[rows_global], spec, seed=s_core)
+    core_local = select_core_set(dataset.store.take(rows_global), spec, seed=s_core)
     core_global = rows_global[core_local]
 
     truth = dataset.instance_labels_vector()

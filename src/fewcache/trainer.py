@@ -31,7 +31,7 @@ import numpy as np
 
 from .cache_branch import CacheModel, _cache_loss_and_grads, _check_key_dim
 from .codec import OMIT_NONE, from_doc, read_json, to_doc
-from .dataset import EmbeddingStore, read_embeddings, write_embeddings
+from .dataset import Store, read_embeddings, write_embeddings
 from .errors import (
     CheckpointVersionError,
     CorruptCheckpointError,
@@ -72,16 +72,16 @@ class TrainConfig:
             raise ValueError("steps must be >= 0")
 
 
-def _labeled(split: FewShotSplit, store: EmbeddingStore) -> tuple[np.ndarray, np.ndarray]:
+def _labeled(split: FewShotSplit, store: Store) -> tuple[np.ndarray, np.ndarray]:
     """The labeled rows, checked finite, and their classes: the queries and
     labels of a descent. Cache keys drift away from these features."""
     if split.labeled_rows.size == 0:
         raise ValueError("cannot train without labeled instances")
-    return as_matrix(store.rows[split.labeled_rows], "labeled queries"), split.labeled_classes
+    return as_matrix(store.take(split.labeled_rows), "labeled queries"), split.labeled_classes
 
 
 def train_cache(
-    cache: CacheModel, split: FewShotSplit, store: EmbeddingStore, cfg: TrainConfig
+    cache: CacheModel, split: FewShotSplit, store: Store, cfg: TrainConfig
 ) -> tuple[CacheModel, list[float]]:
     """Run cfg.steps Adam steps on the cache keys and the unfrozen value
     logits; the input is never mutated. Returns the trained copy and the
@@ -119,7 +119,7 @@ def train_cache(
 
 
 def train_prior(
-    prior: PriorModel, split: FewShotSplit, store: EmbeddingStore, cfg: TrainConfig
+    prior: PriorModel, split: FewShotSplit, store: Store, cfg: TrainConfig
 ) -> tuple[PriorModel, list[float]]:
     """Run cfg.steps Adam steps on the prior's learnable parameters; the
     input is never mutated. Returns the trained copy and the prompt loss of

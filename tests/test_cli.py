@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fewcache import cli, errors, numerics
+from fewcache import cli, encoders, errors, numerics
 from fewcache.cli import main
 from fewcache.dataset import (
     SynthSpec,
@@ -168,6 +168,37 @@ class TestPipeline:
             assert main(["eval", "--config", eval_cfg, "--out", str(out)]) == 0
             written[workers] = [(out / name).read_bytes() for name in names]
         assert written[1] == written[2] == written[3] == written["in-memory"]
+
+    def test_layout_path_writes_the_in_memory_bytes(self, trained, monkeypatch):
+        # sample, train and a file-source sweep read their rows through
+        # read_layout's store; the same commands over the manifest loaded in
+        # memory write the same bytes.
+        tmp = trained["tmp"]
+        manifest, prompts = str(trained["manifest"]), str(trained["prompts"])
+        test_manifest = save_dataset(synth_generate(SynthSpec(**{**SPEC_DOC, "seed": 9})),
+                                     tmp / "test_data")
+        sample_cfg = write_json(tmp / "s.json", {"dataset": manifest, "bag_shot": 2,
+                                                 "instance_shot": 3, "seed": 1})
+        source = {"kind": "file", "train_manifest": manifest,
+                  "test_manifest": str(test_manifest), "prompt_features": prompts}
+        sweep_cfg = write_json(tmp / "exp.json", {**SWEEP_DOC, "source": source, "repeats": 2})
+        written = {}
+        for path in ("layout", "in-memory"):
+            if path == "in-memory":
+                monkeypatch.setattr(cli, "read_layout", load_manifest)
+                monkeypatch.setattr(encoders, "read_layout", load_manifest)
+            out = tmp / path
+            assert main(["sample", "--config", sample_cfg, "--out", str(out)]) == 0
+            train_cfg = write_json(tmp / f"t_{path}.json",
+                                   {"dataset": manifest, "split": str(out / "split.json"),
+                                    "prompt": prompts, "train": {"steps": 20}})
+            assert main(["train", "--config", train_cfg, "--out", str(out)]) == 0
+            assert main(["sweep", "--config", sweep_cfg, "--out", str(out / "sweep")]) == 0
+            files = [out / "split.json", out / "loss_history.csv",
+                     *sorted((out / "checkpoint").iterdir()), out / "sweep" / "record.json"]
+            written[path] = {f.relative_to(out): f.read_bytes() for f in files}
+        assert len(written["layout"]) > 4
+        assert written["layout"] == written["in-memory"]
 
     def test_eval_single_label_bags_flags_undefined(self, tmp_path, rng):
         # all test bags share one label: bag AUC must be flagged, exit 0
@@ -326,6 +357,7 @@ MALFORMED_SWEEP_CONFIGS = [
 # the paths of the `trained` fixture.
 _TUNE = {"dataset": "@manifest", "split": "@split"}
 BASE_COMMAND_CONFIGS = {
+    "sample": {"dataset": "@manifest", "bag_shot": 1, "instance_shot": 2},
     "eval": {"dataset": "@manifest", "checkpoint": "@checkpoint"},
     "train": {"dataset": "@manifest", "split": "@split", "prompt": "@prompts",
               "train": {"steps": 5}},
@@ -334,6 +366,8 @@ BASE_COMMAND_CONFIGS = {
 }
 
 MALFORMED_COMMAND_CONFIGS = [
+    pytest.param("sample", {"dataset": 5}, id="sample-dataset-not-a-string-int"),
+    pytest.param("sample", {"dataset": ["@manifest"]}, id="sample-dataset-not-a-string-list"),
     pytest.param("eval", {"pooling": "bogus"}, id="eval-unknown-pooling"),
     pytest.param("eval", {"alpah": 0.9}, id="eval-alpha-typo"),
     pytest.param("eval", {"tune": {"dataset": "@manifest"}}, id="eval-tune-without-split"),
@@ -605,6 +639,28 @@ class TestErrors:
         assert assert_one_domain_line(err) == "NonFiniteValueError"
         assert last in err
         assert not (tmp / "eval").exists()
+
+    @pytest.mark.parametrize("role", ["train_manifest", "test_manifest"])
+    def test_sweep_file_source_nan_exits_1(self, files, tmp_path, capsys, role):
+        # Runs read only their rows, so the source's rows are all checked
+        # once before any run: a NaN fails the sweep, not one of its runs.
+        data = tmp_path / "nan"
+        shutil.copytree(files / "data", data)
+        last = json.loads((data / "manifest.json").read_text())["bags"][-1]["embeddings"]
+        femb = data / last
+        femb.write_bytes(femb.read_bytes()[:-4] + struct.pack("<f", np.nan))
+        manifest = str(files / "data" / "manifest.json")
+        source = {"kind": "file", "train_manifest": manifest, "test_manifest": manifest,
+                  "prompt_features": str(files / "prompts.femb"),
+                  role: str(data / "manifest.json")}
+        cfg = write_json(tmp_path / "exp.json", {**SWEEP_DOC, "source": source})
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert assert_one_domain_line(captured.err) == "NonFiniteValueError"
+        assert last in captured.err
+        assert captured.out == ""
+        assert not (out / "record.json").exists()
 
     def test_label_error_before_nan_from_every_command(self, trained, rng, capsys):
         # Bag 0 holds a NaN and bag 1's instance labels hold a 7. Every

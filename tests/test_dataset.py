@@ -2,6 +2,7 @@ import json
 import math
 import struct
 import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -339,21 +340,47 @@ class TestLayout:
         assert layout.store.take(picked).tobytes() == loaded.store.take(picked).tobytes()
 
     def test_take_opens_each_bag_once(self, tmp_path, rng, monkeypatch):
-        bags = [rng.normal(size=(n, 6)) for n in (7, 1, 12, 5)]
+        bags = [rng.normal(size=(n, 6)) for n in (7, 1, 12, 5)]  # rows end at 7, 8, 20, 25
         path = _write_bags(tmp_path, bags, version=2)
         layout = read_layout(path)
-        picked = rng.permutation([24, 0, 19, 3, 3, 20, 8, 24, 11])  # bags 0, 2 and 3
+        # Shuffled rows of bags 0, 2 and 3 with repeats, then rows 9..15 of
+        # bag 2, then rows 18..22, which cross from bag 2 into bag 3.
+        picked = np.concatenate([[24, 0, 19, 3, 3, 20, 8, 24, 11], np.arange(9, 16),
+                                 np.arange(18, 23)])
         expected = load_manifest(path).store.take(picked)
-        opened = []
+        opened, reads = [], []
 
+        class CountingFile:
+            """A bag file that records the row count of each read."""
+
+            def __init__(self, f, name):
+                self.f, self.name = f, name
+
+            def __getattr__(self, attr):
+                return getattr(self.f, attr)
+
+            def readinto(self, buf):
+                reads.append((self.name, len(buf)))
+                return self.f.readinto(buf)
+
+        @contextmanager
         def counting_header(femb):
             opened.append(femb.name)
-            return header(femb)
+            with header(femb) as (f, dtype, n, d):
+                yield CountingFile(f, femb.name), dtype, n, d
 
         header = dataset._femb_header
         monkeypatch.setattr(dataset, "_femb_header", counting_header)
         assert layout.store.take(picked).tobytes() == expected.tobytes()
         assert sorted(opened) == ["bag0.femb", "bag2.femb", "bag3.femb"]
+        runs = {"bag0.femb": [1, 1, 1], "bag2.femb": [1, 1, 1, 7, 2], "bag3.femb": [1, 1, 1, 3]}
+        assert sorted(reads) == sorted((name, n) for name, ns in runs.items() for n in ns)
+
+        opened.clear()
+        reads.clear()
+        none = layout.store.take(np.empty(0, dtype=np.int64))
+        assert none.shape == (0, 6) and none.dtype == expected.dtype
+        assert opened == reads == []
 
     def test_labels_and_layout_match_load_manifest(self, tmp_path, rng):
         path = _write_manifest_fixture(tmp_path, rng)

@@ -8,6 +8,7 @@ would stand out against one block.
 """
 
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -197,3 +198,38 @@ def test_streamed_eval_holds_outputs_labels_and_one_block_per_worker(
         assert peaks[m] <= bound, (m, peaks[m], bound)
     # Only the outputs and the labels grow with the row count.
     assert peaks[16384] - peaks[4096] <= (16384 - 4096) * ROW_BYTES
+
+
+# Bytes per store row that a sample holds for every bag, read or not: the
+# bag's instance labels and its slice of the store-wide label vector, both
+# int64. A row of the d = 64 sets below takes 512 bytes.
+LABEL_BYTES = 2 * 8
+
+
+def test_sample_holds_selected_rows_and_label_vectors(tmp_path, rng):
+    # At bag shot 1, sample reads one 512-row bag per class whatever the bag
+    # count; each further bag costs its labels, not its rows.
+    n, dim = 512, 64
+    selected = 2 * n
+    k = math.ceil(0.1 * selected)  # the default core-set fraction
+    # The selected rows, k-means' (selected, k) distances and at most two
+    # (selected, d) temporaries of its seeding and of the core-set pick.
+    sampling = selected * (3 * dim + k) * 8
+    assert LABEL_BYTES < dim * 8
+    peaks = {}
+    for n_bags in (4, 16, 64):
+        directory = tmp_path / str(n_bags)
+        directory.mkdir()
+        manifest = _labeled_manifest(directory, n_bags, n, dim, rng)
+        config = directory / "config.json"
+        config.write_text(json.dumps({"dataset": str(manifest), "bag_shot": 1,
+                                      "instance_shot": 2}))
+        argv = ["sample", "--config", str(config), "--out", str(directory / "out")]
+        if not peaks:
+            assert main(argv) == 0  # the first sample imports what it needs, once
+        peaks[n_bags] = _peak(main, argv)
+        assert (directory / "out" / "split.json").exists()
+        bound = sampling + n_bags * n * LABEL_BYTES + SLACK
+        assert peaks[n_bags] <= bound, (n_bags, peaks[n_bags], bound)
+    # Only the labels grow with the bag count.
+    assert peaks[64] - peaks[4] <= (64 - 4) * n * LABEL_BYTES
