@@ -68,7 +68,7 @@ from .sampler import (
     sample_split,
     select_core_set,
 )
-from .trainer import TrainConfig, restore, snapshot, train_cache, train_prior
+from .trainer import TrainConfig, fit, restore, snapshot, train_cache, train_prior
 
 __version__ = "0.1.0"
 
@@ -103,6 +103,7 @@ __all__ = [
     "encode_prompts",
     "evaluate",
     "finite_difference_check",
+    "fit",
     "from_doc",
     "fuse",
     "instance_auc",

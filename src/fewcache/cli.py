@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cache_branch import DEFAULT_BETA, build_cache
+from .cache_branch import DEFAULT_BETA
 from .codec import existing, from_doc, read_json, to_doc
 from .dataset import SynthSpec, read_layout, save_dataset, synth_generate
 from .encoders import read_prompt_features
@@ -47,9 +47,9 @@ from .harness import (
     run_experiment,
     write_run_record,
 )
-from .prior_branch import PriorSpec, build_prior
+from .prior_branch import PriorSpec
 from .sampler import FewShotSpec, load_split, sample_split, save_split
-from .trainer import TrainConfig, history_to_csv, restore, snapshot, train_cache, train_prior
+from .trainer import TrainConfig, fit, history_to_csv, restore, snapshot
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -172,14 +172,11 @@ def cmd_train(args) -> int:
     split = load_split(existing(job.split, "split file"), dataset)
     if split.n_labeled == 0:
         raise SplitError(f"{job.split}: no labeled rows to train on")
-    cache = build_cache(split, dataset.store, dataset.classes, beta=job.cache_beta)
     prompts = read_prompt_features(job.prompt, dataset.dim, dataset.num_classes)
-    prior = build_prior(job, prompts, dataset.classes)
-    cache, cache_losses = train_cache(cache, split, dataset.store, job.train)
-    prior, prompt_losses = train_prior(prior, split, dataset.store, job.train)
+    fitted = fit(split, dataset.store, dataset.classes, prompts, job, job.train, job.cache_beta)
     out = _out_dir(args)
-    snapshot(cache, prior, out / "checkpoint")
-    history_to_csv(cache_losses, prompt_losses, out / "loss_history.csv")
+    snapshot(fitted.cache, fitted.prior, out / "checkpoint")
+    history_to_csv(fitted.cache_losses, fitted.prompt_losses, out / "loss_history.csv")
     print(out / "checkpoint")
     return 0
 

@@ -130,8 +130,9 @@ class CorruptCheckpointError(CheckpointError):
 # --- embedding sources -----------------------------------------------------
 
 
-class UnknownSourceKindError(FewcacheError):
-    """Embedding source config names a kind that is not registered."""
+class UnknownSourceKindError(UsageError):
+    """Embedding source config names a kind that is not registered; a
+    malformed config key like any other, so the CLI exits 2 on it."""
 
 
 class DimensionConflictError(FewcacheError):

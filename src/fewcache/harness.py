@@ -1,9 +1,10 @@
 """Reproducible experiment runner.
 
 One experiment = a grid of (bag shot, instance shot) cells, each repeated
-over several seeds: sample a split, build both branches, train each,
-pick the fusion weight on the labeled instances, evaluate on the held-out
-test set. Cell failures are recorded without aborting sibling cells.
+over several seeds: sample a split, build and train both branches
+(trainer.fit, which reads each core row once), pick the fusion weight on
+the labeled instances fit trained on, evaluate on the held-out test set.
+Cell failures are recorded without aborting sibling cells.
 
 Result files are deterministic given (config, base seed): timestamps and
 wall-clock live in a separate metadata file so record/report files are
@@ -33,14 +34,14 @@ from typing import Optional
 import numpy as np
 
 from . import numerics
-from .cache_branch import DEFAULT_BETA, build_cache
+from .cache_branch import DEFAULT_BETA
 from .codec import SKIP, from_doc, read_json, to_doc
 from .encoders import EmbeddingSource, resolve_source
 from .errors import FewcacheError, UsageError
 from .fusion_eval import POOL_OPERATORS, EvalReport, evaluate
-from .prior_branch import PriorSpec, build_prior
+from .prior_branch import PriorSpec
 from .sampler import FewShotSpec, sample_split
-from .trainer import TrainConfig, train_cache, train_prior
+from .trainer import TrainConfig, fit
 
 DEFAULT_BAG_SHOTS = (1, 2, 4, 8, 16)
 DEFAULT_INSTANCE_SHOTS = (16,)
@@ -75,6 +76,20 @@ class ExperimentConfig(PriorSpec):
             raise ValueError(f"unknown pooling operator {self.pooling!r}")
         if self.grid_points < 1:
             raise ValueError("grid_points must be >= 1")
+        for bag_shot in self.bag_shots:  # a budget FewShotSpec rejects fails every run
+            for instance_shot in self.instance_shots:
+                self.few_shot_spec(bag_shot, instance_shot, self.base_seed)
+
+    def few_shot_spec(self, bag_shot: int, instance_shot: int, seed: int) -> FewShotSpec:
+        """The sampling budget of one run of the (bag shot, instance shot) cell."""
+        return FewShotSpec(
+            bag_shot=bag_shot,
+            instance_shot=instance_shot,
+            coreset_fraction=self.coreset_fraction,
+            coreset_cap=self.coreset_cap,
+            seed=seed,
+            per_bag=self.per_bag,
+        )
 
     def variant_name(self) -> str:
         suffixes = {"+frozen_keys": self.freeze_keys, "+frozen_labels": self.freeze_value_logits}
@@ -173,37 +188,23 @@ def run_single(
     train_ds = source.train_dataset
     test_ds = source.test_dataset
 
-    spec = FewShotSpec(
-        bag_shot=bag_shot,
-        instance_shot=instance_shot,
-        coreset_fraction=cfg.coreset_fraction,
-        coreset_cap=cfg.coreset_cap,
-        seed=seed,
-        per_bag=cfg.per_bag,
-    )
-    split = sample_split(train_ds, spec)
-
-    cache_split = split
+    split = sample_split(train_ds, cfg.few_shot_spec(bag_shot, instance_shot, seed))
     if cfg.freeze_value_logits:
         # With the label cache frozen, unlabeled rows would carry inert
         # uniform values that only dilute retrieval; the reduced variants
         # this ablation mirrors cache annotated instances only.
-        cache_split = replace(split, unlabeled_rows=np.empty(0, dtype=np.int64))
-    cache = build_cache(cache_split, train_ds.store, train_ds.classes, beta=cfg.cache_beta)
-    prior = build_prior(cfg, source.prompt_features, train_ds.classes)
-
+        split = replace(split, unlabeled_rows=np.empty(0, dtype=np.int64))
     train_cfg = replace(
         cfg.train,
         lr_keys=0.0 if cfg.freeze_keys else cfg.train.lr_keys,
         lr_value_logits=0.0 if cfg.freeze_value_logits else cfg.train.lr_value_logits,
     )
-    cache, _ = train_cache(cache, split, train_ds.store, train_cfg)
-    prior, _ = train_prior(prior, split, train_ds.store, train_cfg)
+    fitted = fit(split, train_ds.store, train_ds.classes, source.prompt_features, cfg,
+                 train_cfg, cfg.cache_beta)
 
     result = evaluate(
-        cache, prior, test_ds, cfg.pooling,
-        tune=(train_ds.store.take(split.labeled_rows), split.labeled_classes),
-        grid_points=cfg.grid_points, branches=True,
+        fitted.cache, fitted.prior, test_ds, cfg.pooling,
+        tune=(fitted.queries, fitted.labels), grid_points=cfg.grid_points, branches=True,
     )
 
     labeled_count = split.n_labeled
@@ -233,7 +234,7 @@ def run_single(
         extras = {
             "tune_cache_probs": result.tune_probs[0],
             "tune_prior_probs": result.tune_probs[1],
-            "tune_labels": split.labeled_classes.copy(),
+            "tune_labels": fitted.labels.copy(),
         }
     return report, extras
 

@@ -65,6 +65,15 @@ class PriorSpec:
     def __post_init__(self):
         if self.prior_mode not in PRIOR_MODES:
             raise ValueError(f"unknown prior mode {self.prior_mode!r}")
+        if not self.prior_tau > 0.0:
+            raise ValueError(f"prior_tau must be > 0, got {self.prior_tau}")
+        if self.toy_seed < 0:  # np.random.default_rng rejects it
+            raise ValueError(f"toy_seed must be >= 0, got {self.toy_seed}")
+        # Sizes with which no toy-encoder prior can be built or encoded.
+        tokens = (self.toy_tokens_per_class, self.toy_num_learnable)
+        if self.toy_token_width < 1 or min(tokens) < 0 or sum(tokens) < 1:
+            raise ValueError("toy_token_width must be >= 1, and toy_tokens_per_class and "
+                             "toy_num_learnable >= 0 with at least one token per class")
 
 
 @dataclass

@@ -42,6 +42,8 @@ class FewShotSpec:
             raise ValueError("coreset_fraction must be in (0, 1]")
         if self.coreset_cap < 1:
             raise ValueError("coreset_cap must be >= 1")
+        if self.seed < 0:  # np.random.SeedSequence rejects it
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -388,15 +390,17 @@ def sample_split(dataset: Dataset, spec: FewShotSpec) -> FewShotSplit:
     """
     s_bags, s_core, s_label = np.random.SeedSequence(spec.seed).spawn(3)
     selected = sample_bags(dataset, spec.bag_shot, s_bags)
-    selected_set = set(selected)
-    rows_global = np.concatenate(
-        [np.arange(b.start, b.end) for b in dataset.bags if b.id in selected_set]
-    )
+    position = {bag_id: i for i, bag_id in enumerate(selected)}
+    bags = [b for b in dataset.bags if b.id in position]
+    rows_global = np.concatenate([np.arange(b.start, b.end) for b in bags])
     core_local = select_core_set(dataset.store.take(rows_global), spec, seed=s_core)
     core_global = rows_global[core_local]
 
-    truth = dataset.instance_labels_vector()
-    core_labels = truth[core_global]
+    # Labels of the selected bags' rows only (-1 where unknown), in row order.
+    truth = np.concatenate([
+        np.full(b.n, -1) if b.instance_labels is None else b.instance_labels for b in bags
+    ], dtype=np.int64)
+    core_labels = truth[core_local]
     if (core_labels < 0).any():
         raise MissingInstanceLabelsError(
             "core set contains instances without ground-truth labels; "
@@ -405,13 +409,9 @@ def sample_split(dataset: Dataset, spec: FewShotSpec) -> FewShotSplit:
 
     if spec.per_bag:
         # Group by position in `selected`, so bags are labeled in that order.
-        bag_of_row = np.full(dataset.store.n, -1, dtype=np.int64)
-        position = {bag_id: i for i, bag_id in enumerate(selected)}
-        for b in dataset.bags:
-            if b.id in position:
-                bag_of_row[b.start : b.end] = position[b.id]
+        bag_of_row = np.repeat([position[b.id] for b in bags], [b.n for b in bags])
         chosen_local, flags = _sample_groups(
-            bag_of_row[core_global], selected, spec.instance_shot, s_label, "empty_bags"
+            bag_of_row[core_local], selected, spec.instance_shot, s_label, "empty_bags"
         )
     else:
         chosen_local, flags = sample_labeled_instances(

@@ -1,4 +1,10 @@
-"""The two training descents, one per branch, plus model checkpointing.
+"""Training: `fit` builds both branches from a split and runs one descent
+per branch, plus model checkpointing.
+
+`fit` is the one place a split becomes trained models, for `sweep` and
+`train` alike. It reads the core rows once (`build_cache`, labeled rows
+first); the labeled queries are a copy of the first keys, so no row is
+read twice. The descents then take arrays and know no split or store.
 
 Each step computes a branch's loss on all the labeled instances (few-shot,
 so no minibatch draw), in row order, and applies one Adam update per
@@ -8,9 +14,10 @@ parameters. Keys are re-normalized after every update so retrieval stays
 a cosine comparison. A group with learning rate zero is left
 bit-identical, projection included.
 
-Each descent validates once, on entry: the labeled queries, keys and value
-logits must be finite and match in width, and the prompt parameters
-must encode to finite, nonzero text features. Every step then runs the
+Each descent validates once, on entry: there must be labeled queries, one
+per label, and they, the keys and the value logits must be finite and
+match in width, and the prompt parameters must encode to finite, nonzero
+text features. Every step then runs the
 unchecked cores behind the public kernels (`_cache_loss_and_grads`,
 `_prior_loss_and_grads`, `_l2_normalize_rows`, `_softmax_rows`) and the
 in-place `adam_step`, with the same IEEE operations as the public
@@ -29,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cache_branch import CacheModel, _cache_loss_and_grads, _check_key_dim
+from .cache_branch import CacheModel, _cache_loss_and_grads, _check_key_dim, build_cache
 from .codec import OMIT_NONE, from_doc, read_json, to_doc
 from .dataset import Store, read_embeddings, write_embeddings
 from .errors import (
@@ -37,6 +44,7 @@ from .errors import (
     CorruptCheckpointError,
     FembError,
     NonFiniteInputError,
+    ShapeMismatchError,
 )
 from .numerics import AdamState, _l2_normalize_rows, _softmax_rows, adam_step, as_matrix
 from .prior_branch import (
@@ -44,9 +52,11 @@ from .prior_branch import (
     PROTOTYPE,
     TOY_ENCODER,
     PriorModel,
+    PriorSpec,
     _check_text_dim,
     _prior_loss_and_grads,
     _raw_text,
+    build_prior,
     encode_prompts,
 )
 from .sampler import FewShotSplit
@@ -72,22 +82,25 @@ class TrainConfig:
             raise ValueError("steps must be >= 0")
 
 
-def _labeled(split: FewShotSplit, store: Store) -> tuple[np.ndarray, np.ndarray]:
-    """The labeled rows, checked finite, and their classes: the queries and
-    labels of a descent. Cache keys drift away from these features."""
-    if split.labeled_rows.size == 0:
+def _queries(queries, labels) -> np.ndarray:
+    """The labeled queries of a descent, checked finite and one per label.
+    Cache keys drift away from these features."""
+    if len(queries) == 0:
         raise ValueError("cannot train without labeled instances")
-    return as_matrix(store.take(split.labeled_rows), "labeled queries"), split.labeled_classes
+    queries = as_matrix(queries, "labeled queries")
+    if queries.shape[0] != len(labels):
+        raise ShapeMismatchError(f"{queries.shape[0]} queries vs {len(labels)} labels")
+    return queries
 
 
 def train_cache(
-    cache: CacheModel, split: FewShotSplit, store: Store, cfg: TrainConfig
+    cache: CacheModel, queries, labels, cfg: TrainConfig
 ) -> tuple[CacheModel, list[float]]:
     """Run cfg.steps Adam steps on the cache keys and the unfrozen value
-    logits; the input is never mutated. Returns the trained copy and the
-    cache loss of each step."""
+    logits against the labeled `queries` and their class `labels`; no input
+    is mutated. Returns the trained copy and the cache loss of each step."""
     cache = cache.copy()
-    queries, labels = _labeled(split, store)
+    queries = _queries(queries, labels)
     _check_key_dim(cache, queries.shape[1])
     keys = as_matrix(cache.keys, "cache keys")
     values = cache.value_distributions()
@@ -119,13 +132,13 @@ def train_cache(
 
 
 def train_prior(
-    prior: PriorModel, split: FewShotSplit, store: Store, cfg: TrainConfig
+    prior: PriorModel, queries, labels, cfg: TrainConfig
 ) -> tuple[PriorModel, list[float]]:
-    """Run cfg.steps Adam steps on the prior's learnable parameters; the
-    input is never mutated. Returns the trained copy and the prompt loss of
-    each step."""
+    """Run cfg.steps Adam steps on the prior's learnable parameters against
+    the labeled `queries` and their class `labels`; no input is mutated.
+    Returns the trained copy and the prompt loss of each step."""
     prior = prior.copy()
-    queries, labels = _labeled(split, store)
+    queries = _queries(queries, labels)
     _check_text_dim(prior, queries.shape[1])
     encode_prompts(prior)
     prompt = prior.learnable()
@@ -141,6 +154,44 @@ def train_prior(
     if not np.isfinite(prompt).all():
         raise NonFiniteInputError("trained prompt contain NaN or infinity")
     return prior, losses
+
+
+@dataclass
+class FitResult:
+    """Both trained branches, the labeled queries and labels they trained
+    on (the tune set of a sweep run), and each descent's loss per step."""
+
+    cache: CacheModel
+    prior: PriorModel
+    queries: np.ndarray
+    labels: np.ndarray
+    cache_losses: list[float]
+    prompt_losses: list[float]
+
+
+def fit(
+    split: FewShotSplit,
+    store: Store,
+    classes: list[str],
+    prompt_features,
+    spec: PriorSpec,
+    cfg: TrainConfig,
+    beta: float,
+) -> FitResult:
+    """Build the cache from `split`'s core rows and the prior `spec`
+    describes, then train each branch on the split's labeled rows.
+
+    The core rows are read once, labeled rows first, so the labeled queries
+    are a copy of the untrained keys' first rows: the same bits as a
+    separate read, since every row is normalized on its own.
+    """
+    cache = build_cache(split, store, classes, beta=beta)
+    queries = cache.keys[: split.n_labeled].copy()
+    labels = split.labeled_classes
+    prior = build_prior(spec, prompt_features, classes)
+    cache, cache_losses = train_cache(cache, queries, labels, cfg)
+    prior, prompt_losses = train_prior(prior, queries, labels, cfg)
+    return FitResult(cache, prior, queries, labels, cache_losses, prompt_losses)
 
 
 def history_to_csv(cache_losses: list[float], prompt_losses: list[float], path) -> Path:

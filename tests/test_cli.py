@@ -351,6 +351,12 @@ MALFORMED_SWEEP_CONFIGS = [
                  id="negative-noise-sigma"),
     pytest.param({**SWEEP_DOC, "source": {**SWEEP_DOC["source"], "prompt_sigma": -0.45}},
                  id="negative-prompt-sigma"),
+    pytest.param({**SWEEP_DOC, "source": {**SWEEP_DOC["source"], "kind": "syntehtic"}},
+                 id="source-kind-typo"),
+    pytest.param({**SWEEP_DOC, "coreset_fraction": 0}, id="zero-coreset-fraction"),
+    pytest.param({**SWEEP_DOC, "bag_shots": [1, 0]}, id="zero-bag-shot"),
+    pytest.param({**SWEEP_DOC, "prior_tau": 0}, id="zero-prior-tau"),
+    pytest.param({**SWEEP_DOC, "base_seed": -1}, id="negative-base-seed"),
 ]
 
 # "@manifest", "@split", "@checkpoint", "@prompts" and "@record" stand for
@@ -368,6 +374,7 @@ BASE_COMMAND_CONFIGS = {
 MALFORMED_COMMAND_CONFIGS = [
     pytest.param("sample", {"dataset": 5}, id="sample-dataset-not-a-string-int"),
     pytest.param("sample", {"dataset": ["@manifest"]}, id="sample-dataset-not-a-string-list"),
+    pytest.param("sample", {"seed": -1}, id="sample-negative-seed"),
     pytest.param("eval", {"pooling": "bogus"}, id="eval-unknown-pooling"),
     pytest.param("eval", {"alpah": 0.9}, id="eval-alpha-typo"),
     pytest.param("eval", {"tune": {"dataset": "@manifest"}}, id="eval-tune-without-split"),
@@ -376,6 +383,13 @@ MALFORMED_COMMAND_CONFIGS = [
     pytest.param("eval", {"tune": _TUNE, "grid_points": 0}, id="eval-zero-grid-points"),
     pytest.param("train", {"trian": {"steps": 5}}, id="train-typo"),
     pytest.param("train", {"cache_beta": "x"}, id="train-beta-string"),
+    pytest.param("train", {"prior_tau": 0}, id="train-zero-prior-tau"),
+    pytest.param("train", {"prior_mode": "toy-encoder", "toy_tokens_per_class": -1},
+                 id="train-negative-toy-tokens"),
+    pytest.param("train", {"prior_mode": "toy-encoder", "toy_token_width": 0},
+                 id="train-zero-toy-width"),
+    pytest.param("train", {"prior_mode": "toy-encoder", "toy_seed": -1},
+                 id="train-negative-toy-seed"),
     pytest.param("report", {"formats": ["xml"]}, id="report-unknown-format"),
     pytest.param("report", {"fromats": ["csv"]}, id="report-formats-typo"),
     pytest.param("gradcheck", {"n_configs": "x"}, id="gradcheck-n-configs-string"),

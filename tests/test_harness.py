@@ -9,9 +9,10 @@ import threading
 import numpy as np
 import pytest
 
-from fewcache import cli, harness, numerics
+from fewcache import cli, numerics, trainer
 from fewcache.codec import from_doc, to_doc
-from fewcache.dataset import SynthSpec, save_dataset, synth_generate, write_embeddings
+from fewcache.dataset import FembStore, SynthSpec, save_dataset, synth_generate, write_embeddings
+from fewcache.encoders import resolve_source
 from fewcache.harness import (
     ExperimentConfig,
     config_hash,
@@ -19,6 +20,7 @@ from fewcache.harness import (
     load_run_record,
     report_rows,
     run_experiment,
+    run_single,
     write_run_record,
 )
 from fewcache.sampler import FewShotSpec, sample_split, save_split
@@ -76,9 +78,35 @@ class TestRunExperiment:
         def broken_train(*args):
             raise RuntimeError("bug in a kernel")
 
-        monkeypatch.setattr(harness, "train_cache", broken_train)
+        monkeypatch.setattr(trainer, "train_cache", broken_train)
         with pytest.raises(RuntimeError, match="bug in a kernel"):
             run_experiment(tiny_config())
+
+    def test_file_source_run_reads_each_row_once(self, tmp_path, monkeypatch):
+        # One take of the selected bags (the k-means input), one of the core
+        # rows (the cache keys, labeled first); the labeled queries and the
+        # alpha tune set are copies of the first keys.
+        ds = synth_generate(SynthSpec(**TINY_SOURCE["spec"]))
+        prompts = tmp_path / "prompts.femb"
+        write_embeddings(prompts, np.eye(2, 16))
+        manifest = str(save_dataset(ds, tmp_path / "data"))
+        cfg = tiny_config(source={"kind": "file", "train_manifest": manifest,
+                                  "test_manifest": manifest, "prompt_features": str(prompts)})
+        source = resolve_source(cfg.source)
+        split = sample_split(source.train_dataset, FewShotSpec(bag_shot=2, instance_shot=4))
+        selected = [b for b in source.train_dataset.bags if b.id in split.selected_bags]
+        taken = []
+        take = FembStore.take
+
+        def logged_take(store, rows):
+            taken.append(rows.copy())
+            return take(store, rows)
+
+        monkeypatch.setattr(FembStore, "take", logged_take)
+        run_single(source, cfg, 2, 4, 0)
+        assert len(taken) == 2
+        assert taken[0].tolist() == [r for b in selected for r in range(b.start, b.end)]
+        assert taken[1].tolist() == [*split.labeled_rows.tolist(), *split.unlabeled_rows.tolist()]
 
     def test_annotation_ratio_bookkeeping(self, tiny_record):
         report = tiny_record.cell(2).reports[0]
@@ -221,9 +249,9 @@ class TestToyEncoderPrior:
                 raise Captured
             return fake_train
 
+        # Both commands train the prior at one call site, in trainer.fit.
         swept, trained = [], []
-        monkeypatch.setattr(harness, "train_prior", capture(swept))
-        monkeypatch.setattr(cli, "train_prior", capture(trained))
+        monkeypatch.setattr(trainer, "train_prior", capture(swept))
         source = {"kind": "file", "train_manifest": str(manifest),
                   "prompt_features": str(prompts), "test_manifest": str(manifest)}
         with pytest.raises(Captured):
@@ -232,6 +260,7 @@ class TestToyEncoderPrior:
         train_cfg = tmp_path / "train.json"
         train_cfg.write_text(json.dumps({"dataset": str(manifest), "split": str(split),
                                          "prompt": str(prompts), **keys}))
+        monkeypatch.setattr(trainer, "train_prior", capture(trained))
         with pytest.raises(Captured):
             cli.main(["train", "--config", str(train_cfg), "--out", str(tmp_path / "run")])
         (a,), (b,) = swept, trained
@@ -336,7 +365,7 @@ class TestParallelSweep:
             def broken_train(*args):
                 raise RuntimeError("bug in a kernel")
 
-            monkeypatch.setattr(harness, "train_cache", broken_train)
+            monkeypatch.setattr(trainer, "train_cache", broken_train)
             with pytest.raises(RuntimeError, match="bug in a kernel"):
                 run_experiment(tiny_config())
             assert get() == 3

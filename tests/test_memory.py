@@ -14,14 +14,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fewcache import numerics
+from fewcache import numerics, sampler
 from fewcache.cache_branch import CacheModel, retrieve
 from fewcache.cli import main
-from fewcache.dataset import load_manifest, write_embeddings
+from fewcache.dataset import load_manifest, read_layout, write_embeddings
 from fewcache.encoders import resolve_source
 from fewcache.numerics import l2_normalize_rows
 from fewcache.prior_branch import prior_from_features
-from fewcache.sampler import FewShotSplit, save_split
+from fewcache.sampler import FewShotSpec, FewShotSplit, sample_split, save_split
 from fewcache.trainer import snapshot
 
 BLOCK_ELEMENTS = 1 << 14
@@ -201,9 +201,10 @@ def test_streamed_eval_holds_outputs_labels_and_one_block_per_worker(
 
 
 # Bytes per store row that a sample holds for every bag, read or not: the
-# bag's instance labels and its slice of the store-wide label vector, both
-# int64. A row of the d = 64 sets below takes 512 bytes.
-LABEL_BYTES = 2 * 8
+# bag's int64 instance labels (8) and its share of the bag's manifest entry,
+# file path and label-file read (measured 1.8-2.2 for these 512-row bags).
+# A row of the d = 64 sets below takes 512 bytes.
+LABEL_BYTES = 8 + 3
 
 
 def test_sample_holds_selected_rows_and_label_vectors(tmp_path, rng):
@@ -233,3 +234,23 @@ def test_sample_holds_selected_rows_and_label_vectors(tmp_path, rng):
         assert peaks[n_bags] <= bound, (n_bags, peaks[n_bags], bound)
     # Only the labels grow with the bag count.
     assert peaks[64] - peaks[4] <= (64 - 4) * n * LABEL_BYTES
+
+
+@pytest.mark.parametrize("per_bag", [False, True])
+def test_sample_split_gathers_labels_of_selected_bags_only(tmp_path, rng, monkeypatch,
+                                                          per_bag):
+    # With the k-means stubbed out, what is left of sample_split grows with
+    # the selected bags only: no label or bag-position vector over every
+    # row of the store (8 bytes a row each).
+    monkeypatch.setattr(sampler, "select_core_set",
+                        lambda points, spec, seed: np.arange(0, len(points), 64))
+    n, dim = 512, 8
+    spec = FewShotSpec(bag_shot=1, instance_shot=2, per_bag=per_bag)
+    peaks = {}
+    for n_bags in (4, 64):
+        directory = tmp_path / str(n_bags)
+        directory.mkdir()
+        dataset = read_layout(_labeled_manifest(directory, n_bags, n, dim, rng))
+        sample_split(dataset, spec)  # the first call imports what it needs
+        peaks[n_bags] = _peak(sample_split, dataset, spec)
+    assert peaks[64] - peaks[4] <= (64 - 4) * n, peaks

@@ -19,6 +19,8 @@ from fewcache.dataset import (
     SynthSpec,
     class_prototypes,
     read_embeddings,
+    read_layout,
+    save_dataset,
     synth_generate,
     write_embeddings,
 )
@@ -27,9 +29,11 @@ from fewcache.errors import (
     CorruptCheckpointError,
     DegenerateRowError,
     NonFiniteInputError,
+    ShapeMismatchError,
 )
 from fewcache.numerics import AdamState, adam_step, l2_normalize_rows
 from fewcache.prior_branch import (
+    PriorSpec,
     prior_from_features,
     prior_loss_and_grads,
     prior_predict,
@@ -38,6 +42,7 @@ from fewcache.prior_branch import (
 from fewcache.sampler import FewShotSplit, FewShotSpec, sample_split
 from fewcache.trainer import (
     TrainConfig,
+    fit,
     history_to_csv,
     restore,
     snapshot,
@@ -56,6 +61,11 @@ def separable_setup():
     return ds, split
 
 
+def labeled(split, store):
+    """The queries and labels of a descent: the split's labeled rows."""
+    return store.take(split.labeled_rows), split.labeled_classes
+
+
 def _models(ds, split, beta=20.0):
     cache = build_cache(split, ds.store, ds.classes, beta=beta)
     prior = prior_from_features(class_prototypes(ds.num_classes, ds.dim), ds.classes)
@@ -66,15 +76,15 @@ class TestTrain:
     def test_separable_loss_drops(self, separable_setup):
         ds, split = separable_setup
         cache, prior = _models(ds, split)
-        _, cache_losses = train_cache(cache, split, ds.store, TrainConfig(steps=500))
-        _, prompt_losses = train_prior(prior, split, ds.store, TrainConfig(steps=500))
+        _, cache_losses = train_cache(cache, *labeled(split, ds.store), TrainConfig(steps=500))
+        _, prompt_losses = train_prior(prior, *labeled(split, ds.store), TrainConfig(steps=500))
         assert cache_losses[-1] + prompt_losses[-1] < 0.05
 
     def test_smoothed_loss_halves(self, separable_setup):
         ds, split = separable_setup
         cache, prior = _models(ds, split)
-        _, cache_losses = train_cache(cache, split, ds.store, TrainConfig(steps=500))
-        _, prompt_losses = train_prior(prior, split, ds.store, TrainConfig(steps=500))
+        _, cache_losses = train_cache(cache, *labeled(split, ds.store), TrainConfig(steps=500))
+        _, prompt_losses = train_prior(prior, *labeled(split, ds.store), TrainConfig(steps=500))
         totals = [c + p for c, p in zip(cache_losses, prompt_losses)]
         first = float(np.mean(totals[:100]))
         last = float(np.mean(totals[-100:]))
@@ -83,8 +93,8 @@ class TestTrain:
     def test_zero_steps_identity(self, separable_setup):
         ds, split = separable_setup
         cache, prior = _models(ds, split)
-        cache2, cache_losses = train_cache(cache, split, ds.store, TrainConfig(steps=0))
-        prior2, prompt_losses = train_prior(prior, split, ds.store, TrainConfig(steps=0))
+        cache2, cache_losses = train_cache(cache, *labeled(split, ds.store), TrainConfig(steps=0))
+        prior2, prompt_losses = train_prior(prior, *labeled(split, ds.store), TrainConfig(steps=0))
         assert np.array_equal(cache2.keys, cache.keys)
         assert np.array_equal(cache2.value_logits, cache.value_logits)
         assert np.array_equal(prior2.class_features, prior.class_features)
@@ -96,8 +106,8 @@ class TestTrain:
 
         def run():
             cache, prior = _models(ds, split)
-            return (*train_cache(cache, split, ds.store, cfg),
-                    *train_prior(prior, split, ds.store, cfg))
+            return (*train_cache(cache, *labeled(split, ds.store), cfg),
+                    *train_prior(prior, *labeled(split, ds.store), cfg))
 
         a, b = run(), run()
         assert a[1] == b[1] and a[3] == b[3]
@@ -109,8 +119,8 @@ class TestTrain:
         cache, prior = _models(ds, split)
         keys_before = cache.keys.copy()
         prompt_before = prior.class_features.copy()
-        train_cache(cache, split, ds.store, TrainConfig(steps=20))
-        train_prior(prior, split, ds.store, TrainConfig(steps=20))
+        train_cache(cache, *labeled(split, ds.store), TrainConfig(steps=20))
+        train_prior(prior, *labeled(split, ds.store), TrainConfig(steps=20))
         assert np.array_equal(cache.keys, keys_before)
         assert np.array_equal(prior.class_features, prompt_before)
 
@@ -118,8 +128,8 @@ class TestTrain:
         ds, split = separable_setup
         cache, prior = _models(ds, split)
         cfg = TrainConfig(steps=30, lr_keys=0.0, lr_prompt=0.0)
-        cache2, _ = train_cache(cache, split, ds.store, cfg)
-        prior2, _ = train_prior(prior, split, ds.store, cfg)
+        cache2, _ = train_cache(cache, *labeled(split, ds.store), cfg)
+        prior2, _ = train_prior(prior, *labeled(split, ds.store), cfg)
         assert np.array_equal(cache2.keys, cache.keys)
         assert np.array_equal(prior2.class_features, prior.class_features)
         assert not np.array_equal(cache2.value_logits, cache.value_logits)
@@ -128,7 +138,7 @@ class TestTrain:
         ds, split = separable_setup
         cache, _ = _models(ds, split)
         frozen_before = cache.value_logits[cache.frozen_mask].copy()
-        cache2, _ = train_cache(cache, split, ds.store, TrainConfig(steps=100))
+        cache2, _ = train_cache(cache, *labeled(split, ds.store), TrainConfig(steps=100))
         assert np.array_equal(cache2.value_logits[cache2.frozen_mask], frozen_before)
 
     def test_toy_frozen_parts_bit_identical(self, separable_setup, rng):
@@ -137,7 +147,7 @@ class TestTrain:
                                   num_learnable=4, tau=0.5, seed=2)
         base_before = prior.base_tokens.copy()
         enc_before = prior.encoder_matrix.copy()
-        prior2, _ = train_prior(prior, split, ds.store, TrainConfig(steps=50))
+        prior2, _ = train_prior(prior, *labeled(split, ds.store), TrainConfig(steps=50))
         assert np.array_equal(prior2.base_tokens, base_before)
         assert np.array_equal(prior2.encoder_matrix, enc_before)
         assert not np.array_equal(prior2.prompt_tokens, prior.prompt_tokens)
@@ -145,7 +155,7 @@ class TestTrain:
     def test_keys_stay_unit_norm(self, separable_setup):
         ds, split = separable_setup
         cache, _ = _models(ds, split)
-        cache2, _ = train_cache(cache, split, ds.store, TrainConfig(steps=50))
+        cache2, _ = train_cache(cache, *labeled(split, ds.store), TrainConfig(steps=50))
         np.testing.assert_allclose(np.linalg.norm(cache2.keys, axis=1), 1.0, atol=1e-9)
 
     def test_no_labeled_instances_rejected(self, separable_setup):
@@ -157,15 +167,15 @@ class TestTrain:
         )
         cache, prior = _models(ds, split)
         with pytest.raises(ValueError):
-            train_cache(cache, empty, ds.store, TrainConfig(steps=10))
+            train_cache(cache, *labeled(empty, ds.store), TrainConfig(steps=10))
         with pytest.raises(ValueError):
-            train_prior(prior, empty, ds.store, TrainConfig(steps=10))
+            train_prior(prior, *labeled(empty, ds.store), TrainConfig(steps=10))
 
     def test_history_csv(self, separable_setup, tmp_path):
         ds, split = separable_setup
         cache, prior = _models(ds, split)
-        _, cache_losses = train_cache(cache, split, ds.store, TrainConfig(steps=10))
-        _, prompt_losses = train_prior(prior, split, ds.store, TrainConfig(steps=10))
+        _, cache_losses = train_cache(cache, *labeled(split, ds.store), TrainConfig(steps=10))
+        _, prompt_losses = train_prior(prior, *labeled(split, ds.store), TrainConfig(steps=10))
         path = history_to_csv(cache_losses, prompt_losses, tmp_path / "loss.csv")
         with open(path) as f:
             rows = list(csv.reader(f))
@@ -174,13 +184,12 @@ class TestTrain:
         assert float(rows[1][3]) == cache_losses[0] + prompt_losses[0]
 
 
-def _reference_train(cache, prior, split, store, cfg):
+def _reference_train(cache, prior, queries, labels, cfg):
     """The training loop over the public kernels, on full-size parameter
     arrays and with checks at every step: the oracle for `train_cache` and
     `train_prior`."""
     cache, prior, history = cache.copy(), prior.copy(), []
-    queries = store.rows[split.labeled_rows].copy()
-    labels = split.labeled_classes.copy()
+    queries, labels = queries.copy(), labels.copy()
     adam_keys = AdamState.zeros_like(cache.keys)
     adam_values = AdamState.zeros_like(cache.value_logits)
     adam_prompt = AdamState.zeros_like(prior.learnable())
@@ -201,7 +210,7 @@ def _reference_train(cache, prior, split, store, cfg):
 @st.composite
 def _training_problems(draw):
     """A random cache (any frozen mask, value rows frozen on the simplex),
-    a prior of either mode, labeled store rows and a TrainConfig with each
+    a prior of either mode, labeled unit queries and a TrainConfig with each
     learning rate possibly 0."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     d = draw(st.integers(1, 12))
@@ -230,35 +239,63 @@ def _training_problems(draw):
             rng.normal(size=(len(classes), draw(st.integers(1, 3)), 5)), classes, d,
             num_learnable=draw(st.integers(1, 3)), tau=tau, seed=draw(st.integers(0, 9)),
         )
-    store = EmbeddingStore.from_array(l2_normalize_rows(rng.normal(size=(n_lab + 5, d))))
-    labeled = rng.permutation(n_lab + 5)[:n_lab]
-    split = FewShotSplit(
-        selected_bags=[], labeled_rows=labeled,
-        labeled_classes=rng.integers(0, len(classes), size=n_lab),
-        unlabeled_rows=np.empty(0, dtype=np.int64), seed=0,
-    )
+    rows = l2_normalize_rows(rng.normal(size=(n_lab + 5, d)))
+    queries = rows[rng.permutation(n_lab + 5)[:n_lab]]
+    labels = rng.integers(0, len(classes), size=n_lab)
     rate = st.sampled_from([0.0, 1e-3, 1e-2, 0.1])
     cfg = TrainConfig(
         lr_keys=draw(rate), lr_value_logits=draw(rate), lr_prompt=draw(rate),
         steps=draw(st.integers(1, 12)),
     )
-    return cache, prior, split, store, cfg
+    return cache, prior, queries, labels, cfg
 
 
 class TestTrainOracle:
     @settings(max_examples=120, deadline=None)
     @given(_training_problems())
     def test_bit_identical_to_public_kernel_loop(self, problem):
-        cache, prior, split, store, cfg = problem
-        ref_cache, ref_prior, ref_history = _reference_train(cache, prior, split, store, cfg)
-        got_cache, cache_losses = train_cache(cache, split, store, cfg)
-        got_prior, prompt_losses = train_prior(prior, split, store, cfg)
+        cache, prior, queries, labels, cfg = problem
+        ref_cache, ref_prior, ref_history = _reference_train(cache, prior, queries, labels, cfg)
+        got_cache, cache_losses = train_cache(cache, queries, labels, cfg)
+        got_prior, prompt_losses = train_prior(prior, queries, labels, cfg)
         history = [(s, c, p, c + p) for s, (c, p) in enumerate(zip(cache_losses, prompt_losses))]
         assert got_cache.keys.tobytes() == ref_cache.keys.tobytes()
         assert got_cache.value_logits.tobytes() == ref_cache.value_logits.tobytes()
         assert got_prior.learnable().tobytes() == ref_prior.learnable().tobytes()
         assert np.array(history).tobytes() == np.array(ref_history).tobytes()
         assert len(cache_losses) == len(prompt_losses) == cfg.steps
+
+
+class TestFit:
+    def test_one_read_trains_like_the_separate_steps(self, separable_setup, tmp_path):
+        # From bag files, the queries fit copies from the keys are the bits
+        # of a separate read of the labeled rows, so fit trains exactly as
+        # building and training each branch on such a read does.
+        ds, split = separable_setup
+        store = read_layout(save_dataset(ds, tmp_path / "data")).store
+        prompts = class_prototypes(ds.num_classes, ds.dim)
+        cfg = TrainConfig(steps=30)
+        fitted = fit(split, store, ds.classes, prompts, PriorSpec(), cfg, beta=20.0)
+        queries, labels = labeled(split, store)
+        assert fitted.queries.tobytes() == queries.tobytes()
+        assert np.array_equal(fitted.labels, labels)
+        cache, cache_losses = train_cache(build_cache(split, store, ds.classes, beta=20.0),
+                                          queries, labels, cfg)
+        prior, prompt_losses = train_prior(prior_from_features(prompts, ds.classes),
+                                           queries, labels, cfg)
+        assert fitted.cache.keys.tobytes() == cache.keys.tobytes()
+        assert fitted.cache.value_logits.tobytes() == cache.value_logits.tobytes()
+        assert fitted.prior.learnable().tobytes() == prior.learnable().tobytes()
+        assert (fitted.cache_losses, fitted.prompt_losses) == (cache_losses, prompt_losses)
+
+    def test_mismatched_labels_rejected(self, separable_setup):
+        ds, split = separable_setup
+        cache, prior = _models(ds, split)
+        queries, labels = labeled(split, ds.store)
+        with pytest.raises(ShapeMismatchError, match="queries vs"):
+            train_cache(cache, queries, labels[1:], TrainConfig(steps=1))
+        with pytest.raises(ShapeMismatchError, match="queries vs"):
+            train_prior(prior, queries[1:], labels, TrainConfig(steps=1))
 
 
 class TestValidateOnce:
@@ -276,9 +313,9 @@ class TestValidateOnce:
         monkeypatch.setattr(fewcache.trainer, "_prior_loss_and_grads", no_step)
         cache, prior = _models(ds, split)
         with pytest.raises(NonFiniteInputError, match="labeled queries"):
-            train_cache(cache, split, store, TrainConfig(steps=5))
+            train_cache(cache, *labeled(split, store), TrainConfig(steps=5))
         with pytest.raises(NonFiniteInputError, match="labeled queries"):
-            train_prior(prior, split, store, TrainConfig(steps=5))
+            train_prior(prior, *labeled(split, store), TrainConfig(steps=5))
 
     def test_key_row_driven_to_zero_raises(self):
         # d = 1: Adam's first update moves key row 1 by lr times its unit-lr
@@ -297,8 +334,8 @@ class TestValidateOnce:
         new_keys = cache.keys.copy()
         adam_step(new_keys, g_keys, AdamState.zeros_like(new_keys), cfg.lr_keys)
         assert new_keys[1, 0] == 0.0
-        for run in (lambda: train_cache(cache, split, store, cfg),
-                    lambda: _reference_train(cache, prior, split, store, cfg)):
+        for run in (lambda: train_cache(cache, *labeled(split, store), cfg),
+                    lambda: _reference_train(cache, prior, *labeled(split, store), cfg)):
             with pytest.raises(DegenerateRowError) as exc:
                 run()
             assert exc.value.row == 1
@@ -312,7 +349,8 @@ class TestValidateOnce:
                            frozen_mask=np.zeros(4, dtype=bool), beta=1000.0, classes=["a", "b"])
         store = EmbeddingStore.from_array([[1.0, 0.0]])
         split = FewShotSplit([], np.array([0]), np.array([0]), np.empty(0, dtype=np.int64), 0)
-        trained, _ = train_cache(cache, split, store, TrainConfig(steps=1, lr_keys=0.1))
+        cfg = TrainConfig(steps=1, lr_keys=0.1)
+        trained, _ = train_cache(cache, *labeled(split, store), cfg)
         expected = [[1.0, 0.0], [0.5**0.5, 0.5**0.5], [1.0, 0.0]]
         np.testing.assert_allclose(trained.keys[1:], expected, atol=1e-15)
 
@@ -321,8 +359,8 @@ class TestCheckpoints:
     def _trained(self, separable_setup, steps=30):
         ds, split = separable_setup
         cache, prior = _models(ds, split)
-        cache, _ = train_cache(cache, split, ds.store, TrainConfig(steps=steps))
-        prior, _ = train_prior(prior, split, ds.store, TrainConfig(steps=steps))
+        cache, _ = train_cache(cache, *labeled(split, ds.store), TrainConfig(steps=steps))
+        prior, _ = train_prior(prior, *labeled(split, ds.store), TrainConfig(steps=steps))
         return ds, cache, prior
 
     def test_round_trip_bit_exact_predictions(self, separable_setup, tmp_path):
