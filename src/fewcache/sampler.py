@@ -191,7 +191,10 @@ def _kmeanspp_init(
     the rounding error of both forms (2(d+3) eps (|x| + |c|)², plus an
     absolute term for underflow), does not clear the current d2. Every other
     row provably keeps its d2, so d2 and all draws equal the all-rows form;
-    a NaN or infinite bound fails the test and takes the exact path.
+    a NaN or infinite bound fails the test and takes the exact path. Each
+    draw is `_draw`'s, the index rng.choice(n, p=d2 / total) gives. The
+    bound, the expansion and the draw's cumulative sum reuse three
+    n-vectors allocated once.
     """
     n, d = x.shape
     centroids = np.empty((k, d), dtype=REAL)
@@ -201,49 +204,96 @@ def _kmeanspp_init(
     first = int(rng.integers(n))
     centroids[0] = x[first]
     d2 = ((x - centroids[0]) ** 2).sum(axis=1)
+    bound, low, cdf = np.empty(n), np.empty(n), np.empty(n)
     for j in range(1, k):
         total = d2.sum()
         if total <= 0.0:
             # All remaining points coincide with chosen centroids.
             idx = int(rng.integers(n))
         else:
-            idx = int(rng.choice(n, p=d2 / total))
+            idx = _draw(d2, total, rng, cdf)
         centroids[j] = x[idx]
         if j == k - 1:
             break
-        bound = rel * (norms + norms[idx]) ** 2 + absolute
-        low = xx - 2.0 * (x @ centroids[j]) + xx[idx] - bound
+        # In place, the operations of bound = rel * (norms + norms[idx]) ** 2
+        # + absolute and low = xx - 2.0 * (x @ centroids[j]) + xx[idx] - bound.
+        np.add(norms, norms[idx], out=bound)
+        np.square(bound, out=bound)
+        bound *= rel
+        bound += absolute
+        np.matmul(x, centroids[j], out=low)
+        low *= 2.0
+        np.subtract(xx, low, out=low)
+        low += xx[idx]
+        low -= bound
         near = np.flatnonzero(~(low >= d2))
         d2[near] = np.minimum(d2[near], ((x[near] - centroids[j]) ** 2).sum(axis=1))
     return centroids
 
 
-def _sq_dists(x: np.ndarray, xx: np.ndarray, centroids: np.ndarray, out: np.ndarray) -> None:
-    # ||x - c||^2 = xx - 2 x.c + cc, built in place in `out` (the same IEEE
-    # operations as the textbook expression); clip the tiny negatives
-    # cancellation produces.
-    d2 = np.matmul(x, centroids.T, out=out)
+def _draw(d2: np.ndarray, total: float, rng: np.random.Generator, cdf: np.ndarray) -> int:
+    """The index rng.choice(d2.size, p=d2 / total) draws, for a positive
+    total: the steps Generator.choice runs after its argument checks (the
+    cumulative sum, scaled to end at 1, searched for one uniform draw), so
+    the same index and the same generator state. `cdf` is scratch space.
+    Like rng.choice, refuses a total that overflowed."""
+    if not np.isfinite(total):
+        raise ValueError("k-means++ squared distances overflow float64")
+    np.divide(d2, total, out=cdf)
+    np.cumsum(cdf, out=cdf)
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+def _assign(
+    x: np.ndarray, xx: np.ndarray, centroids: np.ndarray, d2: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's nearest centroid and squared distance to it, overwriting
+    the n x k buffer `d2`.
+
+    ||x - c||^2 = xx - 2 x.c + cc is built in place (the same IEEE
+    operations as the textbook expression), and the result equals the
+    argmin and pick of its clamp at 0 without a clamping pass: clamping
+    moves only negative entries, so only rows whose minimum cancellation
+    left negative redo the argmin on their clamped values.
+    """
+    np.matmul(x, centroids.T, out=d2)
     d2 *= -2.0
     d2 += xx[:, None]
     d2 += (centroids * centroids).sum(axis=1)
-    np.maximum(d2, 0.0, out=d2)
+    nearest = d2.argmin(axis=1)
+    picked = d2[rows, nearest]
+    neg = np.flatnonzero(picked < 0.0)
+    if neg.size:
+        nearest[neg] = np.maximum(d2[neg], 0.0).argmin(axis=1)
+        picked[neg] = d2[neg, nearest[neg]]
+    return nearest, np.maximum(picked, 0.0, out=picked)
 
 
 def _update_centroids(
-    x: np.ndarray, assignment: np.ndarray, counts: np.ndarray, centroids: np.ndarray
+    x: np.ndarray,
+    assignment: np.ndarray,
+    counts: np.ndarray,
+    centroids: np.ndarray,
+    stale: np.ndarray,
 ) -> None:
-    # Each nonempty cluster's mean, reducing a contiguous copy of its
-    # members in row order: the same reduction as x[assignment == j].mean(0)
-    # (sequential over rows for d > 1, pairwise for d == 1), so the bits
-    # match. np.add.reduceat and np.add.at sum in other orders.
+    """Set the centroid of each nonempty cluster flagged in the k-vector
+    `stale` to its members' mean; leave every other centroid as it is.
+
+    Each mean reduces a contiguous copy of the cluster's members in row
+    order: the same reduction as x[assignment == j].mean(0) (sequential
+    over rows for d > 1, pairwise for d == 1), so the bits match, and a
+    cluster whose members are unchanged gets the same bits again.
+    np.add.reduceat and np.add.at sum in other orders. Every allocation
+    has the same size at every call: variable-size ones split the heap
+    and raised the `coreset_sample` worker's peak RSS by about 3 MB.
+    """
     grouped = x[np.argsort(assignment, kind="stable")]
-    ends = np.cumsum(counts)
-    nonempty = np.flatnonzero(counts)
-    sums = [
-        np.add.reduce(grouped[end - count : end], axis=0)
-        for count, end in zip(counts[nonempty].tolist(), ends[nonempty].tolist())
-    ]
-    centroids[nonempty] = np.array(sums) / counts[nonempty, None]
+    ends, sizes = np.cumsum(counts).tolist(), counts.tolist()
+    for j in np.flatnonzero(stale & (counts > 0)).tolist():
+        row = centroids[j]
+        np.add.reduce(grouped[ends[j] - sizes[j] : ends[j]], axis=0, out=row)
+        row /= sizes[j]
 
 
 def kmeans(points, k: int, max_iter: int = 100, seed=0) -> KMeansResult:
@@ -256,6 +306,10 @@ def kmeans(points, k: int, max_iter: int = 100, seed=0) -> KMeansResult:
     leave clusters empty, and the re-seeded ones can keep trading copies
     of one row at an inertia that only rounding tells from 0. Such inputs
     can leave clusters empty in the result.
+
+    Each update recomputes only the centroids of clusters that gained or
+    lost a row, or were re-seeded, since the last one; every other
+    cluster's mean would come out with the same bits.
     """
     x = as_matrix(points, "kmeans points")
     n = x.shape[0]
@@ -271,25 +325,29 @@ def kmeans(points, k: int, max_iter: int = 100, seed=0) -> KMeansResult:
     history: list[float] = []
     n_iter = 0
     few_distinct = None  # counted only once the inertia stops falling
+    stale = np.ones(k, dtype=bool)  # centroids that may not be their members' mean
     # One n x k buffer for every iteration: a fresh one per step fragments the heap.
     d2 = np.empty((n, k), dtype=x.dtype)
     for it in range(max_iter):
         n_iter = it + 1
-        _sq_dists(x, xx, centroids, d2)
-        new_assignment = d2.argmin(axis=1)
-        point_d2 = d2[rows, new_assignment]
+        new_assignment, point_d2 = _assign(x, xx, centroids, d2, rows)
         history.append(float(point_d2.sum()))
+        moved = new_assignment != assignment
         # Either way the centroids are unchanged since d2, so this is the result.
-        if np.array_equal(new_assignment, assignment):
+        if not moved.any():
             break
         if it and not history[-1] < history[-2]:
             if few_distinct is None:
                 few_distinct = np.unique(x, axis=0).shape[0] < k
             if few_distinct:
                 break
+        # On the first pass the -1s flag cluster k - 1, stale already.
+        np.logical_or.at(stale, assignment, moved)
+        np.logical_or.at(stale, new_assignment, moved)
         assignment = new_assignment
         counts = np.bincount(assignment, minlength=k)
-        _update_centroids(x, assignment, counts, centroids)
+        _update_centroids(x, assignment, counts, centroids, stale)
+        stale[:] = False
         # Re-seed empty clusters in index order from the farthest points, one
         # at a time so two empty clusters never grab the same point. A stolen
         # point may empty a later cluster, which is then re-seeded too.
@@ -299,14 +357,13 @@ def kmeans(points, k: int, max_iter: int = 100, seed=0) -> KMeansResult:
             far = int(point_d2.argmax())
             counts[assignment[far]] -= 1
             counts[j] += 1
+            stale[assignment[far]] = stale[j] = True
             centroids[j] = x[far]
             assignment[far] = j
             point_d2[far] = 0.0
             j += 1
     else:
-        _sq_dists(x, xx, centroids, d2)
-        new_assignment = d2.argmin(axis=1)
-        point_d2 = d2[rows, new_assignment]
+        new_assignment, point_d2 = _assign(x, xx, centroids, d2, rows)
     return KMeansResult(
         centroids=centroids,
         assignment=new_assignment,

@@ -12,7 +12,9 @@ parameter group, each with its own learning rate: `train_cache` updates
 the cache keys and the unfrozen value logits, `train_prior` the prompt
 parameters. Keys are re-normalized after every update so retrieval stays
 a cosine comparison. A group with learning rate zero is left
-bit-identical, projection included.
+bit-identical, projection included. A descent with nothing to train (every
+group at rate zero, or no free value rows) sees the same inputs at every
+step, so it computes its loss once and returns it for each step.
 
 Each descent validates once, on entry: there must be labeled queries, one
 per label, and they, the keys and the value logits must be finite and
@@ -109,9 +111,10 @@ def train_cache(
     free = np.flatnonzero(~cache.frozen_mask)
     free_logits = cache.value_logits[free]
     adam_keys, adam_values = AdamState.zeros_like(keys), AdamState.zeros_like(free_logits)
+    idle = cfg.lr_keys == 0.0 and (cfg.lr_value_logits == 0.0 or free.size == 0)
 
     losses = []
-    for _ in range(cfg.steps):
+    for _ in range(min(cfg.steps, 1) if idle else cfg.steps):
         loss, g_keys, g_free = _cache_loss_and_grads(
             keys, values, cache.beta, queries, labels, free
         )
@@ -122,6 +125,8 @@ def train_cache(
             adam_step(free_logits, g_free, adam_values, cfg.lr_value_logits)
             values[free] = _softmax_rows(free_logits.copy())
         losses.append(loss)
+    if idle:
+        losses *= cfg.steps
 
     cache.keys = keys
     cache.value_logits[free] = free_logits
@@ -143,13 +148,16 @@ def train_prior(
     encode_prompts(prior)
     prompt = prior.learnable()
     adam_prompt = AdamState.zeros_like(prompt)
+    idle = cfg.lr_prompt == 0.0
 
     losses = []
-    for _ in range(cfg.steps):
+    for _ in range(min(cfg.steps, 1) if idle else cfg.steps):
         loss, g_prompt = _prior_loss_and_grads(prior, _raw_text(prior), queries, labels)
         if cfg.lr_prompt > 0.0:
             adam_step(prompt, g_prompt, adam_prompt, cfg.lr_prompt)
         losses.append(loss)
+    if idle:
+        losses *= cfg.steps
 
     if not np.isfinite(prompt).all():
         raise NonFiniteInputError("trained prompt contain NaN or infinity")

@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fewcache.sampler
 from fewcache.dataset import SynthSpec, synth_generate
 from fewcache.errors import InsufficientBagsError, SplitError
 from fewcache.sampler import (
+    _draw,
+    _update_centroids,
     FewShotSpec,
     FewShotSplit,
     kmeans,
@@ -153,12 +156,92 @@ class TestKMeansOracle:
         x, k, seed = case
         _assert_matches_reference(x, k, seed)
 
-    @pytest.mark.parametrize("n, d, k", [(1200, 32, 120), (400, 1, 20), (300, 64, 300)])
+    @pytest.mark.parametrize(
+        "n, d, k",
+        [(1200, 32, 120), (400, 1, 20), (300, 64, 300), (3000, 64, 300), (1600, 32, 160)],
+    )
     def test_bit_identical_at_scale(self, n, d, k):
         rng = np.random.default_rng(n + d)
         centers = rng.normal(size=(k // 2 + 1, d)) * 3.0
         x = centers[rng.integers(0, centers.shape[0], size=n)] + rng.normal(size=(n, d))
         _assert_matches_reference(x, k, seed=7)
+
+
+def _coreset_sample_points():
+    """The rows of the benchmark's `coreset_sample` manifest: 3000 x 64."""
+    return synth_generate(SynthSpec(num_classes=2, dim=64, bags_per_class=10,
+                                    instances_per_bag=150, seed=0)).store.rows
+
+
+class TestKMeansWork:
+    @pytest.mark.parametrize("d2", [
+        np.array([0.0, 3.0, 0.0, 0.0, 1.5, 0.0, 2.0, 0.0]),
+        np.array([0.0, 0.0, 0.0, 7.0, 0.0]),
+        np.array([2.5, 2.5, 0.0, 2.5, 2.5, 2.5]),
+        np.random.default_rng(0).random(500) * (np.arange(500) % 3 == 0),
+    ], ids=["zeros", "one-nonzero", "repeated", "random-with-zeros"])
+    def test_draw_is_rng_choice(self, d2):
+        cdf = np.empty_like(d2)
+        for seed in range(200):
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert _draw(d2, d2.sum(), ours, cdf) == theirs.choice(d2.size, p=d2 / d2.sum())
+            assert ours.random() == theirs.random()  # the same generator state after
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_distances_refused(self):
+        # Squared distances of 4e320 overflow, as rng.choice's NaN check refuses.
+        x = np.array([[1e160, 1e160], [-1e160, -1e160], [1e160, -1e160], [-1e160, 1e160]])
+        with pytest.raises(ValueError):
+            kmeans(x, 3, seed=0)
+
+    def test_update_of_some_clusters_leaves_the_rest(self, rng):
+        x = rng.normal(size=(200, 5))
+        assignment = rng.integers(0, 12, size=200)
+        assignment[assignment == 4] = 5  # cluster 4 empty
+        counts = np.bincount(assignment, minlength=12)
+        full = rng.normal(size=(12, 5))
+        before = full.copy()
+        _update_centroids(x, assignment, counts, full, np.ones(12, dtype=bool))
+        stale = np.zeros(12, dtype=bool)
+        stale[[0, 4, 7, 11]] = True
+        some = before.copy()
+        _update_centroids(x, assignment, counts, some, stale)
+        assert some[stale].tobytes() == np.where(counts[stale, None] > 0, full[stale],
+                                                 before[stale]).tobytes()
+        assert some[~stale].tobytes() == before[~stale].tobytes()
+        assert full[4].tobytes() == before[4].tobytes()  # empty: left as it was
+
+    def test_lloyd_recomputes_only_changed_clusters(self, monkeypatch):
+        # Count the work, not the time: after the first update, each one
+        # recomputes the clusters that gained or lost rows, and the seeding
+        # draws without rng.choice.
+        x, k = _coreset_sample_points(), 300
+        recomputed, choices = [], []
+        update, seeding = fewcache.sampler._update_centroids, fewcache.sampler._kmeanspp_init
+
+        def counting_update(x, assignment, counts, centroids, stale):
+            recomputed.append(int((stale & (counts > 0)).sum()))
+            update(x, assignment, counts, centroids, stale)
+
+        class CountingRng:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+            def choice(self, *args, **kwargs):
+                choices.append(1)
+                return self.rng.choice(*args, **kwargs)
+
+        monkeypatch.setattr(fewcache.sampler, "_update_centroids", counting_update)
+        monkeypatch.setattr(fewcache.sampler, "_kmeanspp_init",
+                            lambda x, xx, k, rng: seeding(x, xx, k, CountingRng(rng)))
+        result = kmeans(x, k, seed=0)
+        assert choices == []
+        assert len(recomputed) == result.n_iter - 1 >= 2
+        assert recomputed[0] == k
+        assert all(count < k for count in recomputed[1:])
 
 
 class TestSampleBags:

@@ -266,6 +266,51 @@ class TestTrainOracle:
         assert len(cache_losses) == len(prompt_losses) == cfg.steps
 
 
+class TestIdleDescent:
+    """A descent with nothing to train computes its loss once."""
+
+    @staticmethod
+    def _count(monkeypatch, name):
+        calls = []
+        core = getattr(fewcache.trainer, name)
+        monkeypatch.setattr(fewcache.trainer, name, lambda *a: calls.append(1) or core(*a))
+        return calls
+
+    @pytest.mark.parametrize("lr_value_logits, all_frozen", [(0.0, False), (1e-2, True)],
+                             ids=["rates-zero", "no-free-rows"])
+    def test_frozen_cache_descent_steps_once(self, separable_setup, monkeypatch,
+                                             lr_value_logits, all_frozen):
+        ds, split = separable_setup
+        cache, prior = _models(ds, split)
+        if all_frozen:
+            cache.frozen_mask[:] = True
+        cfg = TrainConfig(lr_keys=0.0, lr_value_logits=lr_value_logits, steps=7)
+        _, _, history = _reference_train(cache, prior, *labeled(split, ds.store), cfg)
+        calls = self._count(monkeypatch, "_cache_loss_and_grads")
+        trained, losses = train_cache(cache, *labeled(split, ds.store), cfg)
+        assert len(calls) == 1
+        assert np.array(losses).tobytes() == np.array([h[1] for h in history]).tobytes()
+        assert trained.keys.tobytes() == cache.keys.tobytes()
+        assert trained.value_logits.tobytes() == cache.value_logits.tobytes()
+
+    def test_frozen_prompt_descent_steps_once(self, separable_setup, monkeypatch):
+        ds, split = separable_setup
+        cache, prior = _models(ds, split)
+        cfg = TrainConfig(lr_prompt=0.0, steps=7)
+        _, _, history = _reference_train(cache, prior, *labeled(split, ds.store), cfg)
+        calls = self._count(monkeypatch, "_prior_loss_and_grads")
+        _, losses = train_prior(prior, *labeled(split, ds.store), cfg)
+        assert len(calls) == 1
+        assert np.array(losses).tobytes() == np.array([h[2] for h in history]).tobytes()
+
+    def test_zero_steps_give_no_losses(self, separable_setup):
+        ds, split = separable_setup
+        cache, prior = _models(ds, split)
+        cfg = TrainConfig(lr_keys=0.0, lr_value_logits=0.0, lr_prompt=0.0, steps=0)
+        assert train_cache(cache, *labeled(split, ds.store), cfg)[1] == []
+        assert train_prior(prior, *labeled(split, ds.store), cfg)[1] == []
+
+
 class TestFit:
     def test_one_read_trains_like_the_separate_steps(self, separable_setup, tmp_path):
         # From bag files, the queries fit copies from the keys are the bits
