@@ -11,9 +11,12 @@ parameter and state in place; the training loop calls it directly.
 Memory contract: work over many rows goes in row blocks of at most
 _BLOCK_ELEMENTS entries (`_row_blocks`), so a kernel's temporaries stay one
 block whatever the row count. A kernel that splits its blocks between
-threads (`_block_workers`, `_run_blocks`) holds one block per thread; the
-block boundaries do not depend on the thread count or on which thread
-scores a block, so neither do the results.
+threads (`_block_workers`, `_run_blocks`: cache retrieval and the k-means
+assignment pass) allocates one block buffer per thread in the calling
+thread and holds no more; the block boundaries do not depend on the
+thread count or on which thread scores a block, so neither do the
+results. np.errstate is local to a thread, so such a kernel enters the
+error state it wants in every thread.
 
 Independent jobs (the runs of a sweep) share the CPUs as processes
 instead: `_run_jobs` runs them on this process and forked children,
@@ -21,9 +24,10 @@ each taking the lowest job no process has taken, and returns their
 outcomes in job order.
 
 One level of parallelism: threads never stack on threads or processes.
-The block kernels run on one thread while the loaded BLAS runs more than
-one, and while `_run_jobs` runs jobs in parallel, every process runs
-BLAS and the block kernels on one thread each (`_single_threaded`).
+The threaded block kernels (retrieval and the k-means assignment pass)
+run on one thread while the loaded BLAS runs more than one, and while
+`_run_jobs` runs jobs in parallel, every process runs BLAS and the block
+kernels on one thread each (`_single_threaded`).
 `_blas_threads` reads the BLAS's thread count through its own entry
 points, found by a ctypes probe of the library numpy loaded; the probe
 runs on first use, not at import, once per process.
@@ -61,8 +65,9 @@ _TINY_NORM = 2.0 ** -450
 _TINY_SCALE = 2.0 ** 600
 
 # Entries per row block (1 MiB of float64): the one block size of every
-# kernel that streams over rows (retrieve, normalization, norm checks).
-# Retrieve holds one block per thread, so two threads hold 2 MiB of scores.
+# kernel that streams over rows (retrieve, the k-means passes,
+# normalization, norm checks). Retrieve and the k-means assignment pass
+# hold one block per thread, so two threads hold 2 MiB of distances.
 _BLOCK_ELEMENTS = 1 << 17
 
 # Threads that share a kernel's row blocks: the CPUs in the process's
@@ -151,8 +156,9 @@ def _block_workers(starts: range) -> int:
 
 
 def _run_blocks(work: Callable[[int, Iterable[int]], None], starts: range, workers: int) -> None:
-    """Run work(i, blocks) on `workers` threads, i = 0 in the calling thread
-    and the others on a pool of their own; `blocks` yields block starts.
+    """Run work(i, blocks) on `workers` threads (at most one per block), i = 0
+    in the calling thread and the others on a pool of their own; `blocks`
+    yields block starts.
 
     Thread i takes block i first, then the lowest block that no thread has
     taken, until none is left: a thread slowed by other load on its CPU
@@ -160,6 +166,7 @@ def _run_blocks(work: Callable[[int, Iterable[int]], None], starts: range, worke
     thread is done, and raises the error of the first thread (by i) that
     failed.
     """
+    workers = max(1, min(workers, len(starts)))
     if workers == 1:
         work(0, starts)
         return

@@ -19,7 +19,7 @@ import numpy as np
 from .codec import from_doc, read_json, to_doc
 from .dataset import Dataset
 from .errors import InsufficientBagsError, MissingInstanceLabelsError, SplitError
-from .numerics import REAL, as_matrix
+from .numerics import REAL, _block_workers, _row_blocks, _run_blocks, as_matrix
 
 
 @dataclass(frozen=True)
@@ -194,7 +194,8 @@ def _kmeanspp_init(
     a NaN or infinite bound fails the test and takes the exact path. Each
     draw is `_draw`'s, the index rng.choice(n, p=d2 / total) gives. The
     bound, the expansion and the draw's cumulative sum reuse three
-    n-vectors allocated once.
+    n-vectors allocated once, and the exact distances are taken one row
+    block at a time, so no (n, d) temporary is made.
     """
     n, d = x.shape
     centroids = np.empty((k, d), dtype=REAL)
@@ -203,8 +204,9 @@ def _kmeanspp_init(
     absolute = 4 * (d + 3) * np.finfo(REAL).smallest_subnormal
     first = int(rng.integers(n))
     centroids[0] = x[first]
-    d2 = ((x - centroids[0]) ** 2).sum(axis=1)
+    d2 = _sq_distances(x, centroids)
     bound, low, cdf = np.empty(n), np.empty(n), np.empty(n)
+    step = _row_blocks(n, d).step
     for j in range(1, k):
         total = d2.sum()
         if total <= 0.0:
@@ -227,8 +229,27 @@ def _kmeanspp_init(
         low += xx[idx]
         low -= bound
         near = np.flatnonzero(~(low >= d2))
-        d2[near] = np.minimum(d2[near], ((x[near] - centroids[j]) ** 2).sum(axis=1))
+        for part in range(0, near.size, step):
+            rows = near[part : part + step]
+            d2[rows] = np.minimum(d2[rows], ((x[rows] - centroids[j]) ** 2).sum(axis=1))
     return centroids
+
+
+def _sq_distances(
+    x: np.ndarray, centroids: np.ndarray, cluster: np.ndarray | None = None
+) -> np.ndarray:
+    """((x - c) ** 2).sum(axis=1) for c = centroids[0], or with `cluster`
+    for each row's own centroids[cluster[i]], one row block at a time. Each
+    row is reduced on its own, so the blocks do not change a bit, and every
+    temporary is one block."""
+    n = x.shape[0]
+    out = np.empty(n, dtype=x.dtype)
+    starts = _row_blocks(n, x.shape[1])
+    for start in starts:
+        rows = slice(start, start + starts.step)
+        own = centroids[0] if cluster is None else centroids[cluster[rows]]
+        ((x[rows] - own) ** 2).sum(axis=1, out=out[rows])
+    return out
 
 
 def _draw(d2: np.ndarray, total: float, rng: np.random.Generator, cdf: np.ndarray) -> int:
@@ -246,28 +267,51 @@ def _draw(d2: np.ndarray, total: float, rng: np.random.Generator, cdf: np.ndarra
 
 
 def _assign(
-    x: np.ndarray, xx: np.ndarray, centroids: np.ndarray, d2: np.ndarray, rows: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's nearest centroid and squared distance to it, overwriting
-    the n x k buffer `d2`.
+    x: np.ndarray,
+    xx: np.ndarray,
+    centroids: np.ndarray,
+    d2: np.ndarray,
+    nearest: np.ndarray,
+    picked: np.ndarray,
+) -> None:
+    """Write each row's nearest centroid into `nearest` and its squared
+    distance to it into `picked`, one row block of `_row_blocks(n, k)` at a
+    time in the (workers, rows, k) buffer `d2`, block i of a thread in its
+    own d2[i].
 
     ||x - c||^2 = xx - 2 x.c + cc is built in place (the same IEEE
     operations as the textbook expression), and the result equals the
     argmin and pick of its clamp at 0 without a clamping pass: clamping
     moves only negative entries, so only rows whose minimum cancellation
-    left negative redo the argmin on their clamped values.
+    left negative redo the argmin on their clamped values. Each row's
+    outcome is its own, and the block boundaries depend on (n, k) only, so
+    the bytes are the same on any number of threads. Every thread runs
+    under the caller's floating-point error state.
     """
-    np.matmul(x, centroids.T, out=d2)
-    d2 *= -2.0
-    d2 += xx[:, None]
-    d2 += (centroids * centroids).sum(axis=1)
-    nearest = d2.argmin(axis=1)
-    picked = d2[rows, nearest]
-    neg = np.flatnonzero(picked < 0.0)
-    if neg.size:
-        nearest[neg] = np.maximum(d2[neg], 0.0).argmin(axis=1)
-        picked[neg] = d2[neg, nearest[neg]]
-    return nearest, np.maximum(picked, 0.0, out=picked)
+    n = x.shape[0]
+    starts = _row_blocks(n, centroids.shape[0])
+    cc = (centroids * centroids).sum(axis=1)
+    local = np.arange(d2.shape[1])
+    errors = np.geterr()
+
+    def assign_blocks(i: int, blocks) -> None:
+        with np.errstate(**errors):
+            for start in blocks:
+                stop = min(start + starts.step, n)
+                block = d2[i, : stop - start]
+                np.matmul(x[start:stop], centroids.T, out=block)
+                block *= -2.0
+                block += xx[start:stop, None]
+                block += cc
+                near = block.argmin(axis=1, out=nearest[start:stop])
+                pick = block[local[: stop - start], near]
+                for row in np.flatnonzero(pick < 0.0).tolist():
+                    clamped = np.maximum(block[row], 0.0, out=block[row])
+                    near[row] = clamped.argmin()
+                    pick[row] = clamped[near[row]]
+                np.maximum(pick, 0.0, out=picked[start:stop])
+
+    _run_blocks(assign_blocks, starts, d2.shape[0])
 
 
 def _update_centroids(
@@ -310,6 +354,12 @@ def kmeans(points, k: int, max_iter: int = 100, seed=0) -> KMeansResult:
     Each update recomputes only the centroids of clusters that gained or
     lost a row, or were re-seeded, since the last one; every other
     cluster's mean would come out with the same bits.
+
+    Each assignment pass (`_assign`) runs in row blocks shared by one
+    thread per CPU (`numerics._block_workers`), with the same bytes on any
+    number of threads. Its memory is one (rows, k) block per thread, not
+    n x k: with the rows, the call holds one grouped copy of them (the
+    centroid update's) and a few n-vectors.
     """
     x = as_matrix(points, "kmeans points")
     n = x.shape[0]
@@ -320,20 +370,23 @@ def kmeans(points, k: int, max_iter: int = 100, seed=0) -> KMeansResult:
     rng = np.random.default_rng(seed)
     xx = (x * x).sum(axis=1)
     centroids = _kmeanspp_init(x, xx, k, rng)
-    assignment = np.full(n, -1, dtype=np.int64)
-    rows = np.arange(n)
     history: list[float] = []
     n_iter = 0
     few_distinct = None  # counted only once the inertia stops falling
     stale = np.ones(k, dtype=bool)  # centroids that may not be their members' mean
-    # One n x k buffer for every iteration: a fresh one per step fragments the heap.
-    d2 = np.empty((n, k), dtype=x.dtype)
+    # Every buffer of the Lloyd pass is allocated here, once, at a fixed size:
+    # fresh or variable-size ones per step fragment the heap. The pass writes
+    # each new assignment into the vector the previous one is not in.
+    starts = _row_blocks(n, k)
+    d2 = np.empty((_block_workers(starts), min(starts.step, n), k), dtype=x.dtype)
+    assignment = np.full(n, -1, dtype=np.intp)
+    new_assignment, point_d2 = np.empty(n, dtype=np.intp), np.empty(n, dtype=x.dtype)
     for it in range(max_iter):
         n_iter = it + 1
-        new_assignment, point_d2 = _assign(x, xx, centroids, d2, rows)
+        _assign(x, xx, centroids, d2, new_assignment, point_d2)
         history.append(float(point_d2.sum()))
         moved = new_assignment != assignment
-        # Either way the centroids are unchanged since d2, so this is the result.
+        # Either way the centroids are unchanged since the pass, so this is the result.
         if not moved.any():
             break
         if it and not history[-1] < history[-2]:
@@ -344,7 +397,7 @@ def kmeans(points, k: int, max_iter: int = 100, seed=0) -> KMeansResult:
         # On the first pass the -1s flag cluster k - 1, stale already.
         np.logical_or.at(stale, assignment, moved)
         np.logical_or.at(stale, new_assignment, moved)
-        assignment = new_assignment
+        assignment, new_assignment = new_assignment, assignment
         counts = np.bincount(assignment, minlength=k)
         _update_centroids(x, assignment, counts, centroids, stale)
         stale[:] = False
@@ -363,7 +416,7 @@ def kmeans(points, k: int, max_iter: int = 100, seed=0) -> KMeansResult:
             point_d2[far] = 0.0
             j += 1
     else:
-        new_assignment, point_d2 = _assign(x, xx, centroids, d2, rows)
+        _assign(x, xx, centroids, d2, new_assignment, point_d2)
     return KMeansResult(
         centroids=centroids,
         assignment=new_assignment,
@@ -390,7 +443,7 @@ def select_core_set(points, spec: FewShotSpec, seed=None) -> np.ndarray:
     k = min(math.ceil(spec.coreset_fraction * n), spec.coreset_cap, n)
     result = kmeans(x, k, seed=spec.seed if seed is None else seed)
     cluster = result.assignment
-    own_d2 = ((x - result.centroids[cluster]) ** 2).sum(axis=1)
+    own_d2 = _sq_distances(x, result.centroids, cluster)
     order = np.lexsort((own_d2, cluster))
     grouped = cluster[order]
     first = np.ones(n, dtype=bool)

@@ -200,6 +200,42 @@ def test_streamed_eval_holds_outputs_labels_and_one_block_per_worker(
     assert peaks[16384] - peaks[4096] <= (16384 - 4096) * ROW_BYTES
 
 
+# Row vectors that k-means holds at its peak, in the centroid update: the
+# squared norms, both assignment vectors, the picked distances, the grouping
+# argsort and its sort buffer, and the moved flags.
+KMEANS_ROW_VECTORS = 6
+# Row vectors of the k-means++ seeding: its norms, its distances, the bound,
+# the expansion and the cumulative sum, the index of the rows it recomputes,
+# and two boolean masks.
+SEEDING_ROW_VECTORS = 7
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_kmeans_holds_one_grouped_copy_and_one_block_per_worker(rng, monkeypatch, workers):
+    # The Lloyd pass holds one block of distances per worker, not an (n, k)
+    # matrix, and the seeding and the distance passes take their exact
+    # distances one row block at a time: the only (n, d) array made is the
+    # copy of the rows that the centroid update groups by cluster.
+    monkeypatch.setattr(numerics, "_WORKERS", workers)
+    d, k = 16, 128
+    assert k > d + KMEANS_ROW_VECTORS  # an (n, k) term could not pass
+    centroids = k * d * 8
+    peaks = {}
+    for n in (4096, 16384):
+        x = rng.normal(size=(n, d))
+        # The seeding alone: its row vectors and the two one-block temporaries
+        # of its exact distances.
+        seeding = _peak(sampler._kmeanspp_init, x, (x * x).sum(axis=1), k, rng)
+        bound = n * SEEDING_ROW_VECTORS * 8 + 2 * BLOCK_BYTES + centroids + SLACK
+        assert seeding <= bound, (n, seeding, bound)
+        peaks[n] = _peak(sampler.kmeans, x, k, 2)
+        bound = (n * (d + KMEANS_ROW_VECTORS) * 8 + workers * BLOCK_BYTES + centroids + SLACK
+                 + (workers - 1) * PER_THREAD)
+        assert peaks[n] <= bound, (n, peaks[n], bound)
+    # Only the grouped copy and the row vectors grow with n.
+    assert peaks[16384] - peaks[4096] <= (16384 - 4096) * (d + KMEANS_ROW_VECTORS) * 8
+
+
 # Bytes per store row that a sample holds for every bag, read or not: the
 # bag's int64 instance labels (8) and its share of the bag's manifest entry,
 # file path and label-file read (measured 1.8-2.2 for these 512-row bags).
@@ -213,9 +249,12 @@ def test_sample_holds_selected_rows_and_label_vectors(tmp_path, rng):
     n, dim = 512, 64
     selected = 2 * n
     k = math.ceil(0.1 * selected)  # the default core-set fraction
-    # The selected rows, k-means' (selected, k) distances and at most two
-    # (selected, d) temporaries of its seeding and of the core-set pick.
-    sampling = selected * (3 * dim + k) * 8
+    workers = numerics._block_workers(numerics._row_blocks(selected, k))
+    # The selected rows, the copy of them that the centroid update groups,
+    # k-means' row vectors and the sample's row indices, and one block of
+    # Lloyd distances per worker.
+    sampling = (selected * (2 * dim + KMEANS_ROW_VECTORS + 2) * 8
+                + workers * BLOCK_BYTES + (workers - 1) * PER_THREAD)
     assert LABEL_BYTES < dim * 8
     peaks = {}
     for n_bags in (4, 16, 64):

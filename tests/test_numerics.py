@@ -2,6 +2,7 @@ import math
 import multiprocessing
 import os
 import sys
+import threading
 import time
 
 import numpy as np
@@ -249,6 +250,20 @@ class TestRunBlocks:
         assert sorted(s for got in taken.values() for s in got) == list(starts)
         # Thread i takes block i first.
         assert [taken[i][0] for i in range(workers)] == list(starts[:workers])
+
+    def test_more_workers_than_blocks_run_each_block_once(self):
+        starts = range(0, 2)
+        taken = []
+        lock = threading.Lock()
+
+        def work(i, blocks):
+            for start in blocks:
+                with lock:
+                    taken.append((i, start))
+
+        _run_blocks(work, starts, 3)
+        assert sorted(start for _, start in taken) == list(starts)
+        assert {i for i, _ in taken} <= {0, 1}
 
 
 needs_blas = pytest.mark.skipif(

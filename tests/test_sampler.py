@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import json
 import re
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fewcache.sampler
+from fewcache import numerics
 from fewcache.dataset import SynthSpec, synth_generate
 from fewcache.errors import InsufficientBagsError, SplitError
 from fewcache.sampler import (
@@ -158,7 +160,10 @@ class TestKMeansOracle:
 
     @pytest.mark.parametrize(
         "n, d, k",
-        [(1200, 32, 120), (400, 1, 20), (300, 64, 300), (3000, 64, 300), (1600, 32, 160)],
+        [(1200, 32, 120), (400, 1, 20), (300, 64, 300), (3000, 64, 300), (1600, 32, 160),
+         # 5 Lloyd blocks with a ragged last one and k near the block width,
+         # and a cap-sized k over 39 blocks.
+         (2500, 48, 250), (5000, 64, 1000)],
     )
     def test_bit_identical_at_scale(self, n, d, k):
         rng = np.random.default_rng(n + d)
@@ -242,6 +247,55 @@ class TestKMeansWork:
         assert len(recomputed) == result.n_iter - 1 >= 2
         assert recomputed[0] == k
         assert all(count < k for count in recomputed[1:])
+
+
+def _kmeans_bytes(x, k, seed=0):
+    result = kmeans(x, k, seed=seed)
+    spec = FewShotSpec(bag_shot=1, instance_shot=1, coreset_fraction=1.0, coreset_cap=k,
+                       seed=seed)
+    return (result.centroids.tobytes(), result.assignment.tobytes(),
+            np.array(result.inertia_history).tobytes(), result.n_iter,
+            select_core_set(x, spec).tobytes())
+
+
+class TestKMeansThreads:
+    """The Lloyd pass's row blocks depend on (n, k) only, so the thread
+    count that shares them moves no byte."""
+
+    def test_same_bytes_on_any_thread_count(self, monkeypatch):
+        x, k = _coreset_sample_points(), 300
+        starts = numerics._row_blocks(x.shape[0], k)
+        assert len(starts) == 7 and x.shape[0] % starts.step  # a ragged last block
+        outcomes = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(numerics, "_WORKERS", workers)
+            outcomes.append(_kmeans_bytes(x, k))
+        if numerics._blas_threads() is not None:
+            with numerics._single_threaded():
+                outcomes.append(_kmeans_bytes(x, k))
+        assert all(outcome == outcomes[0] for outcome in outcomes)
+
+    @pytest.mark.parametrize("ignore", [False, True], ids=["default", "over-ignored"])
+    def test_overflowing_expansion_same_outcome_on_one_and_two_threads(
+            self, monkeypatch, ignore):
+        # Rows near 1e154 e_1: their squared norms and exact distances are
+        # finite, and at k = 2 the seeding runs no expansion, but the Lloyd
+        # pass's -2 x.c overflows. A thread runs under the caller's error
+        # state, so the pass raises (the suite turns the RuntimeWarning into
+        # an error) or ignores it on every thread alike.
+        monkeypatch.setattr(numerics, "_BLOCK_ELEMENTS", 64)  # 7 blocks
+        x = np.array([1e154, 0.0]) + np.random.default_rng(0).normal(size=(200, 2)) * 1e140
+        assert np.isfinite((x * x).sum(axis=1)).all()
+        outcomes = []
+        for workers in (1, 2):
+            monkeypatch.setattr(numerics, "_WORKERS", workers)
+            with np.errstate(over="ignore") if ignore else contextlib.nullcontext():
+                try:
+                    outcomes.append(_kmeans_bytes(x, 2))
+                except Exception as exc:
+                    outcomes.append(type(exc))
+        assert outcomes[0] == outcomes[1]
+        assert (outcomes[0] is RuntimeWarning) is not ignore
 
 
 class TestSampleBags:
