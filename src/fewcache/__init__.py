@@ -31,6 +31,7 @@ from .encoders import EmbeddingSource, resolve_source
 from .fusion_eval import (
     AUCResult,
     EvalReport,
+    ScoreSpec,
     alpha_grid,
     bag_pool,
     binary_auc,
@@ -68,7 +69,7 @@ from .sampler import (
     sample_split,
     select_core_set,
 )
-from .trainer import TrainConfig, fit, restore, snapshot, train_cache, train_prior
+from .trainer import FitSpec, TrainConfig, fit, restore, snapshot, train_cache, train_prior
 
 __version__ = "0.1.0"
 
@@ -84,11 +85,13 @@ __all__ = [
     "ExperimentConfig",
     "FewShotSpec",
     "FewShotSplit",
+    "FitSpec",
     "GradCheckReport",
     "KMeansResult",
     "PriorModel",
     "PriorSpec",
     "RunRecord",
+    "ScoreSpec",
     "SynthSpec",
     "TrainConfig",
     "adam_step",

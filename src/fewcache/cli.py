@@ -17,7 +17,8 @@ key, a value of the wrong JSON type, or a value the class rejects (such as an
 unknown prior mode or pooling operator) is a usage error, caught before any
 sampling, training or evaluation. Exit status: 0 on success, 2 on usage errors
 (bad flags, missing files, malformed configs), 1 on domain errors, each
-reported as a single machine-parsable line.
+reported as a single machine-parsable line. `sample`, `train` and `eval`
+make up a sweep run: they share its keys and its prompt reader (unit rows).
 """
 
 from __future__ import annotations
@@ -26,18 +27,17 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .cache_branch import DEFAULT_BETA
 from .codec import existing, from_doc, read_json, to_doc
 from .dataset import SynthSpec, read_layout, save_dataset, synth_generate
 from .encoders import read_prompt_features
 from .errors import DimensionConflictError, FewcacheError, SplitError, UsageError
-from .fusion_eval import GRID_POINTS, POOL_OPERATORS, alpha_table_to_csv, evaluate
+from .fusion_eval import ScoreSpec, alpha_table_to_csv, evaluate
 from .gradchecks import run_all_suites
 from .harness import (
     REPORT_FORMATS,
@@ -47,9 +47,8 @@ from .harness import (
     run_experiment,
     write_run_record,
 )
-from .prior_branch import PriorSpec
 from .sampler import FewShotSpec, load_split, sample_split, save_split
-from .trainer import TrainConfig, fit, history_to_csv, restore, snapshot
+from .trainer import FitSpec, fit, history_to_csv, restore, snapshot
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -60,15 +59,13 @@ class SampleJob(FewShotSpec):
 
 
 @dataclass
-class TrainJob(PriorSpec):
+class TrainJob(FitSpec):
     """`fewcache train` config: `prompt` is the N x d prompt-feature FEMB;
-    the prior keys (prior_mode, prior_tau, toy_*) are PriorSpec's."""
+    the fit keys (the prior keys, train, cache_beta) are FitSpec's."""
 
     dataset: str
     split: str
     prompt: str
-    train: TrainConfig = field(default_factory=TrainConfig)
-    cache_beta: float = DEFAULT_BETA
 
 
 @dataclass
@@ -80,23 +77,18 @@ class TuneSet:
 
 
 @dataclass
-class EvalJob:
+class EvalJob(ScoreSpec):
     """`fewcache eval` config: a given alpha wins over tune; with neither, alpha is 0.5."""
 
     dataset: str
     checkpoint: str
     alpha: Optional[float] = None
     tune: Optional[TuneSet] = None
-    grid_points: int = GRID_POINTS
-    pooling: str = "mean"
 
     def __post_init__(self):
         if self.alpha is not None and not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        if self.grid_points < 1:
-            raise ValueError("grid_points must be >= 1")
-        if self.pooling not in POOL_OPERATORS:
-            raise ValueError(f"unknown pooling operator {self.pooling!r}")
+        super().__post_init__()
 
 
 @dataclass
@@ -173,7 +165,7 @@ def cmd_train(args) -> int:
     if split.n_labeled == 0:
         raise SplitError(f"{job.split}: no labeled rows to train on")
     prompts = read_prompt_features(job.prompt, dataset.dim, dataset.num_classes)
-    fitted = fit(split, dataset.store, dataset.classes, prompts, job, job.train, job.cache_beta)
+    fitted = fit(split, dataset, prompts, job)
     out = _out_dir(args)
     snapshot(fitted.cache, fitted.prior, out / "checkpoint")
     history_to_csv(fitted.cache_losses, fitted.prompt_losses, out / "loss_history.csv")
@@ -206,7 +198,7 @@ def cmd_eval(args) -> int:
     tune = None
     if job.alpha is None and job.tune is not None:
         tune = _tune_rows(job.tune, cache.classes)
-    result = evaluate(cache, prior, dataset, job.pooling, job.alpha, tune, job.grid_points)
+    result = evaluate(cache, prior, dataset, job, job.alpha, tune)
 
     doc: dict = {
         "alpha": result.alpha,

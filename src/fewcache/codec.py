@@ -4,9 +4,9 @@
 order; `from_doc` rebuilds it, resolving nested dataclasses, lists of
 them and tuples from the type hints and filling absent keys from the
 defaults. Any bad document (an unknown or missing key, a value of the
-wrong JSON type, a NaN or infinite float, or one the constructor
-rejects) raises the caller's error class: UsageError for configs, a
-file format's own domain error.
+wrong JSON type, a float that is not finite, an int outside int64, or one
+the constructor rejects) raises the caller's error class: UsageError for
+configs, a file format's own domain error.
 
 Field metadata carries the two irregular cases of the serialized form:
 a SKIP field is never written (nor accepted on read), and an OMIT_NONE
@@ -18,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
-import math
+import sys
 import typing
 from pathlib import Path
 
@@ -28,6 +28,13 @@ SKIP = {"codec": "skip"}
 OMIT_NONE = {"codec": "omit_none"}
 # The types json.load gives each scalar hint (an int is a valid float).
 _JSON_SCALARS = {bool: {bool}, int: {int}, float: {int, float}, str: {str}}
+
+
+def _in_range(hint, values) -> bool:
+    """Whether numpy holds `values` as `hint`: floats finite, ints in int64."""
+    if hint is float:  # compared, as math.isfinite overflows on a huge int
+        return all(-sys.float_info.max <= v <= sys.float_info.max for v in values)
+    return hint is not int or not values or (-2**63 <= min(values) and max(values) < 2**63)
 
 
 def _doc_fields(cls) -> list[dataclasses.Field]:
@@ -119,9 +126,7 @@ def _decode(hint, value, where: str, error: type[Exception]):
             if len(value) != len(args):
                 raise error(f"{where} must hold {len(args)} items, got {len(value)}")
             return tuple(_decode(a, v, where, error) for a, v in zip(args, value))
-        if set(map(type, value)) <= _JSON_SCALARS.get(args[0], set()) and (
-            args[0] is not float or all(map(math.isfinite, value))
-        ):
+        if set(map(type, value)) <= _JSON_SCALARS.get(args[0], set()) and _in_range(args[0], value):
             return tuple(value) if origin is tuple else list(value)  # no call per item
         items = [_decode(args[0], v, where, error) for v in value]
         return tuple(items) if origin is tuple else items
@@ -132,6 +137,7 @@ def _decode(hint, value, where: str, error: type[Exception]):
         allowed = (int, float) if hint is float else hint
         if not isinstance(value, allowed) or (hint is not bool and isinstance(value, bool)):
             raise error(f"{where} must be {hint.__name__}, got {type(value).__name__}")
-        if hint is float and not math.isfinite(value):
-            raise error(f"{where} must be finite, got {value}")
+        if not _in_range(hint, (value,)):
+            bound = "finite" if hint is float else "within int64"
+            raise error(f"{where} must be {bound}, got {value}")
     return value

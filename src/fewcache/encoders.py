@@ -5,7 +5,7 @@ precomputed FEMB dumps produced elsewhere or a synthetic generator. A
 resolved source bundles the train/test datasets and the per-class
 prompt features, all checked to share one embedding dimension, plus
 provenance (checksums) so identical configs provably yield identical
-data.
+data. Prompt features are unit rows, from one reader for sweep and train.
 
 Memory contract: a synthetic source generates each store in place
 (dataset.synth_generate), so resolving it holds its train and test
@@ -107,10 +107,10 @@ class FileSource:
 
 
 def read_prompt_features(path, dim: int, num_classes: int) -> np.ndarray:
-    """The raw rows of a prompt-feature FEMB file: one d-wide row per class.
+    """A prompt-feature FEMB file as unit rows, one per class: sweep's and train's reader.
 
     Raises DimensionConflictError if the file's width is not `dim` or it
-    does not hold `num_classes` rows.
+    does not hold `num_classes` rows, and l2_normalize_rows's errors.
     """
     store = read_embeddings(path)
     if store.d != dim:
@@ -119,7 +119,7 @@ def read_prompt_features(path, dim: int, num_classes: int) -> np.ndarray:
         raise DimensionConflictError(
             f"prompt file holds {store.n} rows for {num_classes} classes"
         )
-    return store.rows
+    return l2_normalize_rows(store.rows)
 
 
 _SOURCE_KINDS = {"synthetic": SyntheticSource, "file": FileSource}
@@ -178,9 +178,7 @@ def resolve_source(config: dict) -> EmbeddingSource:
         raise DimensionConflictError(
             f"train dim {train.dim} != test dim {test.dim}"
         )
-    prompts = l2_normalize_rows(
-        read_prompt_features(src.prompt_features, train.dim, train.num_classes)
-    )
+    prompts = read_prompt_features(src.prompt_features, train.dim, train.num_classes)
     provenance = {
         "encoder": src.encoder_name,
         "checksum": _sha256_file(src.train_manifest),

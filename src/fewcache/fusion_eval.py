@@ -205,6 +205,21 @@ def score(
 Scores = tuple[Optional[AUCResult], AUCResult]
 
 
+@dataclass(kw_only=True)
+class ScoreSpec:
+    """How `evaluate` scores a test set: the bag pooling operator and the
+    alpha grid size. Sweep and eval configs inherit these keys flat."""
+
+    pooling: str = "mean"
+    grid_points: int = GRID_POINTS
+
+    def __post_init__(self):
+        if self.pooling not in POOL_OPERATORS:
+            raise ValueError(f"unknown pooling operator {self.pooling!r}")
+        if self.grid_points < 1:
+            raise ValueError("grid_points must be >= 1")
+
+
 @dataclass
 class Evaluation:
     """What `evaluate` found: the fusion weight, its tuning table and flags,
@@ -224,13 +239,12 @@ def evaluate(
     cache: CacheModel,
     prior: PriorModel,
     test: Dataset,
-    pooling: str,
+    spec: ScoreSpec,
     alpha: Optional[float] = None,
     tune: Optional[tuple[np.ndarray, np.ndarray]] = None,
-    grid_points: int = GRID_POINTS,
     branches: bool = False,
 ) -> Evaluation:
-    """Score `test` with the fusion of both branches, pooled by `pooling`.
+    """Score `test` with the fusion of both branches, as `spec` says.
 
     A given alpha wins; otherwise `pick_alpha` tunes it on `tune`, the
     (rows, labels) of a labeled set held in memory; with neither, alpha
@@ -246,16 +260,16 @@ def evaluate(
     if alpha is None and tune is not None:
         rows, labels = tune
         tune_probs = (retrieve(cache, rows), prior_predict(prior, rows))
-        alpha, table, flags = pick_alpha(*tune_probs, labels, grid_points)
+        alpha, table, flags = pick_alpha(*tune_probs, labels, spec.grid_points)
     alpha = 0.5 if alpha is None else float(alpha)
     cache_probs, prior_probs = _branch_probs(cache, prior, test)
-    fused = score(fuse(cache_probs, prior_probs, alpha), test, pooling)
+    fused = score(fuse(cache_probs, prior_probs, alpha), test, spec.pooling)
     if fused[0] is None:
         flags["instance_labels_missing"] = True
     result = Evaluation(alpha, table, flags, fused, tune_probs=tune_probs)
     if branches:
-        result.cache = score(cache_probs, test, pooling)
-        result.prior = score(prior_probs, test, pooling)
+        result.cache = score(cache_probs, test, spec.pooling)
+        result.prior = score(prior_probs, test, spec.pooling)
     return result
 
 

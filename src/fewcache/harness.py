@@ -3,8 +3,10 @@
 One experiment = a grid of (bag shot, instance shot) cells, each repeated
 over several seeds: sample a split, build and train both branches
 (trainer.fit, which reads each core row once), pick the fusion weight on
-the labeled instances fit trained on, evaluate on the held-out test set.
-Cell failures are recorded without aborting sibling cells.
+the labeled instances fit trained on, evaluate on the held-out test set:
+`fewcache sample`, `train` and `eval` bit for bit (the same keys, and unit
+prompt rows from one reader). Cell failures are recorded without aborting
+sibling cells.
 
 Result files are deterministic given (config, base seed): timestamps and
 wall-clock live in a separate metadata file so record/report files are
@@ -34,14 +36,12 @@ from typing import Optional
 import numpy as np
 
 from . import numerics
-from .cache_branch import DEFAULT_BETA
 from .codec import SKIP, from_doc, read_json, to_doc
 from .encoders import EmbeddingSource, resolve_source
 from .errors import FewcacheError, UsageError
-from .fusion_eval import POOL_OPERATORS, EvalReport, evaluate
-from .prior_branch import PriorSpec
+from .fusion_eval import EvalReport, ScoreSpec, evaluate
 from .sampler import FewShotSpec, sample_split
-from .trainer import TrainConfig, fit
+from .trainer import FitSpec, fit
 
 DEFAULT_BAG_SHOTS = (1, 2, 4, 8, 16)
 DEFAULT_INSTANCE_SHOTS = (16,)
@@ -49,9 +49,9 @@ DEFAULT_REPEATS = 5
 
 
 @dataclass
-class ExperimentConfig(PriorSpec):
-    """A `sweep` config; the prior keys (prior_mode, prior_tau, toy_*) are
-    PriorSpec's."""
+class ExperimentConfig(FitSpec, ScoreSpec):
+    """A `sweep` config; the fit keys (the prior keys, train, cache_beta)
+    are FitSpec's and the score keys (pooling, grid_points) ScoreSpec's."""
 
     source: dict
     bag_shots: tuple[int, ...] = DEFAULT_BAG_SHOTS
@@ -59,10 +59,6 @@ class ExperimentConfig(PriorSpec):
     coreset_fraction: float = 0.10
     coreset_cap: int = 1000
     per_bag: bool = False
-    train: TrainConfig = field(default_factory=TrainConfig)
-    cache_beta: float = DEFAULT_BETA
-    pooling: str = "mean"
-    grid_points: int = 101
     freeze_keys: bool = False
     freeze_value_logits: bool = False
     repeats: int = DEFAULT_REPEATS
@@ -71,11 +67,8 @@ class ExperimentConfig(PriorSpec):
     def __post_init__(self):
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
-        super().__post_init__()
-        if self.pooling not in POOL_OPERATORS:
-            raise ValueError(f"unknown pooling operator {self.pooling!r}")
-        if self.grid_points < 1:
-            raise ValueError("grid_points must be >= 1")
+        FitSpec.__post_init__(self)
+        ScoreSpec.__post_init__(self)
         for bag_shot in self.bag_shots:  # a budget FewShotSpec rejects fails every run
             for instance_shot in self.instance_shots:
                 self.few_shot_spec(bag_shot, instance_shot, self.base_seed)
@@ -194,18 +187,12 @@ def run_single(
         # uniform values that only dilute retrieval; the reduced variants
         # this ablation mirrors cache annotated instances only.
         split = replace(split, unlabeled_rows=np.empty(0, dtype=np.int64))
-    train_cfg = replace(
-        cfg.train,
-        lr_keys=0.0 if cfg.freeze_keys else cfg.train.lr_keys,
-        lr_value_logits=0.0 if cfg.freeze_value_logits else cfg.train.lr_value_logits,
-    )
-    fitted = fit(split, train_ds.store, train_ds.classes, source.prompt_features, cfg,
-                 train_cfg, cfg.cache_beta)
+    train = replace(cfg.train, lr_keys=0.0 if cfg.freeze_keys else cfg.train.lr_keys,
+                    lr_value_logits=0.0 if cfg.freeze_value_logits else cfg.train.lr_value_logits)
+    fitted = fit(split, train_ds, source.prompt_features, replace(cfg, train=train))
 
-    result = evaluate(
-        fitted.cache, fitted.prior, test_ds, cfg.pooling,
-        tune=(fitted.queries, fitted.labels), grid_points=cfg.grid_points, branches=True,
-    )
+    result = evaluate(fitted.cache, fitted.prior, test_ds, cfg,
+                      tune=(fitted.queries, fitted.labels), branches=True)
 
     labeled_count = split.n_labeled
     total = train_ds.num_instances

@@ -80,19 +80,21 @@ class FewShotSplit:
         return int(self.labeled_rows.size + self.unlabeled_rows.size)
 
     def check(self, dataset: Dataset, spec: Optional[FewShotSpec] = None) -> None:
-        """Assert the split invariants against its dataset."""
-        labeled = set(self.labeled_rows.tolist())
-        unlabeled = set(self.unlabeled_rows.tolist())
-        if labeled & unlabeled:
+        """Assert the split invariants against its dataset, in memory of the
+        split's rows and the bag count, not the bag sizes."""
+        labeled, unlabeled = np.unique(self.labeled_rows), np.unique(self.unlabeled_rows)
+        rows = np.sort(np.concatenate([labeled, unlabeled]))
+        if (rows[1:] == rows[:-1]).any():
             raise AssertionError("labeled and unlabeled core rows overlap")
+        # The selected ranges by start, after one that holds no row: a row is
+        # in one iff it is below the furthest end of those starting by it.
         selected = set(self.selected_bags)
-        allowed: set[int] = set()
-        for bag in dataset.bags:
-            if bag.id in selected:
-                allowed.update(range(bag.start, bag.end))
-        outside = (labeled | unlabeled) - allowed
+        ranges = sorted((bag.start, bag.end) for bag in dataset.bags if bag.id in selected)
+        starts, ends = np.array([(-1 << 63, -1 << 63)] + ranges, dtype=np.int64).T
+        furthest = np.maximum.accumulate(ends)[np.searchsorted(starts, rows, side="right") - 1]
+        outside = np.count_nonzero(rows >= furthest)
         if outside:
-            raise AssertionError(f"{len(outside)} split rows fall outside selected bags")
+            raise AssertionError(f"{outside} split rows fall outside selected bags")
         if spec is not None and not spec.per_bag:
             counts = np.bincount(self.labeled_classes, minlength=dataset.num_classes)
             shortfall = self.flags.get("shortfall", {})

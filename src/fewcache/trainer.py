@@ -2,9 +2,11 @@
 per branch, plus model checkpointing.
 
 `fit` is the one place a split becomes trained models, for `sweep` and
-`train` alike. It reads the core rows once (`build_cache`, labeled rows
-first); the labeled queries are a copy of the first keys, so no row is
-read twice. The descents then take arrays and know no split or store.
+`train` alike, from one `FitSpec` and the unit rows of the one prompt
+reader (`encoders.read_prompt_features`). It reads the core rows once
+(`build_cache`, labeled rows first); the labeled queries are a copy of
+the first keys, the bits of a second read as each row is normalized on
+its own. The descents then take arrays and know no split or store.
 
 Each step computes a branch's loss on all the labeled instances (few-shot,
 so no minibatch draw), in row order, and applies one Adam update per
@@ -38,9 +40,9 @@ from typing import Optional
 
 import numpy as np
 
-from .cache_branch import CacheModel, _cache_loss_and_grads, _check_key_dim, build_cache
+from .cache_branch import DEFAULT_BETA, CacheModel, _cache_loss_and_grads, _check_key_dim, build_cache
 from .codec import OMIT_NONE, from_doc, read_json, to_doc
-from .dataset import Store, read_embeddings, write_embeddings
+from .dataset import Dataset, read_embeddings, write_embeddings
 from .errors import (
     CheckpointVersionError,
     CorruptCheckpointError,
@@ -82,6 +84,15 @@ class TrainConfig:
             raise ValueError("learning rates must be >= 0")
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
+
+
+@dataclass(kw_only=True)
+class FitSpec(PriorSpec):
+    """The keys of a fit: PriorSpec's, the optimization settings `train` and
+    the cache's attention scale. Sweep and train configs inherit them flat."""
+
+    train: TrainConfig = field(default_factory=TrainConfig)
+    cache_beta: float = DEFAULT_BETA
 
 
 def _queries(queries, labels) -> np.ndarray:
@@ -177,28 +188,15 @@ class FitResult:
     prompt_losses: list[float]
 
 
-def fit(
-    split: FewShotSplit,
-    store: Store,
-    classes: list[str],
-    prompt_features,
-    spec: PriorSpec,
-    cfg: TrainConfig,
-    beta: float,
-) -> FitResult:
-    """Build the cache from `split`'s core rows and the prior `spec`
-    describes, then train each branch on the split's labeled rows.
-
-    The core rows are read once, labeled rows first, so the labeled queries
-    are a copy of the untrained keys' first rows: the same bits as a
-    separate read, since every row is normalized on its own.
-    """
-    cache = build_cache(split, store, classes, beta=beta)
+def fit(split: FewShotSplit, dataset: Dataset, prompt_features, spec: FitSpec) -> FitResult:
+    """Build the cache from `split`'s core rows in `dataset` and the prior
+    `spec` describes, then train each branch on the split's labeled rows."""
+    cache = build_cache(split, dataset.store, dataset.classes, beta=spec.cache_beta)
     queries = cache.keys[: split.n_labeled].copy()
     labels = split.labeled_classes
-    prior = build_prior(spec, prompt_features, classes)
-    cache, cache_losses = train_cache(cache, queries, labels, cfg)
-    prior, prompt_losses = train_prior(prior, queries, labels, cfg)
+    prior = build_prior(spec, prompt_features, dataset.classes)
+    cache, cache_losses = train_cache(cache, queries, labels, spec.train)
+    prior, prompt_losses = train_prior(prior, queries, labels, spec.train)
     return FitResult(cache, prior, queries, labels, cache_losses, prompt_losses)
 
 

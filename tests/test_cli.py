@@ -375,6 +375,7 @@ MALFORMED_COMMAND_CONFIGS = [
     pytest.param("sample", {"dataset": 5}, id="sample-dataset-not-a-string-int"),
     pytest.param("sample", {"dataset": ["@manifest"]}, id="sample-dataset-not-a-string-list"),
     pytest.param("sample", {"seed": -1}, id="sample-negative-seed"),
+    pytest.param("sample", {"seed": 2**63}, id="sample-seed-past-int64"),
     pytest.param("eval", {"pooling": "bogus"}, id="eval-unknown-pooling"),
     pytest.param("eval", {"alpah": 0.9}, id="eval-alpha-typo"),
     pytest.param("eval", {"tune": {"dataset": "@manifest"}}, id="eval-tune-without-split"),
@@ -907,6 +908,8 @@ class TestFileFormats:
                          id="tune-split-row-past-store"),
             pytest.param("split", put("labeled", value=[[0, 5]]), "SplitError",
                          id="split-class-out-of-range"),
+            pytest.param("split", put("labeled", 0, 0, value=2**63), "SplitError",
+                         id="split-row-past-int64"),
             pytest.param("split", lambda doc, text: json.dumps(
                              {**doc, "labeled": [[3, 0], [3, 1]], "unlabeled_core": [3, 4]}),
                          "SplitError", id="split-row-listed-twice"),
@@ -936,6 +939,21 @@ class TestFileFormats:
         assert code == 1
         assert assert_one_domain_line(err) == error
         assert out == "" and not wrote
+
+    def test_label_past_int64_exits_1(self, files, tmp_path, capsys):
+        # numpy holds labels as int64; 2^63 is a ManifestFormatError, not an
+        # OverflowError traceback.
+        shutil.copytree(files / "data", tmp_path / "data")
+        label_file = sorted((tmp_path / "data" / "embeddings").glob("*.labels.json"))[0]
+        labels = json.loads(label_file.read_text())
+        label_file.write_text(json.dumps([2**63] + labels[1:]))
+        doc = {"dataset": str(tmp_path / "data" / "manifest.json"), "bag_shot": 2,
+               "instance_shot": 3}
+        out = tmp_path / "out"
+        assert main(["sample", "--config", write_json(tmp_path / "s.json", doc),
+                     "--out", str(out)]) == 1
+        assert assert_one_domain_line(capsys.readouterr().err) == "ManifestFormatError"
+        assert not out.exists()
 
     @pytest.mark.parametrize("fmt", [f for f in FILE_FORMATS if f != "tune-split"])
     @settings(max_examples=40, deadline=None)

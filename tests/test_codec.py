@@ -133,5 +133,26 @@ def test_non_finite_floats_raise_usage_error(cls, text, match):
         from_doc(cls, json.loads(text))
 
 
+@pytest.mark.parametrize(
+    "cls, doc, match",
+    [
+        (FewShotSpec, {"bag_shot": 1, "instance_shot": 1, "seed": 2**63},
+         "FewShotSpec.seed must be within int64, got 9223372036854775808"),
+        (list[int], [0, -2**63 - 1], r"list\[int\] must be within int64"),
+        (list[tuple[int, int]], [[0, 1], [2**63, 0]], "must be within int64"),
+        (TrainConfig, {"lr_keys": 10**400}, "TrainConfig.lr_keys must be finite"),
+        (list[float], [0.5, 10**400], r"list\[float\] must be finite"),
+    ],
+    ids=["scalar", "list-fast-path", "list-of-tuples", "int-past-float", "int-past-float-list"],
+)
+def test_numbers_numpy_cannot_hold_raise_usage_error(cls, doc, match):
+    with pytest.raises(UsageError, match=match):
+        from_doc(cls, doc)
+
+
+def test_int64_bounds_accepted():
+    assert from_doc(list[int], [-2**63, 2**63 - 1]) == [-2**63, 2**63 - 1]
+
+
 def test_int_accepted_for_float():
     assert from_doc(TrainConfig, {"lr_keys": 0}).lr_keys == 0

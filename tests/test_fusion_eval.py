@@ -26,6 +26,7 @@ from fewcache.errors import (
 )
 from fewcache.fusion_eval import (
     AUCResult,
+    ScoreSpec,
     _branch_probs,
     alpha_grid,
     alpha_table_to_csv,
@@ -369,10 +370,10 @@ class TestEvaluate:
         for probs, want in zip(_branch_probs(cache, prior, streamed),
                                _branch_probs(cache, prior, loaded)):
             assert probs.tobytes() == want.tobytes()
-        got = evaluate(cache, prior, streamed, "topk_mean", tune=tune, grid_points=11,
-                       branches=True)
-        want = evaluate(cache, prior, loaded, "topk_mean", tune=tune, grid_points=11,
-                        branches=True)
+        got = evaluate(cache, prior, streamed, ScoreSpec(pooling="topk_mean", grid_points=11),
+                       tune=tune, branches=True)
+        want = evaluate(cache, prior, loaded, ScoreSpec(pooling="topk_mean", grid_points=11),
+                        tune=tune, branches=True)
         for field_ in ("alpha", "alpha_table", "flags", "fused", "cache", "prior"):
             assert getattr(got, field_) == getattr(want, field_), field_
 
@@ -392,20 +393,20 @@ class TestEvaluate:
         ds = read_layout(manifest)
         q, labels = tune
         alpha, table, flags = pick_alpha(retrieve(cache, q), prior_predict(prior, q), labels, 11)
-        tuned = evaluate(cache, prior, ds, "mean", tune=tune, grid_points=11)
+        tuned = evaluate(cache, prior, ds, ScoreSpec(grid_points=11), tune=tune)
         assert (tuned.alpha, tuned.alpha_table, tuned.flags) == (alpha, table, flags)
         assert tuned.cache is None and tuned.prior is None
         assert [p.tobytes() for p in tuned.tune_probs] == [
             retrieve(cache, q).tobytes(), prior_predict(prior, q).tobytes()]
-        given = evaluate(cache, prior, ds, "mean", alpha=0.25, tune=tune)
+        given = evaluate(cache, prior, ds, ScoreSpec(), alpha=0.25, tune=tune)
         assert (given.alpha, given.alpha_table, given.tune_probs) == (0.25, None, None)
-        assert evaluate(cache, prior, ds, "mean").alpha == 0.5
+        assert evaluate(cache, prior, ds, ScoreSpec()).alpha == 0.5
 
     def test_fused_scores_match_score(self, tmp_path, rng):
         manifest, cache, prior, _ = _eval_inputs(tmp_path, rng)
         ds = load_manifest(manifest)
         cache_probs, prior_probs = _branch_probs(cache, prior, ds)
-        result = evaluate(cache, prior, ds, "max", alpha=0.3, branches=True)
+        result = evaluate(cache, prior, ds, ScoreSpec(pooling="max"), alpha=0.3, branches=True)
         assert result.fused == score(fuse(cache_probs, prior_probs, 0.3), ds, "max")
         assert result.cache == score(cache_probs, ds, "max")
         assert result.prior == score(prior_probs, ds, "max")
@@ -425,7 +426,7 @@ class TestEvaluate:
 
         monkeypatch.setattr(FembStore, "_read", no_reads)
         with pytest.raises(ShapeMismatchError, match="!= (key|text feature) dim 16"):
-            evaluate(cache, prior, read_layout(manifest), "mean", tune=tune)
+            evaluate(cache, prior, read_layout(manifest), ScoreSpec(), tune=tune)
 
     def test_overflowing_attention_raises(self, tmp_path, rng):
         manifest, cache, prior, _ = _eval_inputs(tmp_path, rng)
@@ -433,10 +434,10 @@ class TestEvaluate:
         cache.keys = cache.keys * 1e200
         cache.beta = 1e200
         with pytest.raises(NonFiniteInputError, match="attention"):
-            evaluate(cache, prior, read_layout(manifest), "mean")
+            evaluate(cache, prior, read_layout(manifest), ScoreSpec())
 
     def test_overflowing_prior_raises(self, tmp_path, rng):
         manifest, cache, prior, _ = _eval_inputs(tmp_path, rng)
         prior.tau = 1e-320  # cosine / tau overflows
         with pytest.raises(NonFiniteInputError, match="prior"):
-            evaluate(cache, prior, read_layout(manifest), "mean")
+            evaluate(cache, prior, read_layout(manifest), ScoreSpec())

@@ -17,7 +17,14 @@ import pytest
 from fewcache import numerics, sampler
 from fewcache.cache_branch import CacheModel, retrieve
 from fewcache.cli import main
-from fewcache.dataset import load_manifest, read_layout, write_embeddings
+from fewcache.dataset import (
+    Bag,
+    Dataset,
+    EmbeddingStore,
+    load_manifest,
+    read_layout,
+    write_embeddings,
+)
 from fewcache.encoders import resolve_source
 from fewcache.numerics import l2_normalize_rows
 from fewcache.prior_branch import prior_from_features
@@ -293,3 +300,22 @@ def test_sample_split_gathers_labels_of_selected_bags_only(tmp_path, rng, monkey
         sample_split(dataset, spec)  # the first call imports what it needs
         peaks[n_bags] = _peak(sample_split, dataset, spec)
     assert peaks[64] - peaks[4] <= (64 - 4) * n, peaks
+
+
+@pytest.mark.parametrize("bag_rows", [1000, 3000])
+def test_split_check_holds_split_rows_and_bag_ranges(rng, bag_rows):
+    # 100 selected bags of 10^5 or 3 x 10^5 rows in all and a 1000-row split:
+    # check holds a few copies of the split's row indices and one range per
+    # bag, whatever the bags' sizes; a set of every selected row took 8.5 MiB
+    # at 10^5 rows.
+    n_bags, split_rows = 100, 1000
+    bags = [Bag(f"b{i}", i % 2, i * bag_rows, (i + 1) * bag_rows, None) for i in range(n_bags)]
+    dataset = Dataset("slide", 1, ["a", "b"], bags,
+                      EmbeddingStore.from_array(np.ones((n_bags * bag_rows, 1))))
+    rows = rng.choice(n_bags * bag_rows, split_rows, replace=False)
+    split = FewShotSplit(selected_bags=[bag.id for bag in bags], labeled_rows=rows[:32],
+                         labeled_classes=np.zeros(32, dtype=np.int64),
+                         unlabeled_rows=rows[32:], seed=0)
+    split.check(dataset)  # the first call imports what it needs
+    bound = 8 * 8 * split_rows + 256 * n_bags + SLACK
+    assert _peak(split.check, dataset) <= bound

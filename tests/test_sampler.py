@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import itertools
 import json
 import re
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 import fewcache.sampler
 from fewcache import numerics
-from fewcache.dataset import SynthSpec, synth_generate
+from fewcache.dataset import Bag, SynthSpec, synth_generate
 from fewcache.errors import InsufficientBagsError, SplitError
 from fewcache.sampler import (
     _draw,
@@ -459,6 +460,38 @@ class TestSampleSplit:
         assert not labeled & unlabeled
         truth = small_dataset.instance_labels_vector()
         assert np.array_equal(truth[split.labeled_rows], split.labeled_classes)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        bags=st.lists(st.tuples(st.sampled_from("abcd"), st.integers(-3, 25),
+                                st.integers(0, 8)), max_size=6),
+        selected=st.sets(st.sampled_from("abcd")),
+        labeled=st.lists(st.integers(-5, 35), max_size=8),
+        unlabeled=st.lists(st.integers(-5, 35), max_size=8),
+    )
+    def test_check_rows_as_the_set_version(self, small_dataset, bags, selected, labeled,
+                                           unlabeled):
+        # Against sets of every selected row: overlapping and repeated bag
+        # ranges, rows repeated within a list, rows before, between and past
+        # the bags.
+        labeled_set, unlabeled_set = set(labeled), set(unlabeled)
+        allowed = set()
+        for bag_id, start, n in bags:
+            if bag_id in selected:
+                allowed.update(range(start, start + n))
+        if labeled_set & unlabeled_set:
+            want = "labeled and unlabeled core rows overlap"
+        elif (labeled_set | unlabeled_set) - allowed:
+            want = f"{len((labeled_set | unlabeled_set) - allowed)} split rows fall outside"
+        else:
+            want = None
+        dataset = copy.copy(small_dataset)
+        dataset.bags = [Bag(bag_id, 0, start, start + n, None) for bag_id, start, n in bags]
+        split = FewShotSplit(sorted(selected), np.array(labeled, dtype=np.int64),
+                             np.zeros(len(labeled), dtype=np.int64),
+                             np.array(unlabeled, dtype=np.int64), seed=0)
+        with pytest.raises(AssertionError, match=want) if want else contextlib.nullcontext():
+            split.check(dataset)
 
     def test_pipeline_deterministic(self, small_dataset):
         spec = FewShotSpec(bag_shot=2, instance_shot=4, seed=11)

@@ -33,7 +33,6 @@ from fewcache.errors import (
 )
 from fewcache.numerics import AdamState, adam_step, l2_normalize_rows
 from fewcache.prior_branch import (
-    PriorSpec,
     prior_from_features,
     prior_loss_and_grads,
     prior_predict,
@@ -41,6 +40,7 @@ from fewcache.prior_branch import (
 )
 from fewcache.sampler import FewShotSplit, FewShotSpec, sample_split
 from fewcache.trainer import (
+    FitSpec,
     TrainConfig,
     fit,
     history_to_csv,
@@ -320,7 +320,8 @@ class TestFit:
         store = read_layout(save_dataset(ds, tmp_path / "data")).store
         prompts = class_prototypes(ds.num_classes, ds.dim)
         cfg = TrainConfig(steps=30)
-        fitted = fit(split, store, ds.classes, prompts, PriorSpec(), cfg, beta=20.0)
+        fitted = fit(split, dataclasses.replace(ds, store=store), prompts,
+                     FitSpec(train=cfg, cache_beta=20.0))
         queries, labels = labeled(split, store)
         assert fitted.queries.tobytes() == queries.tobytes()
         assert np.array_equal(fitted.labels, labels)
